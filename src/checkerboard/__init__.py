@@ -16,7 +16,7 @@ from .dirac import (Region, ResidualReport, Spinor, assemble, dirac_residual,
 from .errors import (CheckerboardError, DomainError, InvalidParameterError,
                      OutOfRangeError, ResourceLimitError,
                      UndefinedVelocityError)
-from .kernels import BACKEND, j0_values, j1_values
+from .kernels import j0_values, j1_values
 from .linear import (LinearSpec, linear_component, linear_converge,
                      linear_matrix, linear_parts, split_counts)
 from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, BendRecord,
@@ -38,7 +38,7 @@ from .spacetime import (BoostMatrix, LightConePoint, MembershipWitness,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudePolynomial", "BACKEND", "BendRecord", "BoostMatrix",
+    "AmplitudePolynomial", "BendRecord", "BoostMatrix",
     "CheckerboardError", "COMPONENT_ORDER", "ConvergenceRow",
     "DEFAULT_ENUMERATION_CAP", "Direction", "DomainError",
     "InvalidParameterError", "LatticePath", "LatticeSpec", "LightConePoint",

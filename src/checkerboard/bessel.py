@@ -47,12 +47,10 @@ class SeriesResult:
 
 def _check_argument(s: float) -> np.longdouble:
     s = float(s)
-    if s < 0.0:
-        raise OutOfRangeError(f"series argument must be >= 0, got {s}")
-    if s > SERIES_WINDOW:
+    if not (0.0 <= s <= SERIES_WINDOW):
         raise OutOfRangeError(
-            f"series argument {s} exceeds the validity window "
-            f"{SERIES_WINDOW}; the asymptotic regime is not implemented")
+            f"series argument {s} is outside the validity window "
+            f"[0, {SERIES_WINDOW}]; the asymptotic regime is not implemented")
     return np.longdouble(s)
 
 

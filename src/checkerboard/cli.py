@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import sqrt
 from typing import Any, Optional
 
-from . import kernels
 from .dirac import Region, dirac_residual
 from .errors import CheckerboardError, InvalidParameterError, ResourceLimitError
 from .linear import WARNING_COMPONENT, linear_converge
@@ -52,7 +51,6 @@ class RunConfig:
     params: dict[str, Any]
     output: Optional[str] = None
     fmt: str = "json"
-    jobs: int = 1
     cap: int = DEFAULT_ENUMERATION_CAP
     series_tol: float = 1e-16
 
@@ -226,7 +224,7 @@ def _cmd_converge(cfg: RunConfig) -> str:
         if cfg.params.get("p_list") is None:
             raise InvalidParameterError("--model quadratic requires --p")
         rows = convergence_sweep(t, v, cfg.params["p_list"],
-                                 series_tol=cfg.series_tol, jobs=cfg.jobs)
+                                 series_tol=cfg.series_tol)
     else:
         if cfg.params.get("n_list") is None:
             raise InvalidParameterError("--model linear requires --n")
@@ -260,7 +258,6 @@ def _cmd_dirac_check(cfg: RunConfig) -> str:
         "t0": region.t0, "t1": region.t1, "xfrac": region.xfrac,
         "h": report.h, "margin": report.margin,
         "j0_scale": report.j0_scale,
-        "backend": kernels.BACKEND,
         "points": {"h": report.points_coarse, "h_half": report.points_fine},
         "max_residual": {"h": report.max_residual_h,
                          "h_half": report.max_residual_h2},
@@ -360,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quadratic model: comma-separated right-segment counts")
     p.add_argument("--n", type=_int_list, dest="n_list",
                    help="linear model: comma-separated total segment counts")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for sweep rows (default %(default)s)")
     p.add_argument("--series-tol", type=float, default=1e-16, dest="series_tol",
                    help="series truncation tolerance (default %(default)s)")
 
@@ -379,14 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    reserved = {"command", "output", "fmt", "jobs", "cap", "series_tol"}
+    reserved = {"command", "output", "fmt", "cap", "series_tol"}
     params = {k: v for k, v in vars(args).items() if k not in reserved}
     return RunConfig(
         subcommand=args.command,
         params=params,
         output=getattr(args, "output", None),
         fmt=getattr(args, "fmt", "json"),
-        jobs=getattr(args, "jobs", 1),
         cap=getattr(args, "cap", DEFAULT_ENUMERATION_CAP),
         series_tol=getattr(args, "series_tol", 1e-16),
     )

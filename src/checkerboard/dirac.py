@@ -159,6 +159,10 @@ def dirac_residual(region: Region, h: float,
     J0-valued components and serves as the negative control (the residual
     then stalls at an O(|j0_scale - 1|) floor and the ratio sits near 1).
     """
+    if not all(map(isfinite, (region.t0, region.t1, region.xfrac, h,
+                              j0_scale))):
+        raise InvalidParameterError(
+            "region bounds, spacing h and j0_scale must be finite")
     if h <= 0:
         raise InvalidParameterError("spacing h must be > 0")
     if region.t1 <= region.t0 or region.t0 <= 0:

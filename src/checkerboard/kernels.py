@@ -1,26 +1,18 @@
-"""Vectorized J0/J1 evaluation for float64 grids, with selectable backend.
+"""Vectorized J0/J1 evaluation for float64 grids.
 
 The finite-difference verification evaluates Bessel functions at every
 node of a two-dimensional grid, which is the only hot loop in the package.
-Two interchangeable backends provide it: a numba-compiled per-element loop
-and a pure-numpy term-recurrence fallback. Setting the environment
-variable CHECKERBOARD_NO_NUMBA (to any non-empty value) before import
-forces the numpy path; so does an absent or broken numba install. The
-active choice is exposed as BACKEND ("numba" or "numpy").
-
-Both backends implement the same truncated alternating series as the
-scalar module, but accumulate in float64: fine for the s <= ~20 range the
-grids actually use, and cross-checked against the extended-precision
-scalar series in the tests. The 80-bit scalar route remains the reference;
-these kernels trade its tail precision for throughput. The term recurrence
-multiplies by precomputed reciprocals (division per term costs more than
-the whole rest of the loop body), and the numba path stops per element
-while the numpy path stops when the worst element has converged.
+The kernels here implement the same truncated alternating series as the
+scalar module, but accumulate in float64 numpy arrays: fine for the
+s <= ~20 range the grids actually use, and cross-checked against the
+extended-precision scalar series in the tests. The 80-bit scalar route
+remains the reference; these kernels trade its tail precision for
+throughput. The term recurrence multiplies by precomputed reciprocals
+(division per term costs more than the whole rest of the loop body), and
+the loop stops when the worst element has converged.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -34,14 +26,6 @@ _WINDOW = 50.0
 _K = np.arange(_MAX_TERMS, dtype=np.float64)
 _INV_J0 = 1.0 / ((_K + 1.0) * (_K + 1.0))
 _INV_J1 = 1.0 / ((_K + 1.0) * (_K + 2.0))
-
-try:
-    if os.environ.get("CHECKERBOARD_NO_NUMBA"):
-        nb = None
-    else:
-        import numba as nb
-except ImportError:
-    nb = None
 
 
 def _series_numpy(s: np.ndarray, first: np.ndarray,
@@ -66,60 +50,26 @@ def _j1_numpy(s: np.ndarray) -> np.ndarray:
     return _series_numpy(s, s * 0.5, _INV_J1)
 
 
-if nb is not None:
-    BACKEND = "numba"
-
-    @nb.jit(nopython=True, cache=True)
-    def _series_kernel(flat: np.ndarray, first: np.ndarray, inv: np.ndarray,
-                       out: np.ndarray) -> None:
-        for i in range(flat.size):
-            s = flat[i]
-            half_sq = s * s * 0.25
-            total = first[i]
-            term = first[i]
-            k_min = 0.5 * s
-            for k in range(_MAX_TERMS):
-                term = -term * half_sq * inv[k]
-                total += term
-                if k + 1 >= k_min and abs(term) < 1e-17:
-                    break
-            out[i] = total
-
-    def _j0_backend(flat: np.ndarray) -> np.ndarray:
-        out = np.empty_like(flat)
-        _series_kernel(flat, np.ones_like(flat), _INV_J0, out)
-        return out
-
-    def _j1_backend(flat: np.ndarray) -> np.ndarray:
-        out = np.empty_like(flat)
-        _series_kernel(flat, flat * 0.5, _INV_J1, out)
-        return out
-else:
-    BACKEND = "numpy"
-    _j0_backend = _j0_numpy
-    _j1_backend = _j1_numpy
-
-
 def _prepare(s) -> tuple[np.ndarray, tuple[int, ...]]:
     arr = np.asarray(s, dtype=np.float64)
-    shape = arr.shape  # before ascontiguousarray, which promotes 0-d to 1-d
+    shape = arr.shape
     if arr.size:
         lo = float(arr.min())
         hi = float(arr.max())
-        if lo < 0.0 or hi > _WINDOW:
+        if not (0.0 <= lo and hi <= _WINDOW):
             raise OutOfRangeError(
                 f"grid arguments must lie in [0, {_WINDOW}], got "
                 f"[{lo}, {hi}]")
-    return np.ascontiguousarray(arr).reshape(-1), shape
+    return arr.reshape(-1), shape
 
 
 def j0_values(s) -> np.ndarray:
     """Elementwise J0 over a float64 array, any shape."""
     flat, shape = _prepare(s)
-    return _j0_backend(flat).reshape(shape)
+    return _j0_numpy(flat).reshape(shape)
 
 
 def j1_values(s) -> np.ndarray:
     """Elementwise J1 over a float64 array, any shape."""
     flat, shape = _prepare(s)
-    return _j1_backend(flat).reshape(shape)
+    return _j1_numpy(flat).reshape(shape)

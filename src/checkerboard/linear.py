@@ -3,22 +3,26 @@
 Same path sums, same reversal-counting convention, but every segment has
 the constant length eps = t / N. Each counted reversal then contributes
 the same factor i * eps, so the order-(R-1) coefficient of a sector sum is
-simply the number of paths with R reversals, and the binomial counts do
-all the work. This model converges to the same closed forms as the
-quadratic lattice; keeping it around isolates what the quadratic geometry
-actually changes (the coefficient structure, not the limit).
+simply the number of paths with R reversals. That is the quadratic
+lattice's sector sum with every segment weight 1 in place of 2j - 1:
+e_k(1, ..., 1) = C(n, k), so the binomial rows take the place of the e_k
+tables in the shared core. This model converges to the same closed forms
+as the quadratic lattice; keeping it around isolates what the quadratic
+geometry actually changes (the coefficient structure, not the limit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidParameterError
-from .paths import AmplitudePolynomial, Direction, count_paths
-from .propagator import (ConvergenceRow, PropagatorMatrix, _SECTORS,
-                         _deviation_rows, closed_matrix)
+from .paths import AmplitudePolynomial, Direction
+from .propagator import WARNING_COMPONENT  # noqa: F401  (the sweep's marker)
+from .propagator import (ConvergenceRow, PropagatorMatrix, _parts,
+                         _sector_polynomial, _sweep, _to_matrix)
 
 RationalLike = Union[int, Fraction]
 
@@ -73,39 +77,30 @@ def split_counts(N: int, v: RationalLike) -> Optional[tuple[int, int]]:
     return P, Q
 
 
+def _binomials(n: int) -> list[int]:
+    """e_k of n unit weights, k = 0..n: the binomial row C(n, k)."""
+    return [comb(n, k) for k in range(n + 1)]
+
+
 def linear_component(P: int, Q: int, start: Direction,
                      end: Direction) -> AmplitudePolynomial:
     """Sector sum on the uniform lattice as a polynomial in (i * eps).
 
-    The coefficient at order R - 1 is count_paths(P, Q, start, end, R):
+    The coefficient at order R - 1 equals count_paths(P, Q, start, end, R):
     all counted reversals weigh the same here.
     """
     if P < 1 or Q < 1:
         raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
-    coeffs = {}
-    for R in range(1, P + Q):
-        c = count_paths(P, Q, start, end, R)
-        if c:
-            coeffs[R - 1] = c
-    return AmplitudePolynomial(coeffs)
+    return _sector_polynomial(_binomials(P - 1), _binomials(Q - 1), start, end)
 
 
 def linear_parts(spec: LinearSpec) -> dict[str, tuple[Fraction, Fraction]]:
     """All four components at eps = t / N as exact (real, imag) pairs."""
-    out = {}
-    for name, (start, end) in _SECTORS.items():
-        poly = linear_component(spec.P, spec.Q, start, end)
-        out[name] = poly.evaluate_exact(spec.epsilon)
-    return out
+    return _parts(_binomials(spec.P - 1), _binomials(spec.Q - 1), spec.epsilon)
 
 
 def linear_matrix(spec: LinearSpec) -> PropagatorMatrix:
-    parts = linear_parts(spec)
-    return PropagatorMatrix(**{name: complex(float(re), float(im))
-                               for name, (re, im) in parts.items()})
-
-
-WARNING_COMPONENT = "warning"
+    return _to_matrix(linear_parts(spec))
 
 
 def linear_converge(t: RationalLike, v: RationalLike, N_list: Sequence[int],
@@ -123,18 +118,12 @@ def linear_converge(t: RationalLike, v: RationalLike, N_list: Sequence[int],
         raise InvalidParameterError("sweep requires t > 0")
     if abs(v) >= 1:
         raise InvalidParameterError("sweep requires |v| < 1")
-    rows: list[ConvergenceRow] = []
-    for N in N_list:
+
+    def lattice(N: int) -> Optional[tuple[int, int, dict]]:
         split = split_counts(N, v)
         if split is None:
-            rows.append(ConvergenceRow(
-                P=N, Q=0, t=t, v=v, component=WARNING_COMPONENT,
-                exact_re=0.0, exact_im=0.0, closed_re=0.0, closed_im=0.0,
-                abs_err=0.0, rel_err=0.0))
-            continue
+            return None
         P, Q = split
-        spec = LinearSpec(N=N, P=P, Q=Q, t=t)
-        parts = linear_parts(spec)
-        closed = closed_matrix(float(t), float(t * v), series_tol=series_tol)
-        rows.extend(_deviation_rows(P, Q, t, v, parts, closed))
-    return rows
+        return P, Q, linear_parts(LinearSpec(N=N, P=P, Q=Q, t=t))
+
+    return _sweep(t, v, N_list, lattice, series_tol)

@@ -5,9 +5,10 @@ sector's path amplitudes in closed combinatorial form: the sum over paths
 with a fixed number of reversals factorizes into elementary symmetric
 polynomials of the odd numbers {1, 3, ..., 2n-1}, one factor per light-cone
 axis, so the whole sector collapses to a short polynomial in (i * eps0)
-with exact integer coefficients. The limit route is the classical series
-in s = sqrt(t^2 - x^2) that those polynomials approach as the lattice
-refines. The closed route evaluates the Bessel expressions
+with exact integer coefficients. The same core serves the uniform lattice
+of the linear module, whose segments all weigh 1. The limit route is the
+classical series in s = sqrt(t^2 - x^2) that those polynomials approach
+as the lattice refines. The closed route evaluates the Bessel expressions
 
     psi_mp = psi_pm = J0(s)
     psi_pp = i ((t + x) / s) J1(s)
@@ -24,12 +25,11 @@ sector of paths that start and end moving right.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
-from typing import Optional, Sequence, Union
+from math import isfinite, sqrt
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,35 +80,60 @@ def elem_sym_table(n: int) -> SymmetricTable:
     return SymmetricTable(n=n, values=tuple(row))
 
 
+def _sector_polynomial(e_right: Sequence[int], e_left: Sequence[int],
+                       start: Direction, end: Direction) -> AmplitudePolynomial:
+    """Sector sum as a polynomial in (i * step), from per-axis e_k rows.
+
+    e_right[k] is e_k of the weights of the first P - 1 right segments and
+    e_left[k] the same for the first Q - 1 left segments; a counted reversal
+    after segment j of an axis weighs that axis's j-th weight. The mixed
+    sectors (start and end differ) have 2k + 1 reversals at order 2k: the
+    counted reversal coordinates form a free k-subset of each axis, so the
+    sum over subset pairs is e_right[k] * e_left[k], whichever axis the
+    path starts on. A sector that starts and ends on one axis has 2k
+    reversals at order 2k - 1, k counted on its own axis and k - 1 on the
+    other. The rows stop at P - 1 and Q - 1 because the final segment of
+    each axis never precedes a counted reversal; agreement with the
+    brute-force enumeration oracle pins these bounds down.
+    """
+    if start is not end:
+        return AmplitudePolynomial(
+            {2 * k: a * b for k, (a, b) in enumerate(zip(e_right, e_left))})
+    own, other = (e_right, e_left) if start is Direction.R else (e_left, e_right)
+    return AmplitudePolynomial(
+        {2 * k + 1: a * b for k, (a, b) in enumerate(zip(own[1:], other))})
+
+
+def _parts(e_right: Sequence[int], e_left: Sequence[int],
+           step: Fraction) -> dict[str, tuple[Fraction, Fraction]]:
+    """All four sector sums evaluated exactly at the given step length.
+
+    The two mixed sectors are one polynomial (see _sector_polynomial), so
+    it is built and evaluated once and reported as both psi_pm and psi_mp.
+    """
+    R, L = Direction.R, Direction.L
+    mixed = _sector_polynomial(e_right, e_left, R, L).evaluate_exact(step)
+    return {
+        "psi_pp": _sector_polynomial(e_right, e_left, R, R).evaluate_exact(step),
+        "psi_pm": mixed,
+        "psi_mp": mixed,
+        "psi_mm": _sector_polynomial(e_right, e_left, L, L).evaluate_exact(step),
+    }
+
+
 def exact_component(P: int, Q: int, start: Direction, end: Direction) -> AmplitudePolynomial:
     """Exact sector sum as a polynomial in (i * eps0), no enumeration.
 
-    For the mixed sectors (start and end differ) the paths with 2k + 1
-    reversals contribute e_k(O_{P-1}) * e_k(O_{Q-1}) at order 2k: the
-    counted reversal coordinates form a free k-subset of {1..P-1} on the
-    right axis and of {1..Q-1} on the left axis, and summing the products
-    of (2j - 1) over all subset pairs is exactly the product of the two
-    elementary symmetric values. The start=end=right sector pairs
-    e_k(O_{P-1}) with e_{k-1}(O_{Q-1}) at odd order 2k - 1, and the
-    start=end=left sector swaps P with Q. Agreement with the brute-force
-    enumeration oracle is what pins these bounds down (the sums stop at
-    P - 1 and Q - 1, not P and Q).
+    The segment weights are the odd numbers 2j - 1, so the per-axis rows
+    are elem_sym_table(P - 1) and elem_sym_table(Q - 1): the mixed
+    sectors carry e_k(O_{P-1}) * e_k(O_{Q-1}) at order 2k, the
+    start=end=right sector e_k(O_{P-1}) * e_{k-1}(O_{Q-1}) at order
+    2k - 1, and the start=end=left sector swaps P with Q.
     """
     if P < 1 or Q < 1:
         raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
-    ep = elem_sym_table(P - 1)
-    eq = elem_sym_table(Q - 1)
-    coeffs: dict[int, int] = {}
-    if start is not end:
-        for k in range(0, min(P - 1, Q - 1) + 1):
-            coeffs[2 * k] = ep.e(k) * eq.e(k)
-    elif start is Direction.R:
-        for k in range(1, min(P - 1, Q) + 1):
-            coeffs[2 * k - 1] = ep.e(k) * eq.e(k - 1)
-    else:
-        for k in range(1, min(Q - 1, P) + 1):
-            coeffs[2 * k - 1] = eq.e(k) * ep.e(k - 1)
-    return AmplitudePolynomial(coeffs)
+    return _sector_polynomial(elem_sym_table(P - 1).values,
+                              elem_sym_table(Q - 1).values, start, end)
 
 
 @dataclass(frozen=True)
@@ -165,12 +190,10 @@ class PropagatorMatrix:
         return getattr(self, name)
 
 
-_SECTORS = {
-    "psi_pp": (Direction.R, Direction.R),
-    "psi_pm": (Direction.L, Direction.R),
-    "psi_mp": (Direction.R, Direction.L),
-    "psi_mm": (Direction.L, Direction.L),
-}
+def _to_matrix(parts: dict[str, tuple[Fraction, Fraction]]) -> PropagatorMatrix:
+    """Round exact (real, imag) parts to complex at the very end."""
+    return PropagatorMatrix(**{name: complex(float(re), float(im))
+                               for name, (re, im) in parts.items()})
 
 
 def exact_parts(spec: LatticeSpec) -> dict[str, tuple[Fraction, Fraction]]:
@@ -180,18 +203,13 @@ def exact_parts(spec: LatticeSpec) -> dict[str, tuple[Fraction, Fraction]]:
     throughout, so cancellation costs nothing; the result is the exact
     Gaussian rational value of each finite path sum.
     """
-    out = {}
-    for name, (start, end) in _SECTORS.items():
-        poly = exact_component(spec.P, spec.Q, start, end)
-        out[name] = poly.evaluate_exact(spec.eps0)
-    return out
+    return _parts(elem_sym_table(spec.P - 1).values,
+                  elem_sym_table(spec.Q - 1).values, spec.eps0)
 
 
 def exact_matrix(spec: LatticeSpec) -> PropagatorMatrix:
     """Exact finite-lattice components, rounded to complex at the very end."""
-    parts = exact_parts(spec)
-    return PropagatorMatrix(**{name: complex(float(re), float(im))
-                               for name, (re, im) in parts.items()})
+    return _to_matrix(exact_parts(spec))
 
 
 def closed_matrix(t: float, x: float, series_tol: float = 1e-16) -> PropagatorMatrix:
@@ -202,6 +220,8 @@ def closed_matrix(t: float, x: float, series_tol: float = 1e-16) -> PropagatorMa
     """
     t = float(t)
     x = float(x)
+    if not (isfinite(t) and isfinite(x)):
+        raise DomainError(f"point (t={t}, x={x}) must have finite coordinates")
     if t <= abs(x):
         raise DomainError(
             f"point (t={t}, x={x}) is outside the open forward light cone")
@@ -329,17 +349,42 @@ def _deviation_rows(P: int, Q: int, t: Fraction, v: Fraction,
     return rows
 
 
+WARNING_COMPONENT = "warning"
+
+
+def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
+           lattice: Callable[[int], Optional[tuple[int, int, dict]]],
+           series_tol: float) -> list[ConvergenceRow]:
+    """Deviation rows for each size against one closed-form reference.
+
+    lattice(size) returns (P, Q, exact parts) for that size, or None when
+    the size cannot realize v; such a size yields a single marker row with
+    component = WARNING_COMPONENT, the size in the P column, Q = 0 and
+    zeroed numeric fields, so consumers can tell silence from omission.
+    """
+    closed = closed_matrix(float(t), float(t * v), series_tol=series_tol)
+    rows: list[ConvergenceRow] = []
+    for size in sizes:
+        point = lattice(size)
+        if point is None:
+            rows.append(ConvergenceRow(
+                P=size, Q=0, t=t, v=v, component=WARNING_COMPONENT,
+                exact_re=0.0, exact_im=0.0, closed_re=0.0, closed_im=0.0,
+                abs_err=0.0, rel_err=0.0))
+            continue
+        P, Q, parts = point
+        rows.extend(_deviation_rows(P, Q, t, v, parts, closed))
+    return rows
+
+
 def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
-                      series_tol: float = 1e-16,
-                      jobs: int = 1) -> list[ConvergenceRow]:
+                      series_tol: float = 1e-16) -> list[ConvergenceRow]:
     """Deviation of the exact lattice components from the closed forms.
 
     The velocity fixes the generator shape (P0, Q0); every requested P
     must be a multiple of P0 so that Q = P Q0 / P0 keeps v exact. Rows
     come out grouped by lattice size in input order, components in
-    COMPONENT_ORDER within each group. The row computations are
-    independent, so jobs > 1 fans them out across a thread pool without
-    changing the output order.
+    COMPONENT_ORDER within each group.
     """
     t = Fraction(t)
     v = Fraction(v)
@@ -351,20 +396,12 @@ def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
             f"velocity {v} is not in the spectrum (p^2-q^2)/(p^2+q^2)")
     P0, Q0 = gen
 
-    def rows_for(P: int) -> list[ConvergenceRow]:
+    def lattice(P: int) -> tuple[int, int, dict]:
         if P < 1 or P % P0 != 0:
             raise DomainError(
                 f"P = {P} cannot realize v = {v}: P must be a positive "
                 f"multiple of {P0}")
         Q = (P // P0) * Q0
-        spec = LatticeSpec(P=P, Q=Q, t=t)
-        parts = exact_parts(spec)
-        closed = closed_matrix(float(t), float(t * v), series_tol=series_tol)
-        return _deviation_rows(P, Q, t, v, parts, closed)
+        return P, Q, exact_parts(LatticeSpec(P=P, Q=Q, t=t))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(rows_for, P_list))
-    else:
-        groups = [rows_for(P) for P in P_list]
-    return [row for group in groups for row in group]
+    return _sweep(t, v, P_list, lattice, series_tol)

@@ -99,6 +99,10 @@ def test_out_of_range():
         bessel_j0(-0.1)
     with pytest.raises(OutOfRangeError):
         bessel_j1(SERIES_WINDOW + 0.1)
+    with pytest.raises(OutOfRangeError):
+        bessel_j0(float("nan"))
+    with pytest.raises(OutOfRangeError):
+        bessel_j1(float("inf"))
     # the boundary itself is allowed
     bessel_j0(SERIES_WINDOW)
 

@@ -95,6 +95,14 @@ def test_dirac_residual_validation():
         dirac_residual(Region(t0=-1.0, t1=1.0, xfrac=0.4), h=0.01)
     with pytest.raises(InvalidParameterError):
         dirac_residual(Region(t0=1.0, t1=2.0, xfrac=1.0), h=0.01)
+    for bad in (Region(t0=float("nan"), t1=2.0, xfrac=0.4),
+                Region(t0=1.0, t1=float("inf"), xfrac=0.4)):
+        with pytest.raises(InvalidParameterError):
+            dirac_residual(bad, h=0.01)
+    with pytest.raises(InvalidParameterError):
+        dirac_residual(region, h=float("nan"))
+    with pytest.raises(InvalidParameterError):
+        dirac_residual(region, h=0.02, j0_scale=float("nan"))
 
 
 def test_independence_determinant():

@@ -1,16 +1,11 @@
 """Array kernels against the extended-precision scalar series."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from checkerboard.bessel import bessel_j0, bessel_j1
 from checkerboard.errors import OutOfRangeError
-from checkerboard.kernels import (BACKEND, _j0_numpy, _j1_numpy, j0_values,
-                                  j1_values)
+from checkerboard.kernels import _j0_numpy, _j1_numpy, j0_values, j1_values
 
 
 def scalar_j0(values):
@@ -36,18 +31,10 @@ def test_agreement_mid_range():
 
 
 def test_numpy_path_directly():
-    # the fallback is exercised regardless of which backend is active
+    # the series route itself, without the window check in front of it
     s = np.linspace(0.0, 12.0, 97)
     np.testing.assert_allclose(_j0_numpy(s), scalar_j0(s), atol=1e-12)
     np.testing.assert_allclose(_j1_numpy(s), scalar_j1(s), atol=1e-12)
-
-
-def test_backends_agree():
-    if BACKEND != "numba":
-        pytest.skip("numba backend not active")
-    s = np.linspace(0.0, 20.0, 211)
-    np.testing.assert_allclose(j0_values(s), _j0_numpy(s), atol=1e-13)
-    np.testing.assert_allclose(j1_values(s), _j1_numpy(s), atol=1e-13)
 
 
 def test_shape_preserved():
@@ -70,21 +57,5 @@ def test_range_validation():
         j0_values(np.array([0.5, -0.01]))
     with pytest.raises(OutOfRangeError):
         j1_values(np.array([51.0]))
-
-
-def test_backend_constant():
-    assert BACKEND in ("numba", "numpy")
-
-
-def test_env_flag_forces_numpy():
-    env = dict(os.environ, CHECKERBOARD_NO_NUMBA="1")
-    code = ("from checkerboard.kernels import BACKEND, j0_values; "
-            "import numpy as np; "
-            "print(BACKEND); "
-            "print(float(j0_values(np.array([1.0]))[0]))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert lines[0] == "numpy"
-    assert float(lines[1]) == pytest.approx(float(bessel_j0(1.0)), abs=1e-13)
+    with pytest.raises(OutOfRangeError):
+        j0_values(np.array([1.0, np.nan, 2.0]))

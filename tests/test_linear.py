@@ -8,8 +8,9 @@ import pytest
 from checkerboard.errors import InvalidParameterError
 from checkerboard.linear import (LinearSpec, WARNING_COMPONENT,
                                  linear_component, linear_converge,
-                                 linear_matrix, split_counts)
-from checkerboard.paths import Direction, count_paths, enumerate_paths
+                                 linear_matrix, linear_parts, split_counts)
+from checkerboard.paths import (AmplitudePolynomial, Direction, count_paths,
+                                enumerate_paths)
 from checkerboard.propagator import COMPONENT_ORDER
 
 R, L = Direction.R, Direction.L
@@ -44,6 +45,28 @@ def test_linear_component_matches_enumeration():
                 by_bends[path.bends] = by_bends.get(path.bends, 0) + 1
             expected = {R_ - 1: c for R_, c in by_bends.items()}
             assert {k: poly.coeff(k) for k in poly.orders()} == expected
+
+
+def test_linear_component_matches_count_paths():
+    # the path-count oracle, at sizes enumeration cannot reach
+    for P, Q in itertools.product(range(1, 41), repeat=2):
+        for start, end in itertools.product((R, L), repeat=2):
+            expected = AmplitudePolynomial(
+                {R_ - 1: count_paths(P, Q, start, end, R_)
+                 for R_ in range(1, P + Q)})
+            assert linear_component(P, Q, start, end) == expected, \
+                (P, Q, start, end)
+
+
+@pytest.mark.parametrize("P,Q", [(1, 1), (7, 2), (3, 11), (64, 32)])
+def test_linear_parts_match_each_sector(P, Q):
+    spec = LinearSpec(N=P + Q, P=P, Q=Q, t=Fraction(5, 3))
+    parts = linear_parts(spec)
+    assert parts["psi_pm"] == parts["psi_mp"]
+    for name, (start, end) in (("psi_pp", (R, R)), ("psi_pm", (L, R)),
+                               ("psi_mp", (R, L)), ("psi_mm", (L, L))):
+        assert parts[name] == \
+            linear_component(P, Q, start, end).evaluate_exact(spec.epsilon)
 
 
 def test_count_paths_consistency():

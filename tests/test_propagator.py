@@ -149,6 +149,10 @@ def test_closed_matrix_domain():
         closed_matrix(0.0, 0.0)
     with pytest.raises(DomainError):
         closed_matrix(-2.0, 0.0)
+    for t, x in ((float("nan"), 0.0), (1.0, float("nan")),
+                 (float("inf"), 0.0), (float("inf"), float("inf"))):
+        with pytest.raises(DomainError):
+            closed_matrix(t, x)
 
 
 def test_gamma_of():
@@ -222,10 +226,17 @@ def test_sweep_velocity_scaling():
         convergence_sweep(2, Fraction(1, 3), [4])  # not a spectrum velocity
 
 
-def test_sweep_jobs_order_stable():
-    seq = convergence_sweep(2, 0, [4, 8, 16], jobs=1)
-    par = convergence_sweep(2, 0, [4, 8, 16], jobs=3)
-    assert seq == par
+@pytest.mark.parametrize("P,Q", [(1, 1), (7, 2), (3, 11), (64, 32)])
+def test_parts_match_each_sector(P, Q):
+    # the mixed sum is evaluated once and reported twice; each mixed
+    # orientation evaluated on its own must give that same value
+    spec = LatticeSpec(P=P, Q=Q, t=Fraction(5, 3))
+    parts = exact_parts(spec)
+    assert parts["psi_pm"] == parts["psi_mp"]
+    for name, (start, end) in (("psi_pp", (R, R)), ("psi_pm", (L, R)),
+                               ("psi_mp", (R, L)), ("psi_mm", (L, L))):
+        assert parts[name] == \
+            exact_component(P, Q, start, end).evaluate_exact(spec.eps0)
 
 
 @given(P=st.integers(min_value=1, max_value=9),

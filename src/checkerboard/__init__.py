@@ -10,13 +10,12 @@ rational spacetime and its boost subgroup rounds out the library, and a
 finite-difference check confirms the closed forms solve the Dirac system.
 """
 
-from .bessel import SeriesResult, bessel_j0, bessel_j1
+from .bessel import SeriesResult, bessel_j0, bessel_j1, j0_values, j1_values
 from .dirac import (Region, ResidualReport, Spinor, assemble, dirac_residual,
                     independence_determinant, residual_rows)
 from .errors import (CheckerboardError, DomainError, InvalidParameterError,
                      OutOfRangeError, ResourceLimitError,
                      UndefinedVelocityError)
-from .kernels import j0_values, j1_values
 from .linear import (LinearSpec, linear_component, linear_converge,
                      linear_matrix, linear_parts, split_counts)
 from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, BendRecord,

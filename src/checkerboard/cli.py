@@ -52,7 +52,6 @@ class RunConfig:
     output: Optional[str] = None
     fmt: str = "json"
     cap: int = DEFAULT_ENUMERATION_CAP
-    series_tol: float = 1e-16
 
 
 def _fmt_real(x: float) -> str:
@@ -205,7 +204,7 @@ def _cmd_exact(cfg: RunConfig) -> str:
 
 def _cmd_propagator(cfg: RunConfig) -> str:
     t, x = cfg.params["t"], cfg.params["x"]
-    m = closed_matrix(t, x, series_tol=cfg.series_tol)
+    m = closed_matrix(t, x)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "t": t, "x": x,
@@ -223,13 +222,11 @@ def _cmd_converge(cfg: RunConfig) -> str:
     if model == "quadratic":
         if cfg.params.get("p_list") is None:
             raise InvalidParameterError("--model quadratic requires --p")
-        rows = convergence_sweep(t, v, cfg.params["p_list"],
-                                 series_tol=cfg.series_tol)
+        rows = convergence_sweep(t, v, cfg.params["p_list"])
     else:
         if cfg.params.get("n_list") is None:
             raise InvalidParameterError("--model linear requires --n")
-        rows = linear_converge(t, v, cfg.params["n_list"],
-                               series_tol=cfg.series_tol)
+        rows = linear_converge(t, v, cfg.params["n_list"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -343,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-form components at a real point inside the light cone")
     p.add_argument("--t", type=float, required=True, help="time, decimal literal")
     p.add_argument("--x", type=float, required=True, help="position, decimal literal")
-    p.add_argument("--series-tol", type=float, default=1e-16, dest="series_tol",
-                   help="series truncation tolerance (default %(default)s)")
 
     p = sub.add_parser("converge", parents=[common],
                        help="CSV table of exact-versus-closed deviations")
@@ -357,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quadratic model: comma-separated right-segment counts")
     p.add_argument("--n", type=_int_list, dest="n_list",
                    help="linear model: comma-separated total segment counts")
-    p.add_argument("--series-tol", type=float, default=1e-16, dest="series_tol",
-                   help="series truncation tolerance (default %(default)s)")
 
     p = sub.add_parser("dirac-check", parents=[common],
                        help="finite-difference residual of the Dirac system")
@@ -374,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    reserved = {"command", "output", "fmt", "cap", "series_tol"}
+    reserved = {"command", "output", "fmt", "cap"}
     params = {k: v for k, v in vars(args).items() if k not in reserved}
     return RunConfig(
         subcommand=args.command,
@@ -382,7 +375,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         output=getattr(args, "output", None),
         fmt=getattr(args, "fmt", "json"),
         cap=getattr(args, "cap", DEFAULT_ENUMERATION_CAP),
-        series_tol=getattr(args, "series_tol", 1e-16),
     )
 
 

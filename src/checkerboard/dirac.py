@@ -27,8 +27,8 @@ from math import isfinite, log2
 
 import numpy as np
 
+from .bessel import j0_values, j1_values
 from .errors import DomainError, InvalidParameterError
-from .kernels import j0_values, j1_values
 from .propagator import closed_matrix
 
 ROW_KEYS = ("psi1_row1", "psi1_row2", "psi2_row1", "psi2_row2")

@@ -103,14 +103,15 @@ def linear_matrix(spec: LinearSpec) -> PropagatorMatrix:
     return _to_matrix(linear_parts(spec))
 
 
-def linear_converge(t: RationalLike, v: RationalLike, N_list: Sequence[int],
-                    series_tol: float = 1e-16) -> list[ConvergenceRow]:
+def linear_converge(t: RationalLike, v: RationalLike,
+                    N_list: Sequence[int]) -> list[ConvergenceRow]:
     """Deviation of the uniform-lattice components from the closed forms.
 
-    Same row schema as the quadratic sweep. An N that cannot realize v
-    exactly is not an error; it yields a single marker row with
-    component = "warning", the skipped N in the P column, Q = 0, and
-    zeroed numeric fields, so consumers can tell silence from omission.
+    Same row schema as the quadratic sweep. N < 1 is refused. A positive
+    N that cannot realize v exactly is not an error; it yields a single
+    marker row with component = "warning", the skipped N in the P column,
+    Q = 0, and zeroed numeric fields, so consumers can tell silence from
+    omission.
     """
     t = Fraction(t)
     v = Fraction(v)
@@ -118,6 +119,8 @@ def linear_converge(t: RationalLike, v: RationalLike, N_list: Sequence[int],
         raise InvalidParameterError("sweep requires t > 0")
     if abs(v) >= 1:
         raise InvalidParameterError("sweep requires |v| < 1")
+    if any(N < 1 for N in N_list):
+        raise InvalidParameterError("sweep requires every N >= 1")
 
     def lattice(N: int) -> Optional[tuple[int, int, dict]]:
         split = split_counts(N, v)
@@ -126,4 +129,4 @@ def linear_converge(t: RationalLike, v: RationalLike, N_list: Sequence[int],
         P, Q = split
         return P, Q, linear_parts(LinearSpec(N=N, P=P, Q=Q, t=t))
 
-    return _sweep(t, v, N_list, lattice, series_tol)
+    return _sweep(t, v, N_list, lattice)

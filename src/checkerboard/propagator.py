@@ -31,8 +31,6 @@ from functools import lru_cache
 from math import isfinite, sqrt
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
 from .bessel import bessel_j0, bessel_j1
 from .errors import DomainError, InvalidParameterError
 from .paths import AmplitudePolynomial, Direction
@@ -212,7 +210,7 @@ def exact_matrix(spec: LatticeSpec) -> PropagatorMatrix:
     return _to_matrix(exact_parts(spec))
 
 
-def closed_matrix(t: float, x: float, series_tol: float = 1e-16) -> PropagatorMatrix:
+def closed_matrix(t: float, x: float) -> PropagatorMatrix:
     """Limiting components at a real point strictly inside the light cone.
 
     With s = sqrt(t^2 - x^2): psi_mp = psi_pm = J0(s), and the diagonal
@@ -226,8 +224,8 @@ def closed_matrix(t: float, x: float, series_tol: float = 1e-16) -> PropagatorMa
         raise DomainError(
             f"point (t={t}, x={x}) is outside the open forward light cone")
     s = sqrt((t - x) * (t + x))
-    j0 = float(bessel_j0(s, tol=series_tol).value)
-    j1 = float(bessel_j1(s, tol=series_tol).value)
+    j0 = bessel_j0(s).value
+    j1 = bessel_j1(s).value
     return PropagatorMatrix(
         psi_pp=complex(0.0, (t + x) / s * j1),
         psi_pm=complex(j0, 0.0),
@@ -274,22 +272,14 @@ def pq_identity_check(P: int, Q: int) -> bool:
 def series_psi_mp(t: float, v: float, terms: int) -> complex:
     """Partial sum of the limiting series for the mixed components.
 
-    Sums (-1)^k (s/2)^(2k) / (k!)^2 for k < terms with s = t / gamma.
-    Accumulation runs in extended precision; one term is the k = 0 value 1.
+    The first `terms` terms of the J0 series at s = t / gamma; one term
+    is the k = 0 value 1.
     """
-    if terms < 1:
-        raise InvalidParameterError("terms must be >= 1")
     v = float(v)
     if abs(v) >= 1.0:
         raise DomainError(f"|v| must be < 1, got {v}")
     s = abs(float(t)) * sqrt(1.0 - v * v)
-    half = np.longdouble(s) / 2
-    total = np.longdouble(0.0)
-    term = np.longdouble(1.0)
-    for k in range(terms):
-        total += term
-        term *= -(half * half) / np.longdouble((k + 1) * (k + 1))
-    return complex(float(total), 0.0)
+    return complex(bessel_j0(s, terms=terms).value, 0.0)
 
 
 def psi_mp_term(P: int, Q: int, t: RationalLike, R: int) -> complex:
@@ -353,8 +343,8 @@ WARNING_COMPONENT = "warning"
 
 
 def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
-           lattice: Callable[[int], Optional[tuple[int, int, dict]]],
-           series_tol: float) -> list[ConvergenceRow]:
+           lattice: Callable[[int], Optional[tuple[int, int, dict]]]
+           ) -> list[ConvergenceRow]:
     """Deviation rows for each size against one closed-form reference.
 
     lattice(size) returns (P, Q, exact parts) for that size, or None when
@@ -362,7 +352,7 @@ def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
     component = WARNING_COMPONENT, the size in the P column, Q = 0 and
     zeroed numeric fields, so consumers can tell silence from omission.
     """
-    closed = closed_matrix(float(t), float(t * v), series_tol=series_tol)
+    closed = closed_matrix(float(t), float(t * v))
     rows: list[ConvergenceRow] = []
     for size in sizes:
         point = lattice(size)
@@ -377,8 +367,8 @@ def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
     return rows
 
 
-def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
-                      series_tol: float = 1e-16) -> list[ConvergenceRow]:
+def convergence_sweep(t: RationalLike, v: RationalLike,
+                      P_list: Sequence[int]) -> list[ConvergenceRow]:
     """Deviation of the exact lattice components from the closed forms.
 
     The velocity fixes the generator shape (P0, Q0); every requested P
@@ -404,4 +394,4 @@ def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
         Q = (P // P0) * Q0
         return P, Q, exact_parts(LatticeSpec(P=P, Q=Q, t=t))
 
-    return _sweep(t, v, P_list, lattice, series_tol)
+    return _sweep(t, v, P_list, lattice)

@@ -1,15 +1,42 @@
-"""Scalar series J0/J1 against frozen references and their own tail bound."""
+"""J0/J1, scalar and grid routes, against frozen references, mpmath and
+their own error bounds."""
 
+import numpy as np
 import pytest
 
-from checkerboard.bessel import (MAX_SERIES_TERMS, SERIES_WINDOW, bessel_j0,
-                                 bessel_j1)
+from checkerboard.bessel import (GRID_ASYMPTOTIC, GRID_WINDOW,
+                                 MAX_SERIES_TERMS, SERIES_WINDOW,
+                                 _series_numpy, bessel_j0, bessel_j1,
+                                 j0_values, j1_values)
 from checkerboard.errors import InvalidParameterError, OutOfRangeError
+from checkerboard.propagator import series_psi_mp
 
 try:
     import mpmath
 except ImportError:  # pragma: no cover
     mpmath = None
+
+# 20-digit mpmath evaluations at large arguments, where the alternating
+# series cancels about s log10(e) digits.
+J0_LARGE = {
+    20.0: 0.16702466434058315473,
+    30.0: -0.086367983581040211336,
+    40.0: 0.0073668905842372895535,
+    49.9: 0.045788625467906904725,
+}
+J1_LARGE = {
+    20.0: 0.066833124175850045579,
+    30.0: -0.11875106261662293652,
+    40.0: 0.12603831803758499921,
+    49.9: -0.10279695736888544360,
+}
+U = 2.0 ** -53  # float64 unit roundoff
+
+
+def within_16u(s):
+    """The accuracy every J0/J1 value must reach: 16u(1 + s)."""
+    return 16.0 * U * (1.0 + np.asarray(s, dtype=np.float64))
+
 
 # 40-digit mpmath evaluations, frozen. Chosen to bracket the zeros of J0
 # and to cover the arguments the propagator tests lean on.
@@ -62,13 +89,13 @@ def test_truncation_bound_is_honest(fn, s):
     base_terms = int(s / 2) + 3
     short = fn(s, terms=base_terms)
     long = fn(s, terms=base_terms + 8)
-    assert abs(float(short) - float(long)) <= short.truncation_bound
+    assert abs(float(short) - float(long)) <= short.error_bound
 
 
 def test_default_stop_behavior():
     r = bessel_j0(2.0)
     assert r.terms_used < MAX_SERIES_TERMS
-    assert r.truncation_bound < 1e-15 * (abs(float(r)) + 1.0)
+    assert r.error_bound < 1e-15 * (abs(float(r)) + 1.0)
     # a loose tolerance stops earlier than a tight one
     loose = bessel_j0(10.0, tol=1e-6)
     tight = bessel_j0(10.0, tol=1e-16)
@@ -82,8 +109,19 @@ def test_terms_parameter():
     r2 = bessel_j1(3.0, terms=2)
     # (s/2) - (s/2)^3 / 2
     assert float(r2) == pytest.approx(1.5 - 1.5 ** 3 / 2, rel=1e-15)
-    with pytest.raises(InvalidParameterError):
-        bessel_j0(1.0, terms=0)
+    assert bessel_j0(3.0, terms=MAX_SERIES_TERMS).terms_used == MAX_SERIES_TERMS
+    for bad in (0, -1, MAX_SERIES_TERMS + 1, 10 ** 5):
+        with pytest.raises(InvalidParameterError):
+            bessel_j0(1.0, terms=bad)
+        with pytest.raises(InvalidParameterError):
+            bessel_j1(1.0, terms=bad)
+
+
+def test_bound_covers_a_series_cut_before_its_peak():
+    # at s = 20 the terms grow until k ~ 10, so the first omitted term
+    # alone would not bound the tail
+    r = bessel_j0(20.0, terms=3)
+    assert abs(r.value - J0_LARGE[20.0]) <= r.error_bound
 
 
 def test_derivative_identity():
@@ -105,6 +143,14 @@ def test_out_of_range():
         bessel_j1(float("inf"))
     # the boundary itself is allowed
     bessel_j0(SERIES_WINDOW)
+    for bad in (float("nan"), float("inf"), -1.0, 0.0):
+        with pytest.raises(InvalidParameterError):
+            bessel_j0(1.0, tol=bad)
+        with pytest.raises(InvalidParameterError):
+            bessel_j1(1.0, tol=bad)
+    # s = 200 * sqrt(1 - 0^2) is outside the window, not a partial sum
+    with pytest.raises(OutOfRangeError):
+        series_psi_mp(200.0, 0.0, 5)
 
 
 @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
@@ -115,3 +161,85 @@ def test_live_mpmath_cross_check():
             float(mpmath.besselj(0, s)), abs=1e-14)
         assert float(bessel_j1(s)) == pytest.approx(
             float(mpmath.besselj(1, s)), abs=1e-14)
+
+
+@pytest.mark.parametrize("s", sorted(J0_LARGE))
+def test_large_arguments_against_frozen_mpmath(s):
+    for fn, table in ((bessel_j0, J0_LARGE), (bessel_j1, J1_LARGE)):
+        r = fn(s)
+        assert abs(r.value - table[s]) <= within_16u(s), (fn.__name__, s)
+        assert r.error_bound <= within_16u(s)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+def test_scalar_sweep_within_error_bound():
+    # |value - J| <= error_bound <= 16u(1 + s) on 2001 points of [0, 50]
+    with mpmath.workdps(30):
+        for s in np.linspace(0.0, SERIES_WINDOW, 2001).tolist():
+            for order, fn in ((0, bessel_j0), (1, bessel_j1)):
+                r = fn(s)
+                exact = mpmath.besselj(order, mpmath.mpf(s))
+                err = float(abs(mpmath.mpf(r.value) - exact))
+                assert err <= r.error_bound <= within_16u(s), (order, s)
+
+
+def scalar_j0(values):
+    return np.array([float(bessel_j0(s)) for s in values])
+
+
+def scalar_j1(values):
+    return np.array([float(bessel_j1(s)) for s in values])
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+@pytest.mark.parametrize("lo,hi", [(0.0, GRID_WINDOW),
+                                   (GRID_ASYMPTOTIC, SERIES_WINDOW)])
+def test_grid_within_16u_of_mpmath(lo, hi):
+    # the series on [0, GRID_WINDOW], the asymptotic expansion beyond
+    s = np.linspace(lo, hi, 241)
+    with mpmath.workdps(30):
+        ref0 = np.array([float(mpmath.besselj(0, v)) for v in s.tolist()])
+        ref1 = np.array([float(mpmath.besselj(1, v)) for v in s.tolist()])
+    assert np.all(np.abs(j0_values(s) - ref0) <= within_16u(s))
+    assert np.all(np.abs(j1_values(s) - ref1) <= within_16u(s))
+
+
+def test_grid_series_directly():
+    # the series route itself, without the window check in front of it
+    s = np.linspace(0.0, 12.0, 97)
+    np.testing.assert_allclose(_series_numpy(s, 0), scalar_j0(s), atol=1e-12)
+    np.testing.assert_allclose(_series_numpy(s, 1), scalar_j1(s), atol=1e-12)
+
+
+def test_grid_shape_preserved():
+    s = np.linspace(0.5, 3.0, 24).reshape(2, 3, 4)
+    out = j0_values(s)
+    assert out.shape == (2, 3, 4)
+    assert out[1, 2, 3] == pytest.approx(float(bessel_j0(s[1, 2, 3])), abs=1e-13)
+    # scalars and lists come back as arrays too
+    assert j1_values([1.0, 2.0]).shape == (2,)
+    assert j0_values(1.0).shape == ()
+
+
+def test_grid_empty_array():
+    out = j0_values(np.array([]))
+    assert out.shape == (0,)
+
+
+def test_grid_range_validation():
+    with pytest.raises(OutOfRangeError):
+        j0_values(np.array([0.5, -0.01]))
+    with pytest.raises(OutOfRangeError):
+        j1_values(np.array([51.0]))
+    with pytest.raises(OutOfRangeError):
+        j0_values(np.array([1.0, np.nan, 2.0]))
+    # past GRID_WINDOW float64 cancellation exceeds 16u(1 + s), and short
+    # of GRID_ASYMPTOTIC the asymptotic expansion has not converged
+    for gap in (GRID_WINDOW + 0.5, GRID_ASYMPTOTIC - 0.1):
+        with pytest.raises(OutOfRangeError):
+            j0_values([1.0, gap, 30.0])
+        with pytest.raises(OutOfRangeError):
+            j1_values([gap])
+    mixed = np.array([0.0, GRID_WINDOW, GRID_ASYMPTOTIC, SERIES_WINDOW])
+    assert j0_values(mixed) == pytest.approx(scalar_j0(mixed), abs=1e-13)
+    assert j1_values(mixed) == pytest.approx(scalar_j1(mixed), abs=1e-13)

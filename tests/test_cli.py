@@ -112,6 +112,14 @@ def test_propagator_example(capsys):
     assert comps["psi_pp"] == comps["psi_mm"]
 
 
+def test_propagator_large_s(capsys):
+    # J0(49) = -0.052900033322273515 (mpmath), once printed as 0.957
+    code, out, err = run_cli(capsys, "propagator", "--t", "49", "--x", "0")
+    assert code == 0
+    psi_pm = json.loads(out)["components"]["psi_pm"]["re"]
+    assert abs(psi_pm - -0.052900033322273515) <= 16 * 2.0 ** -53 * (1 + 49)
+
+
 def test_converge_quadratic_csv(capsys):
     code, out, err = run_cli(capsys, "converge", "--model", "quadratic",
                              "--v", "0", "--t", "2", "--p", "4,8,16")
@@ -150,6 +158,21 @@ def test_dirac_check(capsys):
     for key, value in payload["ratio"].items():
         assert 3.5 <= value <= 4.5, (key, value)
     assert payload["margin"] == pytest.approx(0.08)
+
+
+def test_dirac_check_past_grid_window(capsys):
+    # t1 + h = 7.02 > GRID_WINDOW: the grid refuses instead of degrading
+    code, out, err = run_cli(capsys, "dirac-check", "--t0", "1", "--t1", "7",
+                             "--xfrac", "0.4", "--h", "0.02")
+    assert code == 3
+    assert out == "" and "window" in err
+
+
+def test_series_tol_removed(capsys):
+    for sub in (["propagator", "--t", "2", "--x", "1"],
+                ["converge", "--model", "quadratic", "--v", "0", "--t", "2",
+                 "--p", "4"]):
+        assert run_cli(capsys, *sub, "--series-tol", "1e-12")[0] == 2
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from checkerboard.cli import main
 from checkerboard.errors import InvalidParameterError
 from checkerboard.linear import (LinearSpec, WARNING_COMPONENT,
                                  linear_component, linear_converge,
@@ -124,6 +125,21 @@ def test_linear_converge_validation():
         linear_converge(0, 0, [8])
     with pytest.raises(InvalidParameterError):
         linear_converge(2, 1, [8])
+    for sizes in ([0], [-4], [8, 0]):
+        with pytest.raises(InvalidParameterError):
+            linear_converge(2, 0, sizes)
+    # N = 1 is a size, just one that cannot realize any velocity
+    assert [row.component for row in linear_converge(2, 0, [1])] == \
+        [WARNING_COMPONENT]
+
+
+def test_converge_cli_refuses_non_positive_n(capsys):
+    # as --model quadratic --p 0 is: exit 3, not two warning rows
+    code = main(["converge", "--model", "linear", "--v", "0", "--t", "2",
+                 "--n", "0,-4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and "N >= 1" in captured.err
 
 
 def test_linear_converge_velocity():

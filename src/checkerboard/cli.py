@@ -10,8 +10,9 @@ Conventions: rational-valued flags take "a/b" or plain integer strings,
 real-valued flags take decimal literals; which is which is stated in each
 flag's help text. Rationals are printed as "num/den" in lowest terms,
 reals with 17 significant digits so files round-trip bit-exactly. Every
-output carries schema_version = 1. Exit codes: 0 success, 2 usage error,
-3 domain error, 4 resource cap exceeded.
+output carries schema_version = 1. Exit codes: 0 success, 2 usage error
+(including an --output file that cannot be written), 3 domain error,
+4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -280,8 +281,13 @@ def run(config: RunConfig) -> int:
     """Execute one configured invocation; returns the process exit code."""
     text = _HANDLERS[config.subcommand](config)
     if config.output:
-        with open(config.output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {config.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 from .errors import InvalidParameterError
 from .paths import AmplitudePolynomial, Direction
 from .propagator import WARNING_COMPONENT  # noqa: F401  (the sweep's marker)
-from .propagator import (ConvergenceRow, PropagatorMatrix, _parts,
+from .propagator import (ConvergenceRow, PropagatorMatrix, _parts, _rational,
                          _sector_polynomial, _sweep, _to_matrix)
 
 RationalLike = Union[int, Fraction]
@@ -41,7 +41,7 @@ class LinearSpec:
             raise InvalidParameterError("LinearSpec requires P >= 1 and Q >= 1")
         if self.N != self.P + self.Q:
             raise InvalidParameterError("LinearSpec requires N = P + Q")
-        object.__setattr__(self, "t", Fraction(self.t))
+        object.__setattr__(self, "t", _rational(self.t, "t"))
         if self.t <= 0:
             raise InvalidParameterError("LinearSpec requires t > 0")
 
@@ -66,7 +66,7 @@ def split_counts(N: int, v: RationalLike) -> Optional[tuple[int, int]]:
     """
     if N < 2:
         return None
-    v = Fraction(v)
+    v = _rational(v, "v")
     p = Fraction(N) * (1 + v) / 2
     if p.denominator != 1:
         return None
@@ -113,8 +113,8 @@ def linear_converge(t: RationalLike, v: RationalLike,
     Q = 0, and zeroed numeric fields, so consumers can tell silence from
     omission.
     """
-    t = Fraction(t)
-    v = Fraction(v)
+    t = _rational(t, "t")
+    v = _rational(v, "v")
     if t <= 0:
         raise InvalidParameterError("sweep requires t > 0")
     if abs(v) >= 1:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterator, Optional
 
@@ -191,10 +192,6 @@ class AmplitudePolynomial:
                 re += term
         return re, im
 
-    def evaluate(self, eps0: Fraction) -> complex:
-        re, im = self.evaluate_exact(eps0)
-        return complex(re, im)
-
     def to_json_dict(self) -> dict[str, int]:
         """Coefficients keyed by stringified order for JSON output."""
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}
@@ -228,41 +225,27 @@ def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
     """
     if P < 0 or Q < 0:
         raise InvalidParameterError("segment counts P, Q must be >= 0")
-    if P + Q > cap:
+    n = P + Q
+    if n > cap:
         raise ResourceLimitError(
-            f"P + Q = {P + Q} exceeds enumeration cap {cap}; "
+            f"P + Q = {n} exceeds enumeration cap {cap}; "
             "raise the cap explicitly if the wait is acceptable")
-    if P + Q == 0:
+    if n == 1:
+        if start is end and (P if start is Direction.R else Q) == 1:
+            yield LatticePath((start,))
         return
-    if (start is Direction.R and P == 0) or (start is Direction.L and Q == 0):
+    # the first and last segments are fixed; the remaining rights take
+    # `rights` of the interior slots 1..n-2, the lefts take the rest
+    rights = P - (start is Direction.R) - (end is Direction.R)
+    if not 0 <= rights <= n - 2:
         return
-    if (end is Direction.R and P == 0) or (end is Direction.L and Q == 0):
-        return
-
-    prefix: list[Direction] = []
-
-    def rec(r_left: int, l_left: int) -> Iterator[LatticePath]:
-        if r_left == 0 and l_left == 0:
-            if prefix[-1] is end:
-                yield LatticePath(tuple(prefix))
-            return
-        for d in (Direction.R, Direction.L):
-            remaining = r_left if d is Direction.R else l_left
-            if remaining == 0:
-                continue
-            prefix.append(d)
-            if d is Direction.R:
-                yield from rec(r_left - 1, l_left)
-            else:
-                yield from rec(r_left, l_left - 1)
-            prefix.pop()
-
-    prefix.append(start)
-    if start is Direction.R:
-        yield from rec(P - 1, Q)
-    else:
-        yield from rec(P, Q - 1)
-    prefix.pop()
+    right = Direction.R  # looked up once: enum attribute access is slow
+    template = [start] + [Direction.L] * (n - 2) + [end]
+    for places in combinations(range(1, n - 1), rights):
+        segments = template.copy()
+        for i in places:
+            segments[i] = right
+        yield LatticePath(tuple(segments))
 
 
 def count_paths(P: int, Q: int, start: Direction, end: Direction, R: int) -> int:
@@ -326,7 +309,8 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
     are checked against; it shares no code with them beyond the lattice
     conventions.
     """
-    total = AmplitudePolynomial.zero()
+    coeffs: dict[int, int] = {}
     for path in enumerate_paths(P, Q, start, end, cap=cap):
-        total = total + path_amplitude(path)
-    return total
+        for k, c in path_amplitude(path)._coeffs.items():
+            coeffs[k] = coeffs.get(k, 0) + c
+    return AmplitudePolynomial(coeffs)

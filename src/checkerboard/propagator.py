@@ -41,6 +41,15 @@ RationalLike = Union[int, Fraction]
 COMPONENT_ORDER = ("psi_pp", "psi_pm", "psi_mp", "psi_mm")
 
 
+def _rational(value: RationalLike, name: str) -> Fraction:
+    """Fraction(value), refusing nan and inf with a typed error."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        raise InvalidParameterError(
+            f"{name} must be a finite rational, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SymmetricTable:
     """Elementary symmetric polynomials e_k of the first n odd numbers.
@@ -150,7 +159,7 @@ class LatticeSpec:
     def __post_init__(self):
         if self.P < 1 or self.Q < 1:
             raise InvalidParameterError("LatticeSpec requires P >= 1 and Q >= 1")
-        object.__setattr__(self, "t", Fraction(self.t))
+        object.__setattr__(self, "t", _rational(self.t, "t"))
         if self.t <= 0:
             raise InvalidParameterError("LatticeSpec requires t > 0")
 
@@ -249,7 +258,7 @@ def gamma_of(v: Union[RationalLike, float]) -> Union[Fraction, float]:
         if root is not None:
             return 1 / root
         v = float(v)
-    if abs(v) >= 1.0:
+    if not abs(v) < 1.0:
         raise DomainError(f"|v| must be < 1, got {v}")
     return 1.0 / sqrt(1.0 - v * v)
 
@@ -294,7 +303,7 @@ def psi_mp_term(P: int, Q: int, t: RationalLike, R: int) -> complex:
     if R < 1 or R % 2 == 0:
         raise InvalidParameterError("mixed-sector contributions need odd R >= 1")
     k = (R - 1) // 2
-    eps0 = float(Fraction(t) / (P * P + Q * Q))
+    eps0 = float(_rational(t, "t") / (P * P + Q * Q))
     mag = (P * Q * eps0) ** (2 * k)
     for j in range(1, k + 1):
         mag /= j * j
@@ -376,8 +385,8 @@ def convergence_sweep(t: RationalLike, v: RationalLike,
     come out grouped by lattice size in input order, components in
     COMPONENT_ORDER within each group.
     """
-    t = Fraction(t)
-    v = Fraction(v)
+    t = _rational(t, "t")
+    v = _rational(v, "v")
     if t <= 0:
         raise InvalidParameterError("sweep requires t > 0")
     gen = spectrum_membership(v)

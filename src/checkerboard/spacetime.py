@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import InvalidParameterError, UndefinedVelocityError
 
@@ -237,8 +237,3 @@ def spectrum_membership(v: RationalLike) -> Optional[tuple[int, int]]:
     if root is None:
         return None
     return root.numerator, root.denominator
-
-
-def points_from_witnesses(witnesses: Iterable[MembershipWitness]) -> list[SpacetimePoint]:
-    """Convenience: reconstruct a batch of events from witnesses."""
-    return [w.point() for w in witnesses]

@@ -213,6 +213,16 @@ def test_non_finite_input_refused(capsys, argv):
     assert err.startswith("error:") and "finite" in err
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "exact", "--P", "2", "--Q", "2",
+                             "--t", "1", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert not target.exists()
+
+
 def test_propagator_output_file_round_trip(tmp_path, capsys):
     f = tmp_path / "prop.json"
     assert main(["propagator", "--t", "2", "--x", "0.5",

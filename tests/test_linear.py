@@ -26,6 +26,8 @@ def test_split_counts():
     assert split_counts(1, 0) is None
     # |v| too close to 1 for this N: P or Q would hit 0
     assert split_counts(4, Fraction(1)) is None
+    with pytest.raises(InvalidParameterError, match="finite"):
+        split_counts(4, float("nan"))
 
 
 def test_linear_component_examples():
@@ -88,6 +90,9 @@ def test_linear_spec():
         LinearSpec(N=2, P=2, Q=0, t=Fraction(1))
     with pytest.raises(InvalidParameterError):
         LinearSpec(N=4, P=2, Q=2, t=Fraction(-1))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            LinearSpec(N=4, P=2, Q=2, t=bad)
 
 
 def test_linear_matrix_realness_pattern():
@@ -125,6 +130,9 @@ def test_linear_converge_validation():
         linear_converge(0, 0, [8])
     with pytest.raises(InvalidParameterError):
         linear_converge(2, 1, [8])
+    for t, v in ((float("nan"), 0), (float("inf"), 0), (2, float("nan"))):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            linear_converge(t, v, [8])
     for sizes in ([0], [-4], [8, 0]):
         with pytest.raises(InvalidParameterError):
             linear_converge(2, 0, sizes)

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -40,17 +41,29 @@ def test_enumerate_examples():
 
 
 def test_enumerate_is_exhaustive_and_ordered():
-    for P, Q in itertools.product(range(1, 6), range(1, 6)):
+    for P, Q in itertools.product(range(6), range(6)):
+        if P + Q == 0:
+            continue
         seen = []
         for start, end in itertools.product((R, L), repeat=2):
+            texts = []
             for path in enumerate_paths(P, Q, start, end):
                 assert path.rights == P and path.lefts == Q
                 assert path.start_dir is start and path.end_dir is end
-                seen.append(str(path))
+                texts.append(str(path))
+            # lexicographic with R before L
+            assert texts == sorted(texts, key=lambda s: s.replace("R", "0")
+                                   .replace("L", "1")), (P, Q, start, end)
+            seen.extend(texts)
         # every interleaving shows up exactly once across the four sectors
-        from math import comb
         assert len(seen) == comb(P + Q, P)
         assert len(set(seen)) == len(seen)
+    # straight and empty sectors
+    assert [str(p) for p in enumerate_paths(0, 3, L, L)] == ["LLL"]
+    assert [str(p) for p in enumerate_paths(1, 0, R, R)] == ["R"]
+    assert list(enumerate_paths(3, 0, R, L)) == []
+    assert list(enumerate_paths(0, 1, R, R)) == []
+    assert list(enumerate_paths(0, 0, R, R)) == []
 
 
 def test_enumeration_cap():

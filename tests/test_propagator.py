@@ -93,6 +93,9 @@ def test_lattice_spec():
         LatticeSpec(P=0, Q=3, t=Fraction(1))
     with pytest.raises(InvalidParameterError):
         LatticeSpec(P=1, Q=1, t=Fraction(0))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            LatticeSpec(P=1, Q=1, t=bad)
 
 
 def test_exact_matrix_examples():
@@ -168,6 +171,9 @@ def test_gamma_of():
         gamma_of(1)
     with pytest.raises(DomainError):
         gamma_of(-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            gamma_of(bad)
 
 
 @pytest.mark.parametrize("P,Q", [(5, 3), (2, 1), (7, 7), (12, 5)])
@@ -195,6 +201,9 @@ def test_psi_mp_term():
     assert val == pytest.approx(complex(-(4 * 0.125) ** 2, 0))
     with pytest.raises(InvalidParameterError):
         psi_mp_term(2, 2, 1, 2)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            psi_mp_term(2, 2, bad, 1)
 
 
 def _component_errors(rows, component):
@@ -224,6 +233,9 @@ def test_sweep_velocity_scaling():
         convergence_sweep(2, Fraction(3, 5), [5])  # 5 not a multiple of 2
     with pytest.raises(DomainError):
         convergence_sweep(2, Fraction(1, 3), [4])  # not a spectrum velocity
+    for t, v in ((float("nan"), 0), (float("inf"), 0), (2, float("nan"))):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            convergence_sweep(t, v, [4])
 
 
 @pytest.mark.parametrize("P,Q", [(1, 1), (7, 2), (3, 11), (64, 32)])

@@ -16,17 +16,16 @@ from .dirac import (Region, ResidualReport, Spinor, assemble, dirac_residual,
 from .errors import (CheckerboardError, DomainError, InvalidParameterError,
                      OutOfRangeError, ResourceLimitError,
                      UndefinedVelocityError)
-from .linear import (LinearSpec, linear_component, linear_converge,
-                     linear_matrix, linear_parts, split_counts)
 from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, BendRecord,
                     Direction, LatticePath, bend_records, count_paths,
                     enumerate_paths, path_amplitude, sector_sum_bruteforce,
                     total_path_count)
 from .propagator import (COMPONENT_ORDER, ConvergenceRow, LatticeSpec,
-                         PropagatorMatrix, SymmetricTable, closed_matrix,
-                         convergence_sweep, elem_sym_table, exact_component,
-                         exact_matrix, exact_parts, gamma_of, pq_identity_check,
-                         psi_mp_term, series_psi_mp)
+                         LinearSpec, PropagatorMatrix, SymmetricTable,
+                         closed_matrix, convergence_sweep, elem_sym_table,
+                         exact_component, exact_matrix, exact_parts, gamma_of,
+                         linear_component, linear_converge, linear_matrix,
+                         linear_parts, pq_identity_check, split_counts)
 from .spacetime import (BoostMatrix, LightConePoint, MembershipWitness,
                         SpacetimePoint, apply_boost, boost, compose,
                         format_rational, from_lightcone, is_member, make_point,
@@ -51,8 +50,8 @@ __all__ = [
     "gamma_of", "independence_determinant", "is_member", "j0_values",
     "j1_values", "linear_component", "linear_converge", "linear_matrix",
     "linear_parts", "make_point", "matrix_product", "parse_rational",
-    "path_amplitude", "pq_identity_check", "psi_mp_term",
-    "rational_square_root", "residual_rows", "sector_sum_bruteforce",
-    "series_psi_mp", "spectrum_membership", "split_counts", "to_lightcone",
-    "total_path_count", "velocity", "velocity_spectrum",
+    "path_amplitude", "pq_identity_check", "rational_square_root",
+    "residual_rows", "sector_sum_bruteforce", "spectrum_membership",
+    "split_counts", "to_lightcone", "total_path_count", "velocity",
+    "velocity_spectrum",
 ]

@@ -14,9 +14,10 @@ floored once; an error made at term j reaches term j + m scaled by at
 most (s/2)^(2m) / (m!)^2, so K computed terms carry at most
 K I0(s) <= K e^s units of 2^-F of rounding, that is K 2^-63 (one bit
 spare for the float ceil). error_bound adds that to the tail and to the
-final rounding to float64. The tail is bounded by its first term once the
-terms decrease ((s/2)^2 <= d_k); a sum cut earlier by terms= walks on to
-that point and adds every term in between. Valid on [0, SERIES_WINDOW].
+final rounding to float64. The sum stops only where the terms decrease
+((s/2)^2 <= d_k), so the tail is bounded by its first term; at the
+MAX_SERIES_TERMS cap that holds for every s <= 402. Valid on
+[0, SERIES_WINDOW].
 
 Grid route (j0_values, j1_values): float64 numpy arrays. On
 [0, GRID_WINDOW] the same series, stopping once the worst element has
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, inf, isfinite, nextafter, ulp
-from typing import Optional
 
 import numpy as np
 
@@ -65,19 +65,14 @@ def _check_window(lo: float, hi: float, window: float) -> None:
             f"[0, {window}]")
 
 
-def _series(s: float, order: int, tol: float,
-            terms: Optional[int]) -> SeriesResult:
+def _series(s: float, order: int, tol: float) -> SeriesResult:
     """Fixed-point sum of the order-0 or order-1 series at s.
 
-    With terms given, exactly that many are summed; otherwise the sum
-    stops once the next term starts a decreasing tail and is below
-    tol * (|partial sum| + 1).
+    The sum stops once the next term starts a decreasing tail and is below
+    tol * (|partial sum| + 1), or at MAX_SERIES_TERMS terms.
     """
     if not (isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
-    if terms is not None and not 1 <= terms <= MAX_SERIES_TERMS:
-        raise InvalidParameterError(
-            f"terms must lie in 1..{MAX_SERIES_TERMS}, got {terms}")
     s = float(s)
     _check_window(s, s, SERIES_WINDOW)
     p, q = s.as_integer_ratio()
@@ -94,33 +89,25 @@ def _series(s: float, order: int, tol: float,
         total += -term if k & 1 else term
         term = term * num // (den * (k + 1) * (k + 1 + order))
         k += 1
-        if terms is not None:
-            if k >= terms:
-                break
-        elif k == MAX_SERIES_TERMS or (
+        if k == MAX_SERIES_TERMS or (
                 decreasing() and term < tol * (abs(total) + one)):
             break
-    used, tail = k, term
-    while not decreasing():
-        term = term * num // (den * (k + 1) * (k + 1 + order))
-        k += 1
-        tail += term
+    # The terms decrease from here on (at the cap too, since s <= 402), so
+    # the first omitted term bounds the tail.
     rounding = (k + 1) << (bits - 63)
     value = total / one
-    bound = nextafter((tail + rounding) / one, inf) + ulp(value) / 2
-    return SeriesResult(value, used, nextafter(bound, inf))
+    bound = nextafter((term + rounding) / one, inf) + ulp(value) / 2
+    return SeriesResult(value, k, nextafter(bound, inf))
 
 
-def bessel_j0(s: float, tol: float = 1e-16,
-              terms: Optional[int] = None) -> SeriesResult:
+def bessel_j0(s: float, tol: float = 1e-16) -> SeriesResult:
     """J0(s) for 0 <= s <= SERIES_WINDOW, with its error bound."""
-    return _series(s, 0, tol, terms)
+    return _series(s, 0, tol)
 
 
-def bessel_j1(s: float, tol: float = 1e-16,
-              terms: Optional[int] = None) -> SeriesResult:
+def bessel_j1(s: float, tol: float = 1e-16) -> SeriesResult:
     """J1(s) for 0 <= s <= SERIES_WINDOW, with its error bound."""
-    return _series(s, 1, tol, terms)
+    return _series(s, 1, tol)
 
 
 # 1 / d_k per order, divided once here: a division per term costs more

@@ -22,18 +22,17 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Any, Optional
+from typing import Optional
 
 from .dirac import Region, dirac_residual
 from .errors import CheckerboardError, InvalidParameterError, ResourceLimitError
-from .linear import WARNING_COMPONENT, linear_converge
 from .paths import (DEFAULT_ENUMERATION_CAP, Direction, bend_records,
                     enumerate_paths, path_amplitude)
-from .propagator import (COMPONENT_ORDER, LatticeSpec, closed_matrix,
-                         convergence_sweep, exact_parts)
+from .propagator import (COMPONENT_ORDER, WARNING_COMPONENT, LatticeSpec,
+                         closed_matrix, convergence_sweep, exact_parts,
+                         linear_converge)
 from .spacetime import (SpacetimePoint, apply_boost, boost, format_rational,
                         is_member, parse_rational, velocity_spectrum)
 
@@ -42,17 +41,6 @@ SCHEMA_VERSION = 1
 CSV_HEADER = ["schema_version", "P", "Q", "t", "v", "component",
               "exact_re", "exact_im", "closed_re", "closed_im",
               "abs_err", "rel_err"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters for one CLI invocation."""
-
-    subcommand: str
-    params: dict[str, Any]
-    output: Optional[str] = None
-    fmt: str = "json"
-    cap: int = DEFAULT_ENUMERATION_CAP
 
 
 def _fmt_real(x: float) -> str:
@@ -103,9 +91,8 @@ def format_amplitude(poly) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _cmd_member(cfg: RunConfig) -> str:
-    t = cfg.params["t"]
-    x = cfg.params["x"]
+def _cmd_member(args: argparse.Namespace) -> str:
+    t, x = args.t, args.x
     witness = is_member(SpacetimePoint(t=t, x=x))
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -118,8 +105,8 @@ def _cmd_member(cfg: RunConfig) -> str:
     return _dump_json(payload)
 
 
-def _cmd_boost(cfg: RunConfig) -> str:
-    b = boost(cfg.params["p"], cfg.params["q"])
+def _cmd_boost(args: argparse.Namespace) -> str:
+    b = boost(args.p, args.q)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "generator": {"p": b.p, "q": b.q},
@@ -128,33 +115,31 @@ def _cmd_boost(cfg: RunConfig) -> str:
         "velocity": format_rational(b.velocity),
         "determinant": format_rational(b.determinant),
     }
-    apply_t = cfg.params.get("apply_t")
-    apply_x = cfg.params.get("apply_x")
-    if (apply_t is None) != (apply_x is None):
+    if (args.apply_t is None) != (args.apply_x is None):
         raise InvalidParameterError("--apply-t and --apply-x go together")
-    if apply_t is not None:
-        moved = apply_boost(b, SpacetimePoint(t=apply_t, x=apply_x))
+    if args.apply_t is not None:
+        moved = apply_boost(b, SpacetimePoint(t=args.apply_t, x=args.apply_x))
         payload["applied"] = {"t": format_rational(moved.t),
                               "x": format_rational(moved.x)}
     return _dump_json(payload)
 
 
-def _cmd_spectrum(cfg: RunConfig) -> str:
-    values = velocity_spectrum(cfg.params["max_pq"])
+def _cmd_spectrum(args: argparse.Namespace) -> str:
+    values = velocity_spectrum(args.max_pq)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "max_pq": cfg.params["max_pq"],
+        "max_pq": args.max_pq,
         "count": len(values),
         "velocities": [format_rational(v) for v in values],
     }
     return _dump_json(payload)
 
 
-def _cmd_enumerate(cfg: RunConfig) -> str:
-    P, Q = cfg.params["P"], cfg.params["Q"]
-    start, end = cfg.params["start"], cfg.params["end"]
-    paths = list(enumerate_paths(P, Q, start, end, cap=cfg.cap))
-    if cfg.fmt == "text":
+def _cmd_enumerate(args: argparse.Namespace) -> str:
+    P, Q = args.P, args.Q
+    start, end = args.start, args.end
+    paths = list(enumerate_paths(P, Q, start, end, cap=args.cap))
+    if args.fmt == "text":
         lines = []
         for p in paths:
             amp = format_amplitude(path_amplitude(p))
@@ -181,8 +166,8 @@ def _cmd_enumerate(cfg: RunConfig) -> str:
     return _dump_json(payload)
 
 
-def _cmd_exact(cfg: RunConfig) -> str:
-    spec = LatticeSpec(P=cfg.params["P"], Q=cfg.params["Q"], t=cfg.params["t"])
+def _cmd_exact(args: argparse.Namespace) -> str:
+    spec = LatticeSpec(P=args.P, Q=args.Q, t=args.t)
     parts = exact_parts(spec)
     components = {}
     for name in COMPONENT_ORDER:
@@ -203,8 +188,8 @@ def _cmd_exact(cfg: RunConfig) -> str:
     return _dump_json(payload)
 
 
-def _cmd_propagator(cfg: RunConfig) -> str:
-    t, x = cfg.params["t"], cfg.params["x"]
+def _cmd_propagator(args: argparse.Namespace) -> str:
+    t, x = args.t, args.x
     m = closed_matrix(t, x)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -217,17 +202,16 @@ def _cmd_propagator(cfg: RunConfig) -> str:
     return _dump_json(payload)
 
 
-def _cmd_converge(cfg: RunConfig) -> str:
-    model = cfg.params["model"]
-    t, v = cfg.params["t"], cfg.params["v"]
-    if model == "quadratic":
-        if cfg.params.get("p_list") is None:
+def _cmd_converge(args: argparse.Namespace) -> str:
+    t, v = args.t, args.v
+    if args.model == "quadratic":
+        if args.p_list is None:
             raise InvalidParameterError("--model quadratic requires --p")
-        rows = convergence_sweep(t, v, cfg.params["p_list"])
+        rows = convergence_sweep(t, v, args.p_list)
     else:
-        if cfg.params.get("n_list") is None:
+        if args.n_list is None:
             raise InvalidParameterError("--model linear requires --n")
-        rows = linear_converge(t, v, cfg.params["n_list"])
+        rows = linear_converge(t, v, args.n_list)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -246,11 +230,9 @@ def _cmd_converge(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def _cmd_dirac_check(cfg: RunConfig) -> str:
-    region = Region(t0=cfg.params["t0"], t1=cfg.params["t1"],
-                    xfrac=cfg.params["xfrac"])
-    report = dirac_residual(region, cfg.params["h"],
-                            j0_scale=cfg.params["j0_scale"])
+def _cmd_dirac_check(args: argparse.Namespace) -> str:
+    region = Region(t0=args.t0, t1=args.t1, xfrac=args.xfrac)
+    report = dirac_residual(region, args.h, j0_scale=args.j0_scale)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "t0": region.t0, "t1": region.t1, "xfrac": region.xfrac,
@@ -277,15 +259,15 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured invocation; returns the process exit code."""
-    text = _HANDLERS[config.subcommand](config)
-    if config.output:
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; returns the process exit code."""
+    text = _HANDLERS[args.command](args)
+    if args.output:
         try:
-            with open(config.output, "w", newline="") as fh:
+            with open(args.output, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {config.output}: {exc.strerror or exc}",
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
     else:
@@ -372,27 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    reserved = {"command", "output", "fmt", "cap"}
-    params = {k: v for k, v in vars(args).items() if k not in reserved}
-    return RunConfig(
-        subcommand=args.command,
-        params=params,
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "fmt", "json"),
-        cap=getattr(args, "cap", DEFAULT_ENUMERATION_CAP),
-    )
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = config_from_args(args)
     try:
-        return run(config)
+        return run(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,21 +1,24 @@
-"""Propagator components on the quadratic lattice, exactly and in the limit.
+"""Propagator components on both lattices, exactly and in the limit.
 
-Three routes to the same four numbers live here. The exact route sums a
+Two routes to the same four numbers live here. The exact route sums a
 sector's path amplitudes in closed combinatorial form: the sum over paths
 with a fixed number of reversals factorizes into elementary symmetric
-polynomials of the odd numbers {1, 3, ..., 2n-1}, one factor per light-cone
-axis, so the whole sector collapses to a short polynomial in (i * eps0)
-with exact integer coefficients. The same core serves the uniform lattice
-of the linear module, whose segments all weigh 1. The limit route is the
-classical series in s = sqrt(t^2 - x^2) that those polynomials approach
-as the lattice refines. The closed route evaluates the Bessel expressions
+polynomials of the segment weights, one factor per light-cone axis, so
+the whole sector collapses to a short polynomial in (i * step) with exact
+integer coefficients. The quadratic lattice weighs its segments with the
+odd numbers {1, 3, ..., 2n-1}. The uniform lattice weighs every segment
+1, so its rows are binomials, e_k(1, ..., 1) = C(n, k); it converges to
+the same limits and isolates what the quadratic geometry changes (the
+coefficient structure, not the limit). The two lattices differ only in
+those per-axis rows and in their step. The closed route evaluates the
+Bessel expressions
 
     psi_mp = psi_pm = J0(s)
     psi_pp = i ((t + x) / s) J1(s)
     psi_mm = i ((t - x) / s) J1(s)
 
-directly. Convergence sweeps tabulate the exact-versus-closed deviation as
-the lattice is refined at fixed velocity.
+directly, with s = sqrt(t^2 - x^2). Convergence sweeps tabulate the
+exact-versus-closed deviation as the lattice is refined at fixed velocity.
 
 Component naming: the first sign is the direction of the path's final
 segment, the second the direction of its first segment, with p (plus) for
@@ -28,26 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, sqrt
+from math import comb, isfinite, sqrt
 from typing import Callable, Optional, Sequence, Union
 
 from .bessel import bessel_j0, bessel_j1
 from .errors import DomainError, InvalidParameterError
 from .paths import AmplitudePolynomial, Direction
-from .spacetime import rational_square_root, spectrum_membership
+from .spacetime import rational_square_root, spectrum_membership, to_fraction
 
 RationalLike = Union[int, Fraction]
+Rows = Callable[[int], Sequence[int]]
 
 COMPONENT_ORDER = ("psi_pp", "psi_pm", "psi_mp", "psi_mm")
-
-
-def _rational(value: RationalLike, name: str) -> Fraction:
-    """Fraction(value), refusing nan and inf with a typed error."""
-    try:
-        return Fraction(value)
-    except (ValueError, OverflowError):
-        raise InvalidParameterError(
-            f"{name} must be a finite rational, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -87,6 +82,16 @@ def elem_sym_table(n: int) -> SymmetricTable:
     return SymmetricTable(n=n, values=tuple(row))
 
 
+def _odd_row(n: int) -> tuple[int, ...]:
+    """e_k of the odd weights 1, 3, ..., 2n-1, k = 0..n (quadratic lattice)."""
+    return elem_sym_table(n).values
+
+
+def _unit_row(n: int) -> list[int]:
+    """C(n, k) for k = 0..n: e_k of n unit weights (uniform lattice)."""
+    return [comb(n, k) for k in range(n + 1)]
+
+
 def _sector_polynomial(e_right: Sequence[int], e_left: Sequence[int],
                        start: Direction, end: Direction) -> AmplitudePolynomial:
     """Sector sum as a polynomial in (i * step), from per-axis e_k rows.
@@ -111,13 +116,21 @@ def _sector_polynomial(e_right: Sequence[int], e_left: Sequence[int],
         {2 * k + 1: a * b for k, (a, b) in enumerate(zip(own[1:], other))})
 
 
-def _parts(e_right: Sequence[int], e_left: Sequence[int],
+def _component(rows: Rows, P: int, Q: int, start: Direction,
+               end: Direction) -> AmplitudePolynomial:
+    if P < 1 or Q < 1:
+        raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
+    return _sector_polynomial(rows(P - 1), rows(Q - 1), start, end)
+
+
+def _parts(rows: Rows, P: int, Q: int,
            step: Fraction) -> dict[str, tuple[Fraction, Fraction]]:
     """All four sector sums evaluated exactly at the given step length.
 
     The two mixed sectors are one polynomial (see _sector_polynomial), so
     it is built and evaluated once and reported as both psi_pm and psi_mp.
     """
+    e_right, e_left = rows(P - 1), rows(Q - 1)
     R, L = Direction.R, Direction.L
     mixed = _sector_polynomial(e_right, e_left, R, L).evaluate_exact(step)
     return {
@@ -137,14 +150,38 @@ def exact_component(P: int, Q: int, start: Direction, end: Direction) -> Amplitu
     start=end=right sector e_k(O_{P-1}) * e_{k-1}(O_{Q-1}) at order
     2k - 1, and the start=end=left sector swaps P with Q.
     """
-    if P < 1 or Q < 1:
-        raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
-    return _sector_polynomial(elem_sym_table(P - 1).values,
-                              elem_sym_table(Q - 1).values, start, end)
+    return _component(_odd_row, P, Q, start, end)
+
+
+def linear_component(P: int, Q: int, start: Direction,
+                     end: Direction) -> AmplitudePolynomial:
+    """Sector sum on the uniform lattice as a polynomial in (i * eps).
+
+    The coefficient at order R - 1 equals count_paths(P, Q, start, end, R):
+    all counted reversals weigh the same here.
+    """
+    return _component(_unit_row, P, Q, start, end)
+
+
+class _Endpoint:
+    """What both lattice specs share: P, Q >= 1, t an exact finite
+    rational > 0, and the endpoint x = t v."""
+
+    def __post_init__(self):
+        name = type(self).__name__
+        if self.P < 1 or self.Q < 1:
+            raise InvalidParameterError(f"{name} requires P >= 1 and Q >= 1")
+        object.__setattr__(self, "t", to_fraction(self.t, "t"))
+        if self.t <= 0:
+            raise InvalidParameterError(f"{name} requires t > 0")
+
+    @property
+    def x(self) -> Fraction:
+        return self.t * self.v
 
 
 @dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(_Endpoint):
     """Quadratic lattice endpoint: P right segments, Q left segments, time t.
 
     The endpoint sits at x = t (P^2 - Q^2) / (P^2 + Q^2), and the base
@@ -156,13 +193,6 @@ class LatticeSpec:
     Q: int
     t: Fraction
 
-    def __post_init__(self):
-        if self.P < 1 or self.Q < 1:
-            raise InvalidParameterError("LatticeSpec requires P >= 1 and Q >= 1")
-        object.__setattr__(self, "t", _rational(self.t, "t"))
-        if self.t <= 0:
-            raise InvalidParameterError("LatticeSpec requires t > 0")
-
     @property
     def eps0(self) -> Fraction:
         return self.t / (self.P * self.P + self.Q * self.Q)
@@ -172,9 +202,47 @@ class LatticeSpec:
         return Fraction(self.P * self.P - self.Q * self.Q,
                         self.P * self.P + self.Q * self.Q)
 
+
+@dataclass(frozen=True)
+class LinearSpec(_Endpoint):
+    """Uniform lattice endpoint: N = P + Q segments of length t / N."""
+
+    N: int
+    P: int
+    Q: int
+    t: Fraction
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.N != self.P + self.Q:
+            raise InvalidParameterError("LinearSpec requires N = P + Q")
+
     @property
-    def x(self) -> Fraction:
-        return self.t * self.v
+    def epsilon(self) -> Fraction:
+        return self.t / self.N
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.P - self.Q, self.N)
+
+
+def split_counts(N: int, v: RationalLike) -> Optional[tuple[int, int]]:
+    """Split N segments into (P, Q) realizing velocity v = (P - Q) / N.
+
+    Needs N (1 + v) even in the exact sense; returns None when no valid
+    split exists (that N is then skipped by the sweep).
+    """
+    if N < 2:
+        return None
+    v = to_fraction(v, "v")
+    p = Fraction(N) * (1 + v) / 2
+    if p.denominator != 1:
+        return None
+    P = int(p)
+    Q = N - P
+    if P < 1 or Q < 1:
+        return None
+    return P, Q
 
 
 @dataclass(frozen=True)
@@ -210,13 +278,22 @@ def exact_parts(spec: LatticeSpec) -> dict[str, tuple[Fraction, Fraction]]:
     throughout, so cancellation costs nothing; the result is the exact
     Gaussian rational value of each finite path sum.
     """
-    return _parts(elem_sym_table(spec.P - 1).values,
-                  elem_sym_table(spec.Q - 1).values, spec.eps0)
+    return _parts(_odd_row, spec.P, spec.Q, spec.eps0)
 
 
 def exact_matrix(spec: LatticeSpec) -> PropagatorMatrix:
     """Exact finite-lattice components, rounded to complex at the very end."""
     return _to_matrix(exact_parts(spec))
+
+
+def linear_parts(spec: LinearSpec) -> dict[str, tuple[Fraction, Fraction]]:
+    """All four uniform-lattice components at eps = t / N as exact
+    (real, imag) pairs."""
+    return _parts(_unit_row, spec.P, spec.Q, spec.epsilon)
+
+
+def linear_matrix(spec: LinearSpec) -> PropagatorMatrix:
+    return _to_matrix(linear_parts(spec))
 
 
 def closed_matrix(t: float, x: float) -> PropagatorMatrix:
@@ -276,38 +353,6 @@ def pq_identity_check(P: int, Q: int) -> bool:
     v = Fraction(P * P - Q * Q, ss)
     g = gamma_of(v)
     return 4 * P * P * Q * Q == ss * ss * (1 - v * v) and 2 * P * Q * g == ss
-
-
-def series_psi_mp(t: float, v: float, terms: int) -> complex:
-    """Partial sum of the limiting series for the mixed components.
-
-    The first `terms` terms of the J0 series at s = t / gamma; one term
-    is the k = 0 value 1.
-    """
-    v = float(v)
-    if abs(v) >= 1.0:
-        raise DomainError(f"|v| must be < 1, got {v}")
-    s = abs(float(t)) * sqrt(1.0 - v * v)
-    return complex(bessel_j0(s, terms=terms).value, 0.0)
-
-
-def psi_mp_term(P: int, Q: int, t: RationalLike, R: int) -> complex:
-    """Large-P form of the order-R contribution to the mixed components.
-
-    For odd R = 2k + 1 the bend sum e_k(O_{P-1}) e_k(O_{Q-1}) approaches
-    (P Q)^(2k) / (k!)^2, giving (i eps0)^(R-1) (P Q)^(R-1) / (((R-1)/2)!)^2.
-    Useful for watching individual reversal orders approach the limit.
-    """
-    if P < 1 or Q < 1:
-        raise InvalidParameterError("P, Q must be >= 1")
-    if R < 1 or R % 2 == 0:
-        raise InvalidParameterError("mixed-sector contributions need odd R >= 1")
-    k = (R - 1) // 2
-    eps0 = float(_rational(t, "t") / (P * P + Q * Q))
-    mag = (P * Q * eps0) ** (2 * k)
-    for j in range(1, k + 1):
-        mag /= j * j
-    return complex((-1) ** k * mag, 0.0)
 
 
 @dataclass(frozen=True)
@@ -385,8 +430,8 @@ def convergence_sweep(t: RationalLike, v: RationalLike,
     come out grouped by lattice size in input order, components in
     COMPONENT_ORDER within each group.
     """
-    t = _rational(t, "t")
-    v = _rational(v, "v")
+    t = to_fraction(t, "t")
+    v = to_fraction(v, "v")
     if t <= 0:
         raise InvalidParameterError("sweep requires t > 0")
     gen = spectrum_membership(v)
@@ -404,3 +449,30 @@ def convergence_sweep(t: RationalLike, v: RationalLike,
         return P, Q, exact_parts(LatticeSpec(P=P, Q=Q, t=t))
 
     return _sweep(t, v, P_list, lattice)
+
+
+def linear_converge(t: RationalLike, v: RationalLike,
+                    N_list: Sequence[int]) -> list[ConvergenceRow]:
+    """Deviation of the uniform-lattice components from the closed forms.
+
+    Same row schema as the quadratic sweep. N < 1 is refused. A positive
+    N that cannot realize v exactly is not an error; it yields a single
+    marker row (see _sweep).
+    """
+    t = to_fraction(t, "t")
+    v = to_fraction(v, "v")
+    if t <= 0:
+        raise InvalidParameterError("sweep requires t > 0")
+    if abs(v) >= 1:
+        raise InvalidParameterError("sweep requires |v| < 1")
+    if any(N < 1 for N in N_list):
+        raise InvalidParameterError("sweep requires every N >= 1")
+
+    def lattice(N: int) -> Optional[tuple[int, int, dict]]:
+        split = split_counts(N, v)
+        if split is None:
+            return None
+        P, Q = split
+        return P, Q, linear_parts(LinearSpec(N=N, P=P, Q=Q, t=t))
+
+    return _sweep(t, v, N_list, lattice)

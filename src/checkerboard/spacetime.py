@@ -25,9 +25,23 @@ from .errors import InvalidParameterError, UndefinedVelocityError
 RationalLike = Union[int, Fraction]
 
 
+def to_fraction(value: RationalLike, name: str = "value") -> Fraction:
+    """Fraction(value), refusing nan and inf with a typed error.
+
+    The one place where a caller's value becomes an exact Fraction; the
+    bare ValueError or OverflowError of Fraction(nan) and Fraction(inf)
+    never reaches a library caller.
+    """
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        raise InvalidParameterError(
+            f"{name} must be a finite rational, got {value!r}") from None
+
+
 def format_rational(value: RationalLike) -> str:
     """Serialize a rational as "num/den" in lowest terms, e.g. "5/1", "-3/5"."""
-    f = Fraction(value)
+    f = to_fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -129,7 +143,7 @@ def rational_square_root(v: RationalLike) -> Optional[Fraction]:
     The test runs isqrt on the reduced numerator and denominator, so it
     is exact for arbitrarily large values.
     """
-    v = Fraction(v)
+    v = to_fraction(v, "v")
     if v <= 0:
         return None
     root_num = isqrt(v.numerator)
@@ -230,7 +244,7 @@ def spectrum_membership(v: RationalLike) -> Optional[tuple[int, int]]:
 
     Solves (1+v)/(1-v) = p^2/q^2 by exact square root; |v| < 1 required.
     """
-    v = Fraction(v)
+    v = to_fraction(v, "v")
     if abs(v) >= 1:
         return None
     root = rational_square_root((1 + v) / (1 - v))

@@ -17,11 +17,10 @@ from fractions import Fraction
 
 from checkerboard.cli import CSV_HEADER, main
 from checkerboard.dirac import ROW_KEYS, Region, dirac_residual
-from checkerboard.linear import linear_converge
 from checkerboard.paths import (Direction, bend_records, count_paths,
                                 enumerate_paths, sector_sum_bruteforce)
 from checkerboard.propagator import (closed_matrix, convergence_sweep,
-                                     exact_component)
+                                     exact_component, linear_converge)
 from checkerboard.spacetime import (MembershipWitness, apply_boost, boost,
                                     compose, is_member)
 

@@ -9,7 +9,6 @@ from checkerboard.bessel import (GRID_ASYMPTOTIC, GRID_WINDOW,
                                  _series_numpy, bessel_j0, bessel_j1,
                                  j0_values, j1_values)
 from checkerboard.errors import InvalidParameterError, OutOfRangeError
-from checkerboard.propagator import series_psi_mp
 
 try:
     import mpmath
@@ -85,11 +84,12 @@ def test_j1_small_argument_linear():
 @pytest.mark.parametrize("s", [0.5, 2.0, 7.5, 15.0])
 @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1])
 def test_truncation_bound_is_honest(fn, s):
-    # in the decreasing regime the first omitted term bounds the tail
-    base_terms = int(s / 2) + 3
-    short = fn(s, terms=base_terms)
-    long = fn(s, terms=base_terms + 8)
-    assert abs(float(short) - float(long)) <= short.error_bound
+    # a loose tolerance stops the sum early; the first omitted term must
+    # still bound the distance to the full sum
+    short = fn(s, tol=1e-6)
+    full = fn(s)
+    assert short.terms_used < full.terms_used
+    assert abs(float(short) - float(full)) <= short.error_bound
 
 
 def test_default_stop_behavior():
@@ -100,28 +100,6 @@ def test_default_stop_behavior():
     loose = bessel_j0(10.0, tol=1e-6)
     tight = bessel_j0(10.0, tol=1e-16)
     assert loose.terms_used < tight.terms_used
-
-
-def test_terms_parameter():
-    r = bessel_j0(3.0, terms=1)
-    assert float(r) == 1.0
-    assert r.terms_used == 1
-    r2 = bessel_j1(3.0, terms=2)
-    # (s/2) - (s/2)^3 / 2
-    assert float(r2) == pytest.approx(1.5 - 1.5 ** 3 / 2, rel=1e-15)
-    assert bessel_j0(3.0, terms=MAX_SERIES_TERMS).terms_used == MAX_SERIES_TERMS
-    for bad in (0, -1, MAX_SERIES_TERMS + 1, 10 ** 5):
-        with pytest.raises(InvalidParameterError):
-            bessel_j0(1.0, terms=bad)
-        with pytest.raises(InvalidParameterError):
-            bessel_j1(1.0, terms=bad)
-
-
-def test_bound_covers_a_series_cut_before_its_peak():
-    # at s = 20 the terms grow until k ~ 10, so the first omitted term
-    # alone would not bound the tail
-    r = bessel_j0(20.0, terms=3)
-    assert abs(r.value - J0_LARGE[20.0]) <= r.error_bound
 
 
 def test_derivative_identity():
@@ -148,9 +126,6 @@ def test_out_of_range():
             bessel_j0(1.0, tol=bad)
         with pytest.raises(InvalidParameterError):
             bessel_j1(1.0, tol=bad)
-    # s = 200 * sqrt(1 - 0^2) is outside the window, not a partial sum
-    with pytest.raises(OutOfRangeError):
-        series_psi_mp(200.0, 0.0, 5)
 
 
 @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")

@@ -7,12 +7,12 @@ import pytest
 
 from checkerboard.cli import main
 from checkerboard.errors import InvalidParameterError
-from checkerboard.linear import (LinearSpec, WARNING_COMPONENT,
-                                 linear_component, linear_converge,
-                                 linear_matrix, linear_parts, split_counts)
 from checkerboard.paths import (AmplitudePolynomial, Direction, count_paths,
                                 enumerate_paths)
-from checkerboard.propagator import COMPONENT_ORDER
+from checkerboard.propagator import (COMPONENT_ORDER, WARNING_COMPONENT,
+                                     LinearSpec, linear_component,
+                                     linear_converge, linear_matrix,
+                                     linear_parts, split_counts)
 
 R, L = Direction.R, Direction.L
 

@@ -14,8 +14,7 @@ from checkerboard.propagator import (COMPONENT_ORDER, LatticeSpec,
                                      closed_matrix, convergence_sweep,
                                      elem_sym_table, exact_component,
                                      exact_matrix, exact_parts, gamma_of,
-                                     pq_identity_check, psi_mp_term,
-                                     series_psi_mp)
+                                     pq_identity_check)
 
 R, L = Direction.R, Direction.L
 
@@ -179,31 +178,6 @@ def test_gamma_of():
 @pytest.mark.parametrize("P,Q", [(5, 3), (2, 1), (7, 7), (12, 5)])
 def test_pq_identity(P, Q):
     assert pq_identity_check(P, Q)
-
-
-def test_series_psi_mp():
-    assert series_psi_mp(2.0, 0.0, 1) == complex(1, 0)
-    assert series_psi_mp(2.0, 0.0, 30).real == \
-        pytest.approx(J0_REF[2.0], abs=1e-12)
-    # v = 3/5 gives gamma = 5/4 and s = 1.6
-    assert series_psi_mp(2.0, 0.6, 30).real == \
-        pytest.approx(J0_REF[1.6], abs=1e-12)
-    with pytest.raises(InvalidParameterError):
-        series_psi_mp(2.0, 0.0, 0)
-    with pytest.raises(DomainError):
-        series_psi_mp(2.0, 1.0, 5)
-
-
-def test_psi_mp_term():
-    assert psi_mp_term(4, 4, 1, 1) == complex(1, 0)
-    # R = 3: -(P Q eps0)^2
-    val = psi_mp_term(2, 2, 1, 3)
-    assert val == pytest.approx(complex(-(4 * 0.125) ** 2, 0))
-    with pytest.raises(InvalidParameterError):
-        psi_mp_term(2, 2, 1, 2)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(InvalidParameterError, match="finite"):
-            psi_mp_term(2, 2, bad, 1)
 
 
 def _component_errors(rows, component):

@@ -60,6 +60,9 @@ def test_rational_square_root_examples():
     assert rational_square_root(Fraction(2)) is None
     assert rational_square_root(Fraction(0)) is None
     assert rational_square_root(Fraction(-9)) is None
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            rational_square_root(bad)
 
 
 @given(r=rationals.filter(lambda f: f != 0))
@@ -204,6 +207,9 @@ def test_spectrum_membership_examples():
     assert spectrum_membership(Fraction(1, 3)) is None
     assert spectrum_membership(Fraction(1)) is None
     assert spectrum_membership(Fraction(-9, 8)) is None
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            spectrum_membership(bad)
 
 
 def test_rational_serialization():
@@ -213,6 +219,9 @@ def test_rational_serialization():
     assert parse_rational("5/1") == Fraction(5)
     assert parse_rational("-3/5") == Fraction(-3, 5)
     assert parse_rational(" 7 ") == Fraction(7)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            format_rational(bad)
 
 
 @given(r=rationals)

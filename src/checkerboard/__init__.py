@@ -20,10 +20,11 @@ from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, BendRecord,
                     Direction, LatticePath, bend_records, count_paths,
                     enumerate_paths, path_amplitude, sector_sum_bruteforce,
                     total_path_count)
-from .propagator import (COMPONENT_ORDER, ConvergenceRow, LatticeSpec,
-                         LinearSpec, PropagatorMatrix, SymmetricTable,
-                         closed_matrix, convergence_sweep, elem_sym_table,
-                         exact_component, exact_matrix, exact_parts, gamma_of,
+from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
+                         ConvergenceRow, LatticeSpec, LinearSpec,
+                         PropagatorMatrix, SymmetricTable, closed_matrix,
+                         convergence_sweep, elem_sym_table, exact_component,
+                         exact_matrix, exact_parts, gamma_of,
                          linear_component, linear_converge, linear_matrix,
                          linear_parts, pq_identity_check, split_counts)
 from .spacetime import (BoostMatrix, LightConePoint, MembershipWitness,
@@ -38,7 +39,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudePolynomial", "BendRecord", "BoostMatrix",
     "CheckerboardError", "COMPONENT_ORDER", "ConvergenceRow",
-    "DEFAULT_ENUMERATION_CAP", "Direction", "DomainError",
+    "DEFAULT_ENUMERATION_CAP", "DEFAULT_LATTICE_CAP", "Direction",
+    "DomainError",
     "InvalidParameterError", "LatticePath", "LatticeSpec", "LightConePoint",
     "LinearSpec", "MembershipWitness", "OutOfRangeError", "PropagatorMatrix",
     "Region", "ResidualReport", "ResourceLimitError", "SeriesResult",

@@ -11,8 +11,10 @@ real-valued flags take decimal literals; which is which is stated in each
 flag's help text. Rationals are printed as "num/den" in lowest terms,
 reals with 17 significant digits so files round-trip bit-exactly. Every
 output carries schema_version = 1. Exit codes: 0 success, 2 usage error
-(including an --output file that cannot be written), 3 domain error,
-4 resource cap exceeded.
+(including an --output file that cannot be written and a flag given
+without the flag it goes with), 3 domain error,
+4 resource cap exceeded (the enumeration cap of enumerate, the lattice
+cap on P + Q of exact and converge).
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from math import sqrt
 from typing import Optional
 
 from .dirac import Region, dirac_residual
-from .errors import CheckerboardError, InvalidParameterError, ResourceLimitError
+from .errors import CheckerboardError, ResourceLimitError
 from .paths import (DEFAULT_ENUMERATION_CAP, Direction, bend_records,
                     enumerate_paths, path_amplitude)
-from .propagator import (COMPONENT_ORDER, WARNING_COMPONENT, LatticeSpec,
-                         closed_matrix, convergence_sweep, exact_parts,
-                         linear_converge)
+from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
+                         WARNING_COMPONENT, LatticeSpec, closed_matrix,
+                         convergence_sweep, exact_parts, linear_converge)
 from .spacetime import (SpacetimePoint, apply_boost, boost, format_rational,
                         is_member, parse_rational, velocity_spectrum)
 
@@ -115,8 +117,6 @@ def _cmd_boost(args: argparse.Namespace) -> str:
         "velocity": format_rational(b.velocity),
         "determinant": format_rational(b.determinant),
     }
-    if (args.apply_t is None) != (args.apply_x is None):
-        raise InvalidParameterError("--apply-t and --apply-x go together")
     if args.apply_t is not None:
         moved = apply_boost(b, SpacetimePoint(t=args.apply_t, x=args.apply_x))
         payload["applied"] = {"t": format_rational(moved.t),
@@ -168,7 +168,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> str:
 
 def _cmd_exact(args: argparse.Namespace) -> str:
     spec = LatticeSpec(P=args.P, Q=args.Q, t=args.t)
-    parts = exact_parts(spec)
+    parts = exact_parts(spec, cap=args.cap)
     components = {}
     for name in COMPONENT_ORDER:
         re, im = parts[name]
@@ -205,13 +205,9 @@ def _cmd_propagator(args: argparse.Namespace) -> str:
 def _cmd_converge(args: argparse.Namespace) -> str:
     t, v = args.t, args.v
     if args.model == "quadratic":
-        if args.p_list is None:
-            raise InvalidParameterError("--model quadratic requires --p")
-        rows = convergence_sweep(t, v, args.p_list)
+        rows = convergence_sweep(t, v, args.p_list, cap=args.cap)
     else:
-        if args.n_list is None:
-            raise InvalidParameterError("--model linear requires --n")
-        rows = linear_converge(t, v, args.n_list)
+        rows = linear_converge(t, v, args.n_list, cap=args.cap)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -278,6 +274,10 @@ def run(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write to this file instead of stdout")
+    lattice_cap = argparse.ArgumentParser(add_help=False)
+    lattice_cap.add_argument(
+        "--cap", type=int, default=DEFAULT_LATTICE_CAP,
+        help="refuse a lattice with P+Q above this (default %(default)s)")
 
     ap = argparse.ArgumentParser(
         prog="checkerboard",
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt",
                    help="output format (default %(default)s)")
 
-    p = sub.add_parser("exact", parents=[common],
+    p = sub.add_parser("exact", parents=[common, lattice_cap],
                        help="exact finite-lattice components at (P, Q, t)")
     p.add_argument("--P", type=int, required=True, help="number of right segments")
     p.add_argument("--Q", type=int, required=True, help="number of left segments")
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True, help="time, decimal literal")
     p.add_argument("--x", type=float, required=True, help="position, decimal literal")
 
-    p = sub.add_parser("converge", parents=[common],
+    p = sub.add_parser("converge", parents=[common, lattice_cap],
                        help="CSV table of exact-versus-closed deviations")
     p.add_argument("--model", choices=("quadratic", "linear"), required=True)
     p.add_argument("--v", type=_rational, required=True,
@@ -354,10 +354,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_paired_flags(parser: argparse.ArgumentParser,
+                        args: argparse.Namespace) -> None:
+    """Flags that only make sense together are a usage error (exit 2)
+    when one comes without the other."""
+    if args.command == "boost" and (args.apply_t is None) != (args.apply_x is None):
+        parser.error("boost: --apply-t and --apply-x go together")
+    if args.command == "converge":
+        flag, given = (("--p", args.p_list) if args.model == "quadratic"
+                       else ("--n", args.n_list))
+        if given is None:
+            parser.error(f"converge: --model {args.model} requires {flag}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_paired_flags(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -27,4 +27,5 @@ class OutOfRangeError(DomainError):
 
 
 class ResourceLimitError(CheckerboardError, RuntimeError):
-    """An enumeration or sweep exceeded its configured cap."""
+    """An enumeration, or an exact lattice evaluation or sweep, exceeded
+    its configured cap."""

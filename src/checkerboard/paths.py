@@ -173,24 +173,32 @@ class AmplitudePolynomial:
     def evaluate_exact(self, eps0: Fraction) -> tuple[Fraction, Fraction]:
         """Substitute a rational eps0; return exact (real, imag) parts.
 
-        i^k cycles through (1, i, -1, -i), so order k lands in the real
-        part when k is even and the imaginary part when k is odd, with
-        sign (-1)^(k//2). Evaluation never leaves Fraction arithmetic.
+        (i eps0)^(2j) = x^j and (i eps0)^(2j+1) = i eps0 x^j with
+        x = -eps0^2, so the even orders are a polynomial in x (the real
+        part) and the odd orders eps0 times another (the imaginary part).
+        With eps0 = a/b each is summed by Horner's rule as an integer
+        numerator over a power of b^2, and becomes a Fraction once: one
+        gcd per part instead of one per term.
         """
         eps0 = Fraction(eps0)
-        re = Fraction(0)
-        im = Fraction(0)
-        for k, c in self._coeffs.items():
-            term = c * eps0 ** k
-            if k % 4 == 1:
-                im += term
-            elif k % 4 == 2:
-                re -= term
-            elif k % 4 == 3:
-                im -= term
-            else:
-                re += term
-        return re, im
+        a, b = eps0.numerator, eps0.denominator
+        re_num, re_den = self._horner(0, -a * a, b * b)
+        im_num, im_den = self._horner(1, -a * a, b * b)
+        return Fraction(re_num, re_den), Fraction(a * im_num, b * im_den)
+
+    def _horner(self, parity: int, u: int, w: int) -> tuple[int, int]:
+        """Sum over orders k = parity + 2j of c_k (u/w)^j, as (num, den).
+
+        num = sum_j c_k u^j w^(J-j) and den = w^J, J the top j; the loop
+        keeps one running power of w and no list of powers.
+        """
+        coeffs = self._coeffs
+        top = max((k for k in coeffs if k % 2 == parity), default=parity)
+        num, scale = 0, 1
+        for k in range(top, parity - 1, -2):
+            num = num * u + coeffs.get(k, 0) * scale
+            scale *= w
+        return num, scale // w
 
     def to_json_dict(self) -> dict[str, int]:
         """Coefficients keyed by stringified order for JSON output."""

@@ -35,7 +35,7 @@ from math import comb, isfinite, sqrt
 from typing import Callable, Optional, Sequence, Union
 
 from .bessel import bessel_j0, bessel_j1
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, ResourceLimitError
 from .paths import AmplitudePolynomial, Direction
 from .spacetime import rational_square_root, spectrum_membership, to_fraction
 
@@ -43,6 +43,11 @@ RationalLike = Union[int, Fraction]
 Rows = Callable[[int], Sequence[int]]
 
 COMPONENT_ORDER = ("psi_pp", "psi_pm", "psi_mp", "psi_mm")
+
+# Bound on P + Q for one exact evaluation. The cost grows about 6x per
+# doubling of P + Q: P = Q = 2048 takes about 3.4 s on a 2-CPU machine,
+# two thirds of it building the e_k tables.
+DEFAULT_LATTICE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -123,13 +128,22 @@ def _component(rows: Rows, P: int, Q: int, start: Direction,
     return _sector_polynomial(rows(P - 1), rows(Q - 1), start, end)
 
 
-def _parts(rows: Rows, P: int, Q: int,
-           step: Fraction) -> dict[str, tuple[Fraction, Fraction]]:
+def _check_lattice_size(P: int, Q: int, cap: int) -> None:
+    if P + Q > cap:
+        raise ResourceLimitError(
+            f"P + Q = {P + Q} exceeds lattice cap {cap}; "
+            "raise the cap explicitly if the wait is acceptable")
+
+
+def _parts(rows: Rows, P: int, Q: int, step: Fraction,
+           cap: int = DEFAULT_LATTICE_CAP) -> dict[str, tuple[Fraction, Fraction]]:
     """All four sector sums evaluated exactly at the given step length.
 
     The two mixed sectors are one polynomial (see _sector_polynomial), so
     it is built and evaluated once and reported as both psi_pm and psi_mp.
+    P + Q above cap is refused before any table is built.
     """
+    _check_lattice_size(P, Q, cap)
     e_right, e_left = rows(P - 1), rows(Q - 1)
     R, L = Direction.R, Direction.L
     mixed = _sector_polynomial(e_right, e_left, R, L).evaluate_exact(step)
@@ -271,14 +285,17 @@ def _to_matrix(parts: dict[str, tuple[Fraction, Fraction]]) -> PropagatorMatrix:
                                for name, (re, im) in parts.items()})
 
 
-def exact_parts(spec: LatticeSpec) -> dict[str, tuple[Fraction, Fraction]]:
+def exact_parts(spec: LatticeSpec, cap: int = DEFAULT_LATTICE_CAP
+                ) -> dict[str, tuple[Fraction, Fraction]]:
     """All four components evaluated at eps0, as exact (real, imag) pairs.
 
-    The alternating coefficient sums are evaluated in Fraction arithmetic
-    throughout, so cancellation costs nothing; the result is the exact
-    Gaussian rational value of each finite path sum.
+    The alternating coefficient sums are evaluated in integers over one
+    power of eps0's denominator and divided once per part (see
+    AmplitudePolynomial.evaluate_exact), so cancellation costs nothing;
+    the result is the exact Gaussian rational value of each finite path
+    sum. P + Q above cap raises ResourceLimitError before any work.
     """
-    return _parts(_odd_row, spec.P, spec.Q, spec.eps0)
+    return _parts(_odd_row, spec.P, spec.Q, spec.eps0, cap)
 
 
 def exact_matrix(spec: LatticeSpec) -> PropagatorMatrix:
@@ -286,10 +303,11 @@ def exact_matrix(spec: LatticeSpec) -> PropagatorMatrix:
     return _to_matrix(exact_parts(spec))
 
 
-def linear_parts(spec: LinearSpec) -> dict[str, tuple[Fraction, Fraction]]:
+def linear_parts(spec: LinearSpec, cap: int = DEFAULT_LATTICE_CAP
+                 ) -> dict[str, tuple[Fraction, Fraction]]:
     """All four uniform-lattice components at eps = t / N as exact
-    (real, imag) pairs."""
-    return _parts(_unit_row, spec.P, spec.Q, spec.epsilon)
+    (real, imag) pairs; N above cap raises ResourceLimitError."""
+    return _parts(_unit_row, spec.P, spec.Q, spec.epsilon, cap)
 
 
 def linear_matrix(spec: LinearSpec) -> PropagatorMatrix:
@@ -397,38 +415,44 @@ WARNING_COMPONENT = "warning"
 
 
 def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
-           lattice: Callable[[int], Optional[tuple[int, int, dict]]]
-           ) -> list[ConvergenceRow]:
+           split: Callable[[int], Optional[tuple[int, int]]],
+           parts: Callable[[int, int], dict], cap: int) -> list[ConvergenceRow]:
     """Deviation rows for each size against one closed-form reference.
 
-    lattice(size) returns (P, Q, exact parts) for that size, or None when
-    the size cannot realize v; such a size yields a single marker row with
+    split(size) returns the (P, Q) of that size, or None when the size
+    cannot realize v; such a size yields a single marker row with
     component = WARNING_COMPONENT, the size in the P column, Q = 0 and
     zeroed numeric fields, so consumers can tell silence from omission.
+    Every size is split and held to the lattice cap before the first one
+    is evaluated, so a refused sweep does no work.
     """
     closed = closed_matrix(float(t), float(t * v))
+    points = [split(size) for size in sizes]
+    for point in points:
+        if point is not None:
+            _check_lattice_size(*point, cap)
     rows: list[ConvergenceRow] = []
-    for size in sizes:
-        point = lattice(size)
+    for size, point in zip(sizes, points):
         if point is None:
             rows.append(ConvergenceRow(
                 P=size, Q=0, t=t, v=v, component=WARNING_COMPONENT,
                 exact_re=0.0, exact_im=0.0, closed_re=0.0, closed_im=0.0,
                 abs_err=0.0, rel_err=0.0))
             continue
-        P, Q, parts = point
-        rows.extend(_deviation_rows(P, Q, t, v, parts, closed))
+        P, Q = point
+        rows.extend(_deviation_rows(P, Q, t, v, parts(P, Q), closed))
     return rows
 
 
-def convergence_sweep(t: RationalLike, v: RationalLike,
-                      P_list: Sequence[int]) -> list[ConvergenceRow]:
+def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
+                      cap: int = DEFAULT_LATTICE_CAP) -> list[ConvergenceRow]:
     """Deviation of the exact lattice components from the closed forms.
 
     The velocity fixes the generator shape (P0, Q0); every requested P
     must be a multiple of P0 so that Q = P Q0 / P0 keeps v exact. Rows
     come out grouped by lattice size in input order, components in
-    COMPONENT_ORDER within each group.
+    COMPONENT_ORDER within each group. A size with P + Q above cap
+    refuses the whole sweep (ResourceLimitError) before any evaluation.
     """
     t = to_fraction(t, "t")
     v = to_fraction(v, "v")
@@ -440,24 +464,27 @@ def convergence_sweep(t: RationalLike, v: RationalLike,
             f"velocity {v} is not in the spectrum (p^2-q^2)/(p^2+q^2)")
     P0, Q0 = gen
 
-    def lattice(P: int) -> tuple[int, int, dict]:
+    def split(P: int) -> tuple[int, int]:
         if P < 1 or P % P0 != 0:
             raise DomainError(
                 f"P = {P} cannot realize v = {v}: P must be a positive "
                 f"multiple of {P0}")
-        Q = (P // P0) * Q0
-        return P, Q, exact_parts(LatticeSpec(P=P, Q=Q, t=t))
+        return P, (P // P0) * Q0
 
-    return _sweep(t, v, P_list, lattice)
+    def parts(P: int, Q: int) -> dict:
+        return exact_parts(LatticeSpec(P=P, Q=Q, t=t), cap)
+
+    return _sweep(t, v, P_list, split, parts, cap)
 
 
-def linear_converge(t: RationalLike, v: RationalLike,
-                    N_list: Sequence[int]) -> list[ConvergenceRow]:
+def linear_converge(t: RationalLike, v: RationalLike, N_list: Sequence[int],
+                    cap: int = DEFAULT_LATTICE_CAP) -> list[ConvergenceRow]:
     """Deviation of the uniform-lattice components from the closed forms.
 
-    Same row schema as the quadratic sweep. N < 1 is refused. A positive
-    N that cannot realize v exactly is not an error; it yields a single
-    marker row (see _sweep).
+    Same row schema as the quadratic sweep. N < 1 is refused, and so is
+    a realizable N above cap, before any evaluation. A positive N that
+    cannot realize v exactly is not an error; it yields a single marker
+    row (see _sweep).
     """
     t = to_fraction(t, "t")
     v = to_fraction(v, "v")
@@ -468,11 +495,7 @@ def linear_converge(t: RationalLike, v: RationalLike,
     if any(N < 1 for N in N_list):
         raise InvalidParameterError("sweep requires every N >= 1")
 
-    def lattice(N: int) -> Optional[tuple[int, int, dict]]:
-        split = split_counts(N, v)
-        if split is None:
-            return None
-        P, Q = split
-        return P, Q, linear_parts(LinearSpec(N=N, P=P, Q=Q, t=t))
+    def parts(P: int, Q: int) -> dict:
+        return linear_parts(LinearSpec(N=P + Q, P=P, Q=Q, t=t), cap)
 
-    return _sweep(t, v, N_list, lattice)
+    return _sweep(t, v, N_list, lambda N: split_counts(N, v), parts, cap)

@@ -47,10 +47,10 @@ def test_boost_with_application(capsys):
 
 
 def test_boost_half_application_rejected(capsys):
-    code, out, err = run_cli(capsys, "boost", "--p", "2", "--q", "1",
-                             "--apply-t", "5")
-    assert code == 3
-    assert "error:" in err
+    for half in (["--apply-t", "5"], ["--apply-x", "3"]):
+        code, out, err = run_cli(capsys, "boost", "--p", "2", "--q", "1", *half)
+        assert code == 2
+        assert out == "" and "--apply-t and --apply-x go together" in err
 
 
 def test_spectrum(capsys):
@@ -144,10 +144,38 @@ def test_converge_linear_warning(capsys):
 
 
 def test_converge_missing_sizes(capsys):
-    code, out, err = run_cli(capsys, "converge", "--model", "quadratic",
-                             "--v", "0", "--t", "2")
-    assert code == 3
-    assert "requires --p" in err
+    # a model without its size list is a usage error, not a domain error
+    for model, flag in (("quadratic", "--p"), ("linear", "--n")):
+        code, out, err = run_cli(capsys, "converge", "--model", model,
+                                 "--v", "0", "--t", "2")
+        assert code == 2
+        assert out == "" and f"requires {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--P", "2048", "--Q", "2049", "--t", "1"],
+    ["exact", "--P", "5", "--Q", "3", "--t", "1", "--cap", "7"],
+    ["converge", "--model", "quadratic", "--v", "0", "--t", "2",
+     "--p", "4,8,2049"],
+    ["converge", "--model", "linear", "--v", "0", "--t", "2", "--n", "8,16",
+     "--cap", "15"],
+])
+def test_lattice_cap_exits_4(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == "" and "exceeds lattice cap" in err
+
+
+def test_lattice_cap_raised_admits(capsys):
+    code, out, err = run_cli(capsys, "exact", "--P", "5", "--Q", "3",
+                             "--t", "1", "--cap", "8")
+    assert code == 0
+    assert out == run_cli(capsys, "exact", "--P", "5", "--Q", "3",
+                          "--t", "1")[1]
+    code, out, err = run_cli(capsys, "converge", "--model", "linear", "--v",
+                             "0", "--t", "2", "--n", "8,16", "--cap", "16")
+    assert code == 0
+    assert len(list(csv.reader(io.StringIO(out)))) == 1 + 2 * 4
 
 
 def test_dirac_check(capsys):

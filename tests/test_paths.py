@@ -17,6 +17,20 @@ from checkerboard.paths import (AmplitudePolynomial, BendRecord, Direction,
 R, L = Direction.R, Direction.L
 
 
+def fraction_per_term(poly, eps0):
+    """Evaluation oracle: one Fraction per term c_k (i eps0)^k, with i^k
+    sorted into the real or imaginary part by k mod 4."""
+    eps0 = Fraction(eps0)
+    re = im = Fraction(0)
+    for k in poly.orders():
+        term = poly.coeff(k) * eps0 ** k * (1 if k % 4 < 2 else -1)
+        if k % 2:
+            im += term
+        else:
+            re += term
+    return re, im
+
+
 def P_of(text):
     return LatticePath.from_string(text)
 
@@ -194,6 +208,38 @@ def test_amplitude_evaluation_exact():
     re, im = poly_odd.evaluate_exact(Fraction(1, 2))
     # i/2 + 15 (i/2)^3 = i/2 - 15 i/8
     assert (re, im) == (Fraction(0), Fraction(1, 2) - Fraction(15, 8))
+
+
+@pytest.mark.parametrize("coeffs", [
+    {},                          # the zero polynomial
+    {0: 7},                      # order 0 only
+    {1: 2, 3: -5, 7: 11},        # odd orders only
+    {0: -3, 2: 9, 4: 1},         # even orders only
+    {0: 1, 1: 2, 5: 3, 8: -4},   # gaps and both parities
+    {13: 3**40},                 # one high order, big coefficient
+])
+@pytest.mark.parametrize("eps0", [
+    Fraction(0), Fraction(-3, 7), Fraction(5, 2), Fraction(1, 2**70),
+    3, -2, 0.1, -1.75,
+])
+def test_evaluation_edge_cases_match_oracle(coeffs, eps0):
+    poly = AmplitudePolynomial(coeffs)
+    re, im = poly.evaluate_exact(eps0)
+    assert type(re) is Fraction and type(im) is Fraction
+    assert (re, im) == fraction_per_term(poly, eps0)
+    if not any(k % 2 == 0 for k in coeffs):
+        assert re == 0
+    if eps0 == 0:
+        assert (re, im) == (coeffs.get(0, 0), 0)
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=40),
+                       st.integers(min_value=-10**30, max_value=10**30),
+                       max_size=12),
+       st.fractions(max_denominator=10**12))
+def test_evaluation_equals_oracle(coeffs, eps0):
+    poly = AmplitudePolynomial(coeffs)
+    assert poly.evaluate_exact(eps0) == fraction_per_term(poly, eps0)
 
 
 @given(st.dictionaries(st.integers(min_value=0, max_value=12),

@@ -8,15 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkerboard.errors import DomainError, InvalidParameterError
+from checkerboard import propagator
+from checkerboard.errors import (DomainError, InvalidParameterError,
+                                 ResourceLimitError)
 from checkerboard.paths import Direction, sector_sum_bruteforce
-from checkerboard.propagator import (COMPONENT_ORDER, LatticeSpec,
-                                     closed_matrix, convergence_sweep,
-                                     elem_sym_table, exact_component,
-                                     exact_matrix, exact_parts, gamma_of,
+from checkerboard.propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
+                                     LatticeSpec, LinearSpec, closed_matrix,
+                                     convergence_sweep, elem_sym_table,
+                                     exact_component, exact_matrix,
+                                     exact_parts, gamma_of, linear_component,
+                                     linear_converge, linear_parts,
                                      pq_identity_check)
+from test_paths import fraction_per_term
 
 R, L = Direction.R, Direction.L
+SECTORS = {"psi_pp": (R, R), "psi_pm": (L, R), "psi_mp": (R, L),
+           "psi_mm": (L, L)}
 
 # Reference values computed with an independent 40-digit evaluation of the
 # defining series, frozen before this module was written.
@@ -219,8 +226,7 @@ def test_parts_match_each_sector(P, Q):
     spec = LatticeSpec(P=P, Q=Q, t=Fraction(5, 3))
     parts = exact_parts(spec)
     assert parts["psi_pm"] == parts["psi_mp"]
-    for name, (start, end) in (("psi_pp", (R, R)), ("psi_pm", (L, R)),
-                               ("psi_mp", (R, L)), ("psi_mm", (L, L))):
+    for name, (start, end) in SECTORS.items():
         assert parts[name] == \
             exact_component(P, Q, start, end).evaluate_exact(spec.eps0)
 
@@ -235,3 +241,60 @@ def test_exact_matrix_matches_exact_parts(P, Q):
     for name in COMPONENT_ORDER:
         re, im = parts[name]
         assert m.component(name) == complex(float(re), float(im))
+
+
+def assert_parts_equal_oracle(P, Q, t):
+    """exact_parts and linear_parts at (P, Q, t) equal the Fraction-per-term
+    oracle applied to each sector polynomial."""
+    spec = LatticeSpec(P=P, Q=Q, t=t)
+    lin = LinearSpec(N=P + Q, P=P, Q=Q, t=t)
+    for parts, component, step in (
+            (exact_parts(spec), exact_component, spec.eps0),
+            (linear_parts(lin), linear_component, lin.epsilon)):
+        polys = {name: component(P, Q, *dirs) for name, dirs in SECTORS.items()}
+        # the two mixed sectors are one polynomial: run the oracle once
+        oracle = {poly: fraction_per_term(poly, step)
+                  for poly in set(polys.values())}
+        for name, poly in polys.items():
+            assert parts[name] == oracle[poly], \
+                (P, Q, t, name, component.__name__)
+
+
+@given(P=st.integers(min_value=1, max_value=64),
+       Q=st.integers(min_value=1, max_value=64),
+       t=st.fractions(min_value=Fraction(1, 1000), max_value=1000,
+                      max_denominator=1000))
+@settings(max_examples=60, deadline=None)
+def test_parts_equal_fraction_per_term_oracle(P, Q, t):
+    assert_parts_equal_oracle(P, Q, t)
+
+
+@pytest.mark.parametrize("P,Q", [(512, 512), (384, 256)])
+def test_large_parts_equal_fraction_per_term_oracle(P, Q):
+    assert_parts_equal_oracle(P, Q, Fraction(2))
+
+
+def test_lattice_cap_refuses_before_any_table():
+    assert DEFAULT_LATTICE_CAP >= 385  # the refine benchmark's largest P + Q
+    elem_sym_table.cache_clear()
+    with pytest.raises(ResourceLimitError, match=f"cap {DEFAULT_LATTICE_CAP}"):
+        exact_parts(LatticeSpec(P=DEFAULT_LATTICE_CAP, Q=1, t=Fraction(1)))
+    with pytest.raises(ResourceLimitError, match="P \\+ Q = 8 exceeds lattice cap 7"):
+        exact_parts(LatticeSpec(P=5, Q=3, t=Fraction(1)), cap=7)
+    assert elem_sym_table.cache_info().currsize == 0
+    with pytest.raises(ResourceLimitError, match="cap 7"):
+        linear_parts(LinearSpec(N=8, P=5, Q=3, t=Fraction(1)), cap=7)
+    # the cap bounds P + Q inclusively, and raising it admits the lattice
+    assert exact_parts(LatticeSpec(P=5, Q=3, t=Fraction(1)), cap=8) == \
+        exact_parts(LatticeSpec(P=5, Q=3, t=Fraction(1)))
+
+
+def test_sweeps_check_every_size_before_the_first(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a size was evaluated before the refusal")
+
+    monkeypatch.setattr(propagator, "_parts", no_work)
+    with pytest.raises(ResourceLimitError, match="P \\+ Q = 24 exceeds"):
+        convergence_sweep(2, Fraction(3, 5), [4, 16], cap=20)
+    with pytest.raises(ResourceLimitError, match="P \\+ Q = 32 exceeds"):
+        linear_converge(2, 0, [8, 9, 32], cap=31)

@@ -10,7 +10,8 @@ rational spacetime and its boost subgroup rounds out the library, and a
 finite-difference check confirms the closed forms solve the Dirac system.
 """
 
-from .bessel import SeriesResult, bessel_j0, bessel_j1, j0_values, j1_values
+from .bessel import (SeriesResult, bessel_j0, bessel_j1, j0_j1_values,
+                     j0_values, j1_values)
 from .dirac import (Region, ResidualReport, Spinor, assemble, dirac_residual,
                     independence_determinant, residual_rows)
 from .errors import (CheckerboardError, DomainError, InvalidParameterError,
@@ -49,11 +50,11 @@ __all__ = [
     "boost", "closed_matrix", "compose", "convergence_sweep", "count_paths",
     "dirac_residual", "elem_sym_table", "enumerate_paths", "exact_component",
     "exact_matrix", "exact_parts", "format_rational", "from_lightcone",
-    "gamma_of", "independence_determinant", "is_member", "j0_values",
-    "j1_values", "linear_component", "linear_converge", "linear_matrix",
-    "linear_parts", "make_point", "matrix_product", "parse_rational",
-    "path_amplitude", "pq_identity_check", "rational_square_root",
-    "residual_rows", "sector_sum_bruteforce", "spectrum_membership",
-    "split_counts", "to_lightcone", "total_path_count", "velocity",
-    "velocity_spectrum",
+    "gamma_of", "independence_determinant", "is_member", "j0_j1_values",
+    "j0_values", "j1_values", "linear_component", "linear_converge",
+    "linear_matrix", "linear_parts", "make_point", "matrix_product",
+    "parse_rational", "path_amplitude", "pq_identity_check",
+    "rational_square_root", "residual_rows", "sector_sum_bruteforce",
+    "spectrum_membership", "split_counts", "to_lightcone", "total_path_count",
+    "velocity", "velocity_spectrum",
 ]

@@ -8,8 +8,10 @@ dirac-check runs the finite-difference verification.
 
 Conventions: rational-valued flags take "a/b" or plain integer strings,
 real-valued flags take decimal literals; which is which is stated in each
-flag's help text. Rationals are printed as "num/den" in lowest terms,
-reals with 17 significant digits so files round-trip bit-exactly. Every
+flag's help text. A negative rational is joined to its flag with "=",
+as in --v=-3/5: after a space argparse reads "-3/5" as an option.
+Rationals are printed as "num/den" in lowest terms, reals with 17
+significant digits so files round-trip bit-exactly. Every
 output carries schema_version = 1. Exit codes: 0 success, 2 usage error
 (including an --output file that cannot be written and a flag given
 without the flag it goes with), 3 domain error,
@@ -288,18 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", parents=[common],
                        help="test lattice-spacetime membership of a rational event")
     p.add_argument("--t", type=_rational, required=True,
-                   help="time, rational 'a/b' or integer")
+                   help="time, rational 'a/b' or integer (negative: --t=-5/2)")
     p.add_argument("--x", type=_rational, required=True,
-                   help="position, rational 'a/b' or integer")
+                   help="position, rational 'a/b' or integer "
+                        "(negative: --x=-3/2)")
 
     p = sub.add_parser("boost", parents=[common],
                        help="exact boost matrix for generator (p, q)")
     p.add_argument("--p", type=int, required=True, help="generator p (nonzero integer)")
     p.add_argument("--q", type=int, required=True, help="generator q (nonzero integer)")
     p.add_argument("--apply-t", type=_rational, dest="apply_t",
-                   help="optionally transform this event time (rational)")
+                   help="optionally transform this event time (rational; "
+                        "negative: --apply-t=-5/1)")
     p.add_argument("--apply-x", type=_rational, dest="apply_x",
-                   help="optionally transform this event position (rational)")
+                   help="optionally transform this event position "
+                        "(rational; negative: --apply-x=-3/1)")
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="discrete velocity spectrum up to a generator bound")
@@ -333,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV table of exact-versus-closed deviations")
     p.add_argument("--model", choices=("quadratic", "linear"), required=True)
     p.add_argument("--v", type=_rational, required=True,
-                   help="velocity, rational in the spectrum (e.g. 0, 3/5)")
+                   help="velocity, rational in the spectrum (e.g. 0, 3/5; "
+                        "negative: --v=-3/5)")
     p.add_argument("--t", type=_rational, required=True,
                    help="endpoint time, rational")
     p.add_argument("--p", type=_int_list, dest="p_list",

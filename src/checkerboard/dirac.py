@@ -27,7 +27,7 @@ from math import isfinite, log2
 
 import numpy as np
 
-from .bessel import j0_values, j1_values
+from .bessel import j0_j1_values
 from .errors import DomainError, InvalidParameterError
 from .propagator import closed_matrix
 
@@ -114,8 +114,8 @@ def _component_fields(tt: np.ndarray, xx: np.ndarray, j0_scale: float):
     s_sq = tt * tt - xx * xx
     inside = s_sq > 0.0
     s = np.sqrt(np.where(inside, s_sq, 1.0))
-    j0 = j0_scale * j0_values(s)
-    j1 = j1_values(s)
+    j0, j1 = j0_j1_values(s)
+    j0 *= j0_scale
     psi_pp = np.where(inside, 1j * (tt + xx) / s * j1, 0.0)
     psi_pm = np.where(inside, j0 + 0.0j, 0.0)
     psi_mm = np.where(inside, 1j * (tt - xx) / s * j1, 0.0)

@@ -35,6 +35,7 @@ TRACED = [
     (Refine, "_quadratic", (3, 2, Fraction(2))),
     (Refine, "_linear", (5, 3, 2, Fraction(2))),
     (Field, "_closed", (2.0, 0.5)),
+    (Field, "_dirac", ((0.5, 1.0, 0.2), 0.1, 1.0)),
     (Crosscheck, "_sector", (3, 2, R, L)),
 ]
 

@@ -4,10 +4,9 @@ their own error bounds."""
 import numpy as np
 import pytest
 
-from checkerboard.bessel import (GRID_ASYMPTOTIC, GRID_WINDOW,
-                                 MAX_SERIES_TERMS, SERIES_WINDOW,
-                                 _series_numpy, bessel_j0, bessel_j1,
-                                 j0_values, j1_values)
+from checkerboard.bessel import (MAX_SERIES_TERMS, SERIES_WINDOW, bessel_j0,
+                                 bessel_j1, j0_j1_values, j0_values,
+                                 j1_values)
 from checkerboard.errors import InvalidParameterError, OutOfRangeError
 
 try:
@@ -166,24 +165,58 @@ def scalar_j1(values):
     return np.array([float(bessel_j1(s)) for s in values])
 
 
-@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
-@pytest.mark.parametrize("lo,hi", [(0.0, GRID_WINDOW),
-                                   (GRID_ASYMPTOTIC, SERIES_WINDOW)])
-def test_grid_within_16u_of_mpmath(lo, hi):
-    # the series on [0, GRID_WINDOW], the asymptotic expansion beyond
-    s = np.linspace(lo, hi, 241)
+# 2001 points of [0, 50] and arguments that stress the recurrence: 2/s
+# overflowing, subnormal and tiny s whose growth forces the rescaling,
+# next to s = 50, which sets the start order for the whole array.
+GRID_S = np.linspace(0.0, SERIES_WINDOW, 2001)
+ADVERSARIAL = np.array([0.0, 5e-324, 1e-300, 1e-8, 2.0 ** -16, 1e-3,
+                        49.9, 50.0])
+
+
+def mpmath_j0_j1(values):
     with mpmath.workdps(30):
-        ref0 = np.array([float(mpmath.besselj(0, v)) for v in s.tolist()])
-        ref1 = np.array([float(mpmath.besselj(1, v)) for v in s.tolist()])
-    assert np.all(np.abs(j0_values(s) - ref0) <= within_16u(s))
-    assert np.all(np.abs(j1_values(s) - ref1) <= within_16u(s))
+        return (np.array([float(mpmath.besselj(0, v)) for v in values]),
+                np.array([float(mpmath.besselj(1, v)) for v in values]))
 
 
-def test_grid_series_directly():
-    # the series route itself, without the window check in front of it
-    s = np.linspace(0.0, 12.0, 97)
-    np.testing.assert_allclose(_series_numpy(s, 0), scalar_j0(s), atol=1e-12)
-    np.testing.assert_allclose(_series_numpy(s, 1), scalar_j1(s), atol=1e-12)
+def per_point(values):
+    """Each point as its own array, so the start order fits that point."""
+    pairs = [j0_j1_values(np.array([v])) for v in values]
+    return (np.concatenate([p[0] for p in pairs]),
+            np.concatenate([p[1] for p in pairs]))
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+@pytest.mark.parametrize("layout", [per_point, j0_j1_values],
+                         ids=["per_point", "one_array"])
+def test_grid_within_16u_of_mpmath(layout):
+    ref0, ref1 = mpmath_j0_j1(GRID_S.tolist())
+    j0, j1 = layout(GRID_S)
+    assert np.all(np.abs(j0 - ref0) <= within_16u(GRID_S))
+    assert np.all(np.abs(j1 - ref1) <= within_16u(GRID_S))
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+@pytest.mark.parametrize("layout", [per_point, j0_j1_values],
+                         ids=["per_point", "one_array"])
+def test_grid_adversarial_arguments(layout):
+    # pytest turns any RuntimeWarning (overflow, 0 * inf) into a failure
+    ref0, ref1 = mpmath_j0_j1(ADVERSARIAL.tolist())
+    j0, j1 = layout(ADVERSARIAL)
+    assert np.all(np.abs(j0 - ref0) <= within_16u(ADVERSARIAL))
+    assert np.all(np.abs(j1 - ref1) <= within_16u(ADVERSARIAL))
+    assert (j0[0], j1[0]) == (1.0, 0.0)
+    # below 2^-27, J1 is s/2 to the last bit
+    assert j1[2] == 5e-301 and j1[3] == 5e-9
+
+
+def test_grid_matches_scalar_route():
+    s = np.linspace(0.0, SERIES_WINDOW, 401)
+    j0, j1 = j0_j1_values(s)
+    assert np.all(np.abs(j0 - scalar_j0(s)) <= within_16u(s))
+    assert np.all(np.abs(j1 - scalar_j1(s)) <= within_16u(s))
+    assert np.array_equal(j0_values(s), j0)
+    assert np.array_equal(j1_values(s), j1)
 
 
 def test_grid_shape_preserved():
@@ -199,6 +232,7 @@ def test_grid_shape_preserved():
 def test_grid_empty_array():
     out = j0_values(np.array([]))
     assert out.shape == (0,)
+    assert [a.shape for a in j0_j1_values(np.empty((2, 0)))] == [(2, 0)] * 2
 
 
 def test_grid_range_validation():
@@ -208,13 +242,9 @@ def test_grid_range_validation():
         j1_values(np.array([51.0]))
     with pytest.raises(OutOfRangeError):
         j0_values(np.array([1.0, np.nan, 2.0]))
-    # past GRID_WINDOW float64 cancellation exceeds 16u(1 + s), and short
-    # of GRID_ASYMPTOTIC the asymptotic expansion has not converged
-    for gap in (GRID_WINDOW + 0.5, GRID_ASYMPTOTIC - 0.1):
-        with pytest.raises(OutOfRangeError):
-            j0_values([1.0, gap, 30.0])
-        with pytest.raises(OutOfRangeError):
-            j1_values([gap])
-    mixed = np.array([0.0, GRID_WINDOW, GRID_ASYMPTOTIC, SERIES_WINDOW])
+    with pytest.raises(OutOfRangeError):
+        j0_j1_values([SERIES_WINDOW + 0.1])
+    # one route over all of [0, 50], on both sides of 6 and 16
+    mixed = np.array([0.0, 6.0, 16.0, SERIES_WINDOW])
     assert j0_values(mixed) == pytest.approx(scalar_j0(mixed), abs=1e-13)
     assert j1_values(mixed) == pytest.approx(scalar_j1(mixed), abs=1e-13)

@@ -132,6 +132,45 @@ def test_converge_quadratic_csv(capsys):
     assert all(r[0] == "1" for r in rows[1:])
 
 
+def test_converge_negative_velocity_mirrors_positive(capsys):
+    # a negative rational goes in as --v=-3/5; argparse reads "-3/5" after
+    # a space as an option. P and Q swap, so psi_pp and psi_mm swap too.
+    code, neg, err = run_cli(capsys, "converge", "--model", "quadratic",
+                             "--v=-3/5", "--t", "2", "--p", "4")
+    assert code == 0
+    code, pos, err = run_cli(capsys, "converge", "--model", "quadratic",
+                             "--v", "3/5", "--t", "2", "--p", "8")
+    assert code == 0
+    neg_rows = {r[5]: r for r in csv.reader(io.StringIO(neg))}
+    pos_rows = {r[5]: r for r in csv.reader(io.StringIO(pos))}
+    mirror = {"psi_pp": "psi_mm", "psi_mm": "psi_pp",
+              "psi_pm": "psi_pm", "psi_mp": "psi_mp"}
+    for name, other in mirror.items():
+        a, b = neg_rows[name], pos_rows[other]
+        assert (a[1], a[2], a[4]) == ("4", "8", "-3/5")
+        assert (b[1], b[2], b[4]) == ("8", "4", "3/5")
+        assert a[6:] == b[6:], name
+
+
+@pytest.mark.parametrize("sub,flags", [
+    ("member", ("--t", "--x")), ("boost", ("--apply-t", "--apply-x")),
+    ("converge", ("--v",))])
+def test_negative_rational_help(capsys, sub, flags):
+    assert main([sub, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag in flags:
+        assert f"negative: {flag}=-" in text, flag
+
+
+def test_negative_rational_flags(capsys):
+    code, out, err = run_cli(capsys, "boost", "--p", "2", "--q", "1",
+                             "--apply-t", "5", "--apply-x=-3/1")
+    assert code == 0
+    assert json.loads(out)["applied"] == {"t": "17/2", "x": "-15/2"}
+    code, out, err = run_cli(capsys, "member", "--t", "5", "--x=-3/1")
+    assert code == 0 and json.loads(out)["member"] is True
+
+
 def test_converge_linear_warning(capsys):
     code, out, err = run_cli(capsys, "converge", "--model", "linear",
                              "--v", "0", "--t", "2", "--n", "8,9")
@@ -189,9 +228,18 @@ def test_dirac_check(capsys):
 
 
 def test_dirac_check_past_grid_window(capsys):
-    # t1 + h = 7.02 > GRID_WINDOW: the grid refuses instead of degrading
+    # s reaches t1 + h = 7.02, past the [0, 6] the grid once stopped at
     code, out, err = run_cli(capsys, "dirac-check", "--t0", "1", "--t1", "7",
                              "--xfrac", "0.4", "--h", "0.02")
+    assert code == 0
+    orders = json.loads(out)["observed_order"]
+    assert all(order >= 1.8 for order in orders.values()), orders
+
+
+def test_dirac_check_past_bessel_window_refused(capsys):
+    # t1 + h = 50.1 leaves [0, 50]; the grid refuses rather than extrapolate
+    code, out, err = run_cli(capsys, "dirac-check", "--t0", "49", "--t1", "50",
+                             "--xfrac", "0.1", "--h", "0.1")
     assert code == 3
     assert out == "" and "window" in err
 

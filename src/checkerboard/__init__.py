@@ -12,8 +12,9 @@ finite-difference check confirms the closed forms solve the Dirac system.
 
 from .bessel import (SeriesResult, bessel_j0, bessel_j1, j0_j1_values,
                      j0_values, j1_values)
-from .dirac import (Region, ResidualReport, Spinor, assemble, dirac_residual,
-                    independence_determinant, residual_rows)
+from .dirac import (DEFAULT_GRID_CAP, Region, ResidualReport, Spinor,
+                    assemble, dirac_residual, independence_determinant,
+                    residual_rows)
 from .errors import (CheckerboardError, DomainError, InvalidParameterError,
                      OutOfRangeError, ResourceLimitError,
                      UndefinedVelocityError)
@@ -40,7 +41,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudePolynomial", "BendRecord", "BoostMatrix",
     "CheckerboardError", "COMPONENT_ORDER", "ConvergenceRow",
-    "DEFAULT_ENUMERATION_CAP", "DEFAULT_LATTICE_CAP", "Direction",
+    "DEFAULT_ENUMERATION_CAP", "DEFAULT_GRID_CAP", "DEFAULT_LATTICE_CAP",
+    "Direction",
     "DomainError",
     "InvalidParameterError", "LatticePath", "LatticeSpec", "LightConePoint",
     "LinearSpec", "MembershipWitness", "OutOfRangeError", "PropagatorMatrix",

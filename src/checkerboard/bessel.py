@@ -92,16 +92,15 @@ def _series(s: float, order: int, tol: float) -> SeriesResult:
     num, den = p * p, 4 * q * q  # (s/2)^2 = num / den
     term = one if order == 0 else (p << bits) // (2 * q)
     total = k = 0  # k terms summed; term holds |term_k|
-
-    def decreasing() -> bool:  # |term_k| >= |term_{k+1}| >= ...
-        return num <= den * (k + 1) * (k + 1 + order)
-
+    d = den * (1 + order)  # term_{k+1} = term_k * num / d
     while True:
         total += -term if k & 1 else term
-        term = term * num // (den * (k + 1) * (k + 1 + order))
+        term = term * num // d
         k += 1
+        d = den * (k + 1) * (k + 1 + order)
+        # num <= d: |term_k| >= |term_{k+1}| >= ...
         if k == MAX_SERIES_TERMS or (
-                decreasing() and term < tol * (abs(total) + one)):
+                num <= d and term < tol * (abs(total) + one)):
             break
     # The terms decrease from here on (at the cap too, since s <= 402), so
     # the first omitted term bounds the tail.

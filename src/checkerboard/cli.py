@@ -16,7 +16,8 @@ output carries schema_version = 1. Exit codes: 0 success, 2 usage error
 (including an --output file that cannot be written and a flag given
 without the flag it goes with), 3 domain error,
 4 resource cap exceeded (the enumeration cap of enumerate, the lattice
-cap on P + Q of exact and converge).
+cap on P + Q of exact and converge, the node cap on dirac-check's fine
+grid).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import sqrt
 from typing import Optional
 
-from .dirac import Region, dirac_residual
+from .dirac import DEFAULT_GRID_CAP, Region, dirac_residual
 from .errors import CheckerboardError, ResourceLimitError
 from .paths import (DEFAULT_ENUMERATION_CAP, Direction, bend_records,
                     enumerate_paths, path_amplitude)
@@ -230,7 +231,8 @@ def _cmd_converge(args: argparse.Namespace) -> str:
 
 def _cmd_dirac_check(args: argparse.Namespace) -> str:
     region = Region(t0=args.t0, t1=args.t1, xfrac=args.xfrac)
-    report = dirac_residual(region, args.h, j0_scale=args.j0_scale)
+    report = dirac_residual(region, args.h, j0_scale=args.j0_scale,
+                            cap=args.cap)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "t0": region.t0, "t1": region.t1, "xfrac": region.xfrac,
@@ -357,6 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j0-scale", type=float, default=1.0, dest="j0_scale",
                    help="rescale the J0-valued components (negative control; "
                         "default %(default)s)")
+    p.add_argument("--cap", type=int, default=DEFAULT_GRID_CAP,
+                   help="refuse a fine grid (spacing h/2) of more than this "
+                        "many nodes (default %(default)s)")
     return ap
 
 

@@ -18,20 +18,32 @@ second-order central differences on a grid strictly inside the forward
 light cone and confirms the residual's O(h^2) decay by comparing spacings
 h and h/2; a genuinely non-solving field (the deliberately rescaled-J0
 control) leaves an h-independent floor instead.
+
+Inside the cone psi_pp = i a, psi_pm = b and psi_mm = i c with a, b, c
+real, so the fields are held as real arrays and the rows are formed in
+real arithmetic: b - a_t - a_x, i (b_t - b_x + a), i (b_t + b_x + c) and
+b - c_t + c_x. That is exact: the factor i only moves values between the
+real and imaginary parts, and each row is purely real or purely
+imaginary. The complex residual_rows is the oracle the tests hold it to.
+
+A fine grid (spacing h/2) of more than cap nodes (DEFAULT_GRID_CAP = 2^22,
+near 0.55 GB at about 130 bytes a node) is refused with ResourceLimitError
+before any array is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log2
+from math import inf, isfinite, log2
 
 import numpy as np
 
 from .bessel import j0_j1_values
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, ResourceLimitError
 from .propagator import closed_matrix
 
 ROW_KEYS = ("psi1_row1", "psi1_row2", "psi2_row1", "psi2_row2")
+DEFAULT_GRID_CAP = 1 << 22  # nodes of the fine grid
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,12 @@ def independence_determinant(t: float, x: float) -> complex:
     return s1.upper * s2.lower - s1.lower * s2.upper
 
 
+def _central(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences (f_t, f_x) on the interior of an [t, x] grid."""
+    return ((f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * h),
+            (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * h))
+
+
 def residual_rows(u: np.ndarray, w: np.ndarray,
                   h: float) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference Dirac residual of the spinor field (u, w).
@@ -95,69 +113,91 @@ def residual_rows(u: np.ndarray, w: np.ndarray,
         raise InvalidParameterError("component grids must have equal shapes")
     if u.shape[0] < 3 or u.shape[1] < 3:
         raise InvalidParameterError("need at least 3 nodes per axis")
-    du_dt = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h)
-    du_dx = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h)
-    dw_dt = (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h)
-    dw_dx = (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h)
+    du_dt, du_dx = _central(u, h)
+    dw_dt, dw_dx = _central(w, h)
     row1 = 1j * du_dt + 1j * du_dx + w[1:-1, 1:-1]
     row2 = 1j * dw_dt - 1j * dw_dx + u[1:-1, 1:-1]
     return row1, row2
 
 
 def _component_fields(tt: np.ndarray, xx: np.ndarray, j0_scale: float):
-    """psi_pp, psi_pm, psi_mm on a grid; nodes outside the cone get 0.
+    """Real arrays (a, b, c) with psi_pp = i a, psi_pm = b, psi_mm = i c.
 
-    The caller's mask must keep measured points far enough inside that
-    their difference stencils never touch an outside node, so the zero
-    fill is never actually read.
+    a = (t + x) J1(s) / s, b = J0(s) and c = (t - x) J1(s) / s are real
+    inside the cone, so dropping the factor i loses nothing. Nodes outside
+    get 0; the caller's mask must keep measured points far enough inside
+    that their difference stencils never read that fill.
     """
     s_sq = tt * tt - xx * xx
     inside = s_sq > 0.0
     s = np.sqrt(np.where(inside, s_sq, 1.0))
     j0, j1 = j0_j1_values(s)
-    j0 *= j0_scale
-    psi_pp = np.where(inside, 1j * (tt + xx) / s * j1, 0.0)
-    psi_pm = np.where(inside, j0 + 0.0j, 0.0)
-    psi_mm = np.where(inside, 1j * (tt - xx) / s * j1, 0.0)
-    return psi_pp, psi_pm, psi_mm
+    j1 /= s
+    a = np.where(inside, (tt + xx) * j1, 0.0)
+    b = np.where(inside, j0 * j0_scale, 0.0)
+    c = np.where(inside, (tt - xx) * j1, 0.0)
+    return a, b, c
 
 
 def _masked_max(arr: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(arr)[mask]))
 
 
-def _residuals_at(region: Region, h: float, margin: float,
-                  j0_scale: float) -> tuple[dict[str, float], int]:
-    n_t = int(round((region.t1 - region.t0) / h))
-    xmax = region.xfrac * region.t1
-    n_x = int(xmax / h + 1e-9)
+def _steps(region: Region, h: float, cap: int) -> tuple[int, int]:
+    """Steps (n_t, n_x) of the grid at spacing h; ResourceLimitError if it
+    has more than cap nodes."""
+    # a tiny h (h / 2 = 0 at 5e-324) makes the counts inf, which int()
+    # refuses; a count clamped to cap puts the grid over the cap
+    t_steps = (region.t1 - region.t0) / h if h else inf
+    x_steps = region.xfrac * region.t1 / h if h else inf
+    n_t = int(round(min(t_steps, cap)))
+    n_x = int(min(x_steps, cap) + 1e-9)
+    nodes = (n_t + 3) * (2 * n_x + 3)
+    if nodes > cap:
+        raise ResourceLimitError(
+            f"Dirac grid of at least {nodes} nodes exceeds grid cap {cap}; "
+            "raise the cap explicitly if the memory is there")
+    return n_t, n_x
+
+
+def _grid(region: Region, h: float, margin: float, cap: int):
+    """Node coordinates (tt, xx) at spacing h and the mask of interior
+    nodes measured."""
+    n_t, n_x = _steps(region, h, cap)
     t_vals = region.t0 + h * np.arange(-1, n_t + 2)
     x_vals = h * np.arange(-n_x - 1, n_x + 2)
     tt, xx = np.meshgrid(t_vals, x_vals, indexing="ij")
-    psi_pp, psi_pm, psi_mm = _component_fields(tt, xx, j0_scale)
     t_in = tt[1:-1, 1:-1]
-    x_in = xx[1:-1, 1:-1]
-    mask = (t_in - np.abs(x_in) > margin) & (np.abs(x_in) <= region.xfrac * t_in)
+    x_in = np.abs(xx[1:-1, 1:-1])
+    mask = (t_in - x_in > margin) & (x_in <= region.xfrac * t_in)
     if not mask.any():
         raise DomainError("no grid nodes survive the light-cone margin")
-    r11, r12 = residual_rows(psi_pp, psi_pm, h)
-    r21, r22 = residual_rows(psi_pm, psi_mm, h)
-    values = {
-        "psi1_row1": _masked_max(r11, mask),
-        "psi1_row2": _masked_max(r12, mask),
-        "psi2_row1": _masked_max(r21, mask),
-        "psi2_row2": _masked_max(r22, mask),
-    }
+    return tt, xx, mask
+
+
+def _residuals_at(region: Region, h: float, margin: float, j0_scale: float,
+                  cap: int) -> tuple[dict[str, float], int]:
+    tt, xx, mask = _grid(region, h, margin, cap)
+    a, b, c = _component_fields(tt, xx, j0_scale)
+    a_t, a_x = _central(a, h)
+    b_t, b_x = _central(b, h)
+    c_t, c_x = _central(c, h)
+    b_in = b[1:-1, 1:-1]
+    rows = (b_in - (a_t + a_x), b_t - b_x + a[1:-1, 1:-1],
+            b_t + b_x + c[1:-1, 1:-1], c_x - c_t + b_in)
+    values = {key: _masked_max(row, mask) for key, row in zip(ROW_KEYS, rows)}
     return values, int(mask.sum())
 
 
-def dirac_residual(region: Region, h: float,
-                   j0_scale: float = 1.0) -> ResidualReport:
+def dirac_residual(region: Region, h: float, j0_scale: float = 1.0,
+                   cap: int = DEFAULT_GRID_CAP) -> ResidualReport:
     """Residual maxima at h and h/2 over the region, with decay ratios.
 
     j0_scale = 1 is the honest check; any other value corrupts the
     J0-valued components and serves as the negative control (the residual
     then stalls at an O(|j0_scale - 1|) floor and the ratio sits near 1).
+    A fine grid of more than cap nodes raises ResourceLimitError before
+    any work.
     """
     if not all(map(isfinite, (region.t0, region.t1, region.xfrac, h,
                               j0_scale))):
@@ -174,8 +214,9 @@ def dirac_residual(region: Region, h: float,
         raise DomainError(
             f"region edge t0 (1 - xfrac) = {region.t0 * (1 - region.xfrac):g} "
             f"does not clear the stencil margin 2h = {margin:g}")
-    coarse, n_coarse = _residuals_at(region, h, margin, j0_scale)
-    fine, n_fine = _residuals_at(region, h / 2.0, margin, j0_scale)
+    _steps(region, h / 2.0, cap)  # the fine grid, the larger, before any work
+    coarse, n_coarse = _residuals_at(region, h, margin, j0_scale, cap)
+    fine, n_fine = _residuals_at(region, h / 2.0, margin, j0_scale, cap)
     ratio = {}
     order = {}
     for key in ROW_KEYS:

@@ -27,5 +27,5 @@ class OutOfRangeError(DomainError):
 
 
 class ResourceLimitError(CheckerboardError, RuntimeError):
-    """An enumeration, or an exact lattice evaluation or sweep, exceeded
-    its configured cap."""
+    """An enumeration, an exact lattice evaluation or sweep, or a Dirac
+    residual grid exceeded its configured cap."""

@@ -68,6 +68,55 @@ def test_j1_against_frozen_table():
         assert float(bessel_j1(s)) == pytest.approx(ref, abs=1e-12), s
 
 
+# (s, value, terms_used, error_bound) of the scalar series, frozen from the
+# implementation whose loop recomputed each term's divisor; the tighter
+# loop must return the same bits.
+J0_SERIES_BITS = [
+    (0.0, 1.0, 1, 1.1123914289701278e-16),
+    (1e-08, 1.0, 1, 1.3623000297280366e-16),
+    (0.5, 0.9384698072408131, 7, 2.0301685679791075e-16),
+    (1.73, 0.38062760162703285, 11, 5.4880958718500634e-17),
+    (6.0, 0.15064525725099703, 19, 1.0733516804311771e-16),
+    (12.0, 0.047689310796833556, 29, 2.4087856779568795e-17),
+    (20.0, 0.16702466434058316, 41, 2.736741615343688e-17),
+    (45.0, 0.11581867067325642, 75, 1.2436164070584154e-16),
+    (49.9, 0.04578862546790685, 82, 7.074798449530829e-17),
+    (50.0, 0.05581232766925174, 82, 9.339808166866018e-17),
+]
+J1_SERIES_BITS = [
+    (0.0, 0.0, 1, 2.16840434497101e-19),
+    (1e-08, 4.999999999997411e-09, 1, 2.1684084808740726e-19),
+    (0.5, 0.2422684576748739, 7, 1.932590372455412e-17),
+    (1.73, 0.5793234669251777, 11, 5.866889005862187e-17),
+    (6.0, -0.2766838581275656, 19, 4.361732634414976e-17),
+    (12.0, -0.22344710449062768, 28, 1.0095669086537154e-16),
+    (20.0, 0.06683312417585001, 40, 4.802163761830276e-17),
+    (45.0, 0.028348854376424558, 75, 4.2298518296715335e-17),
+    (49.9, -0.10279695736888546, 82, 3.345677801767593e-17),
+    (50.0, -0.09751182812517516, 82, 4.031420467200586e-17),
+]
+
+
+def series_bits(r):
+    """(value, terms_used, error_bound) with floats as hex, so -0.0 and
+    0.0 differ too."""
+    return r.value.hex(), r.terms_used, r.error_bound.hex()
+
+
+@pytest.mark.parametrize("fn, table", [(bessel_j0, J0_SERIES_BITS),
+                                       (bessel_j1, J1_SERIES_BITS)])
+def test_series_bits_frozen(fn, table):
+    for s, value, terms, bound in table:
+        assert series_bits(fn(s)) == (value.hex(), terms, bound.hex()), s
+
+
+def test_series_bits_frozen_loose_tol():
+    assert series_bits(bessel_j0(12.0, tol=1e-6)) == (
+        (0.04768948232136961).hex(), 21, (1.8435914821274317e-07).hex())
+    assert series_bits(bessel_j1(12.0, tol=1e-6)) == (
+        (-0.22344770282505907).hex(), 20, (6.452570187402643e-07).hex())
+
+
 def test_zero_argument():
     r0 = bessel_j0(0.0)
     assert float(r0) == 1.0

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from checkerboard import cli
 from checkerboard.bessel import bessel_j0, bessel_j1
 from checkerboard.cli import CSV_HEADER, format_amplitude, main
 from checkerboard.paths import AmplitudePolynomial
@@ -242,6 +243,28 @@ def test_dirac_check_past_bessel_window_refused(capsys):
                              "--xfrac", "0.1", "--h", "0.1")
     assert code == 3
     assert out == "" and "window" in err
+
+
+@pytest.mark.parametrize("h", ["1e-5", "1e-300", "5e-324"])
+def test_dirac_check_grid_cap_exits_4(capsys, h):
+    # before the cap, 1e-5 died allocating 447 GiB and 1e-300 on numpy's
+    # array size limit
+    code, out, err = run_cli(capsys, "dirac-check", "--t0", "0.5", "--t1", "3",
+                             "--xfrac", "0.4", "--h", h)
+    assert code == 4
+    assert out == "" and err.startswith("error: ") and "grid cap" in err
+
+
+def test_dirac_check_cap_raised_admits(capsys, monkeypatch):
+    argv = ["dirac-check", "--t0", "1", "--t1", "1.4", "--xfrac", "0.3",
+            "--h", "0.04"]
+    code, expected, err = run_cli(capsys, *argv)
+    assert code == 0
+    # a default below the fine grid's 1035 nodes makes this grid too big
+    monkeypatch.setattr(cli, "DEFAULT_GRID_CAP", 1000)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and "at least 1035 nodes" in err
+    assert run_cli(capsys, *argv, "--cap", "1035") == (0, expected, "")
 
 
 def test_series_tol_removed(capsys):

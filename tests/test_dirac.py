@@ -1,12 +1,21 @@
 """Finite-difference verification that the closed forms solve the equation."""
 
+from math import log2
+
 import numpy as np
 import pytest
 
+from checkerboard import dirac
 from checkerboard.bessel import bessel_j0, bessel_j1
-from checkerboard.dirac import (ROW_KEYS, Region, assemble, dirac_residual,
-                                independence_determinant, residual_rows)
-from checkerboard.errors import DomainError, InvalidParameterError
+from checkerboard.dirac import (DEFAULT_GRID_CAP, ROW_KEYS, Region, assemble,
+                                dirac_residual, independence_determinant,
+                                residual_rows)
+from checkerboard.errors import (DomainError, InvalidParameterError,
+                                 ResourceLimitError)
+from checkerboard.propagator import closed_matrix
+
+README_REGION = Region(t0=0.5, t1=3.0, xfrac=0.4)
+U = 2.0 ** -53  # float64 unit roundoff
 
 
 def test_assemble_at_origin_axis():
@@ -112,3 +121,86 @@ def test_independence_determinant():
         expected = -(float(bessel_j0(s)) ** 2 + float(bessel_j1(s)) ** 2)
         assert det == pytest.approx(complex(expected, 0), abs=1e-13)
         assert abs(det) > 1e-6
+
+
+def complex_oracle(region, h, margin, j0_scale):
+    """Residual maxima from the complex fields (i a, b, i c) through the
+    public residual_rows, on the grid and mask the real path uses; also
+    returns M, the largest |field| on the grid."""
+    tt, xx, mask = dirac._grid(region, h, margin, DEFAULT_GRID_CAP)
+    a, b, c = dirac._component_fields(tt, xx, j0_scale)
+    rows = (residual_rows(1j * a, b + 0j, h)
+            + residual_rows(b + 0j, 1j * c, h))
+    maxima = {key: float(np.max(np.abs(row)[mask]))
+              for key, row in zip(ROW_KEYS, rows)}
+    return maxima, max(float(np.max(np.abs(f))) for f in (a, b, c))
+
+
+@pytest.mark.parametrize("j0_scale", [1.0, 1.01])
+@pytest.mark.parametrize("h", [0.04, 0.02, 0.01])
+def test_real_stencil_matches_complex_oracle(h, j0_scale):
+    # Both paths difference the same real values; they differ only in
+    # rounding: complex / real divides by multiplying with the reciprocal,
+    # about 2u|f_t| per difference, |f_t| <= 2M / (2h), plus the sums, so
+    # each row maximum lies within 4u(2/h + 1)M of the oracle's.
+    report = dirac_residual(README_REGION, h, j0_scale)
+    oracle = {}
+    for spacing, real in ((h, report.max_residual_h),
+                          (h / 2.0, report.max_residual_h2)):
+        oracle[spacing], big = complex_oracle(README_REGION, spacing,
+                                              report.margin, j0_scale)
+        bound = 4.0 * U * (2.0 / spacing + 1.0) * big
+        for key in ROW_KEYS:
+            diff = abs(real[key] - oracle[spacing][key])
+            assert diff <= bound, (spacing, key, diff)
+    for key in ROW_KEYS:
+        order = log2(oracle[h][key] / oracle[h / 2.0][key])
+        assert abs(report.observed_order[key] - order) <= 1e-9, key
+
+
+def test_component_fields_are_the_closed_forms():
+    tt = np.array([[1.0, 2.0, 3.0, 0.5]])
+    xx = np.array([[0.0, 0.6, -1.2, 0.45]])
+    a, b, c = dirac._component_fields(tt, xx, 1.0)
+    for i in range(tt.shape[1]):
+        m = closed_matrix(tt[0, i], xx[0, i])
+        got = (1j * a[0, i], complex(b[0, i]), 1j * c[0, i])
+        want = (m.psi_pp, m.psi_pm, m.psi_mm)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+def forbid_fields(monkeypatch):
+    def forbidden(s):
+        raise AssertionError("j0_j1_values called on a refused grid")
+
+    monkeypatch.setattr(dirac, "j0_j1_values", forbidden)
+
+
+@pytest.mark.parametrize("h", [1e-5, 1e-300, 5e-324])
+def test_grid_cap_refuses_before_any_field(monkeypatch, h):
+    # 1e-5 would allocate hundreds of GiB, 1e-300 overflows numpy's array
+    # size, and at 5e-324 the step counts are inf and h / 2 is 0
+    forbid_fields(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="grid cap"):
+        dirac_residual(README_REGION, h)
+
+
+@pytest.mark.parametrize("region, h", [(README_REGION, 0.02),
+                                       (Region(1.0, 1.4, 0.3), 0.04),
+                                       (Region(1.0, 2.0, 0.0), 0.05)])
+def test_grid_cap_counts_the_fine_grid(monkeypatch, region, h):
+    nodes = dirac._grid(region, h / 2.0, 2.0 * h, DEFAULT_GRID_CAP)[0].size
+    assert dirac._grid(region, h, 2.0 * h, DEFAULT_GRID_CAP)[0].size < nodes
+    assert dirac_residual(region, h, cap=nodes) == dirac_residual(region, h)
+    # the coarse grid fits under nodes - 1; the refusal still comes first
+    forbid_fields(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=f"at least {nodes} nodes"):
+        dirac_residual(region, h, cap=nodes - 1)
+
+
+def test_default_grid_cap_admits_h_0_0025():
+    # --h 0.0025 on the README region ran before the cap existed and must
+    # still run: its fine grid has 2003 x 1923 nodes
+    assert dirac._steps(README_REGION, 0.0025 / 2.0, DEFAULT_GRID_CAP) == (
+        2000, 960)
+    assert 2003 * 1923 <= DEFAULT_GRID_CAP

@@ -9,13 +9,15 @@ closed forms lean on no special-function library. The partial sums grow
 to about e^s before cancelling to O(1): about s log2(e) bits are lost.
 So s is taken exactly as the integer ratio p/q of the float and the terms
 are summed in fixed point with F = ceil(s log2 e) + 64 fractional bits,
-on every platform. Each term is floored once; an error made at term j
-reaches term j + m scaled by at most (s/2)^(2m) / (m!)^2, so K computed
-terms carry at most K I0(s) <= K e^s units of 2^-F of rounding, that is
-K 2^-63 (one bit spare for the float ceil). error_bound adds that to the
-tail and to the final rounding to float64. The sum stops only where the
-terms decrease ((s/2)^2 <= d_k), so the tail is bounded by its first
-term; at the MAX_SERIES_TERMS cap that holds for every s <= 402. Valid on
+on every platform (J1 below s = 1, which is about s/2, gets about
+log2(1/s) more, so its value keeps 64 significant bits). Each term is
+floored once; an error made at term j reaches term j + m scaled by at
+most (s/2)^(2m) / (m!)^2, so K computed terms carry at most
+K I0(s) <= K e^s units of 2^-F of rounding, that is K 2^-63 (one bit
+spare for the float ceil). error_bound adds that to the tail and to the
+final rounding to float64. The sum stops only where the terms decrease
+((s/2)^2 <= d_k), so the tail is bounded by its first term; at the
+MAX_SERIES_TERMS cap that holds for every s <= 402. Valid on
 [0, SERIES_WINDOW].
 
 Grid route (j0_j1_values; j0_values and j1_values are its halves):
@@ -80,15 +82,20 @@ def _series(s: float, order: int, tol: float) -> SeriesResult:
     """Fixed-point sum of the order-0 or order-1 series at s.
 
     The sum stops once the next term starts a decreasing tail and is below
-    tol * (|partial sum| + 1), or at MAX_SERIES_TERMS terms.
+    tol * (|partial sum| + 1), or at MAX_SERIES_TERMS terms. For J1 below
+    s = 1 the 1 becomes 2^-extra, about s, so the stop is relative there.
     """
     if not (isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     s = float(s)
     _check_window(s, s, SERIES_WINDOW)
     p, q = s.as_integer_ratio()
-    bits = ceil(s * _LOG2_E) + 64
+    # J1(s) is about s/2: below s = 1, about log2(1/s) more bits keep its
+    # 64 significant bits, and the stop test scales with it
+    extra = max(0, q.bit_length() - p.bit_length()) if order and p else 0
+    bits = ceil(s * _LOG2_E) + 64 + extra
     one = 1 << bits
+    floor = one >> extra  # 2^-extra: the stop test's floor on |sum|
     num, den = p * p, 4 * q * q  # (s/2)^2 = num / den
     term = one if order == 0 else (p << bits) // (2 * q)
     total = k = 0  # k terms summed; term holds |term_k|
@@ -100,7 +107,7 @@ def _series(s: float, order: int, tol: float) -> SeriesResult:
         d = den * (k + 1) * (k + 1 + order)
         # num <= d: |term_k| >= |term_{k+1}| >= ...
         if k == MAX_SERIES_TERMS or (
-                num <= d and term < tol * (abs(total) + one)):
+                num <= d and term < tol * (abs(total) + floor)):
             break
     # The terms decrease from here on (at the cap too, since s <= 402), so
     # the first omitted term bounds the tail.

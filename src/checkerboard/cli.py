@@ -32,7 +32,8 @@ from math import sqrt
 from typing import Optional
 
 from .dirac import DEFAULT_GRID_CAP, Region, dirac_residual
-from .errors import CheckerboardError, ResourceLimitError
+from .errors import (CheckerboardError, InvalidParameterError,
+                     ResourceLimitError)
 from .paths import (DEFAULT_ENUMERATION_CAP, Direction, bend_records,
                     enumerate_paths, path_amplitude)
 from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
@@ -66,9 +67,8 @@ def _int_list(text: str) -> list[int]:
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expected a rational 'a/b' or integer, got {text!r}") from None
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _direction(text: str) -> Direction:
@@ -77,10 +77,6 @@ def _direction(text: str) -> Direction:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected R or L, got {text!r}") from None
-
-
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def format_amplitude(poly) -> str:
@@ -96,24 +92,21 @@ def format_amplitude(poly) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _cmd_member(args: argparse.Namespace) -> str:
+def _cmd_member(args: argparse.Namespace) -> dict:
     t, x = args.t, args.x
     witness = is_member(SpacetimePoint(t=t, x=x))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "t": format_rational(t),
         "x": format_rational(x),
         "member": witness is not None,
         "witness": None if witness is None else {
             "n": witness.n, "m": witness.m, "p": witness.p, "q": witness.q},
     }
-    return _dump_json(payload)
 
 
-def _cmd_boost(args: argparse.Namespace) -> str:
+def _cmd_boost(args: argparse.Namespace) -> dict:
     b = boost(args.p, args.q)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "generator": {"p": b.p, "q": b.q},
         "matrix": {"a11": format_rational(b.a11), "a12": format_rational(b.a12),
                    "a21": format_rational(b.a21), "a22": format_rational(b.a22)},
@@ -124,52 +117,45 @@ def _cmd_boost(args: argparse.Namespace) -> str:
         moved = apply_boost(b, SpacetimePoint(t=args.apply_t, x=args.apply_x))
         payload["applied"] = {"t": format_rational(moved.t),
                               "x": format_rational(moved.x)}
-    return _dump_json(payload)
+    return payload
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> str:
+def _cmd_spectrum(args: argparse.Namespace) -> dict:
     values = velocity_spectrum(args.max_pq)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "max_pq": args.max_pq,
         "count": len(values),
         "velocities": [format_rational(v) for v in values],
     }
-    return _dump_json(payload)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> str:
-    P, Q = args.P, args.Q
-    start, end = args.start, args.end
-    paths = list(enumerate_paths(P, Q, start, end, cap=args.cap))
-    if args.fmt == "text":
-        lines = []
-        for p in paths:
-            amp = format_amplitude(path_amplitude(p))
-            lines.append(f"{p} bends={p.bends} to_right={p.bends_to_right} "
-                         f"to_left={p.bends_to_left} amplitude={amp}")
-        return "\n".join(lines) + ("\n" if lines else "")
+def _cmd_enumerate(args: argparse.Namespace) -> dict | str:
     entries = []
-    for p in paths:
-        counted = sum(1 for rec in bend_records(p) if rec.counted)
+    for p in enumerate_paths(args.P, args.Q, args.start, args.end,
+                             cap=args.cap):
+        records = bend_records(p)
+        to_left = sum(rec.side is Direction.R for rec in records)
         entries.append({
             "path": str(p),
-            "bends": p.bends,
-            "to_right": p.bends_to_right,
-            "to_left": p.bends_to_left,
-            "counted_bends": counted,
-            "amplitude": path_amplitude(p).to_json_dict(),
+            "bends": len(records),
+            "to_right": len(records) - to_left,
+            "to_left": to_left,
+            "counted_bends": sum(rec.counted for rec in records),
+            "amplitude": path_amplitude(p),
         })
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "P": P, "Q": Q, "start": str(start), "end": str(end),
-        "count": len(entries),
-        "paths": entries,
-    }
-    return _dump_json(payload)
+    if args.fmt == "text":
+        return "".join(
+            f"{e['path']} bends={e['bends']} to_right={e['to_right']} "
+            f"to_left={e['to_left']} "
+            f"amplitude={format_amplitude(e['amplitude'])}\n"
+            for e in entries)
+    for e in entries:
+        e["amplitude"] = e["amplitude"].to_json_dict()
+    return {"P": args.P, "Q": args.Q, "start": str(args.start),
+            "end": str(args.end), "count": len(entries), "paths": entries}
 
 
-def _cmd_exact(args: argparse.Namespace) -> str:
+def _cmd_exact(args: argparse.Namespace) -> dict:
     spec = LatticeSpec(P=args.P, Q=args.Q, t=args.t)
     parts = exact_parts(spec, cap=args.cap)
     components = {}
@@ -179,8 +165,7 @@ def _cmd_exact(args: argparse.Namespace) -> str:
             "re": format_rational(re), "im": format_rational(im),
             "re_float": float(re), "im_float": float(im),
         }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "P": spec.P, "Q": spec.Q,
         "t": format_rational(spec.t),
         "v": format_rational(spec.v),
@@ -188,21 +173,18 @@ def _cmd_exact(args: argparse.Namespace) -> str:
         "eps0": format_rational(spec.eps0),
         "components": components,
     }
-    return _dump_json(payload)
 
 
-def _cmd_propagator(args: argparse.Namespace) -> str:
+def _cmd_propagator(args: argparse.Namespace) -> dict:
     t, x = args.t, args.x
     m = closed_matrix(t, x)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "t": t, "x": x,
         "s": sqrt((t - x) * (t + x)),
         "components": {name: {"re": m.component(name).real,
                               "im": m.component(name).imag}
                        for name in COMPONENT_ORDER},
     }
-    return _dump_json(payload)
 
 
 def _cmd_converge(args: argparse.Namespace) -> str:
@@ -229,12 +211,11 @@ def _cmd_converge(args: argparse.Namespace) -> str:
     return buf.getvalue()
 
 
-def _cmd_dirac_check(args: argparse.Namespace) -> str:
+def _cmd_dirac_check(args: argparse.Namespace) -> dict:
     region = Region(t0=args.t0, t1=args.t1, xfrac=args.xfrac)
     report = dirac_residual(region, args.h, j0_scale=args.j0_scale,
                             cap=args.cap)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "t0": region.t0, "t1": region.t1, "xfrac": region.xfrac,
         "h": report.h, "margin": report.margin,
         "j0_scale": report.j0_scale,
@@ -244,7 +225,6 @@ def _cmd_dirac_check(args: argparse.Namespace) -> str:
         "ratio": report.ratio,
         "observed_order": report.observed_order,
     }
-    return _dump_json(payload)
 
 
 _HANDLERS = {
@@ -260,8 +240,16 @@ _HANDLERS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
-    text = _HANDLERS[args.command](args)
+    """Execute one parsed invocation; returns the process exit code.
+
+    A handler returns its JSON payload as a dict or its CSV as text. A
+    payload is written with schema_version first, indented by 2 and
+    ended by a newline; text is written as it is. Either goes to stdout,
+    or to --output.
+    """
+    out = _HANDLERS[args.command](args)
+    text = out if isinstance(out, str) else json.dumps(
+        {"schema_version": SCHEMA_VERSION, **out}, indent=2) + "\n"
     if args.output:
         try:
             with open(args.output, "w", newline="") as fh:
@@ -278,6 +266,11 @@ def run(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write to this file instead of stdout")
+    segments = argparse.ArgumentParser(add_help=False)
+    segments.add_argument("--P", type=int, required=True,
+                          help="number of right segments")
+    segments.add_argument("--Q", type=int, required=True,
+                          help="number of left segments")
     lattice_cap = argparse.ArgumentParser(add_help=False)
     lattice_cap.add_argument(
         "--cap", type=int, default=DEFAULT_LATTICE_CAP,
@@ -313,10 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pq", type=int, required=True, dest="max_pq",
                    help="enumerate generators 1 <= p, q <= this bound")
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[common, segments],
                        help="list all lattice paths of one sector with amplitudes")
-    p.add_argument("--P", type=int, required=True, help="number of right segments")
-    p.add_argument("--Q", type=int, required=True, help="number of left segments")
     p.add_argument("--start", type=_direction, required=True, help="first segment direction, R or L")
     p.add_argument("--end", type=_direction, required=True, help="last segment direction, R or L")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
@@ -324,10 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt",
                    help="output format (default %(default)s)")
 
-    p = sub.add_parser("exact", parents=[common, lattice_cap],
+    p = sub.add_parser("exact", parents=[common, lattice_cap, segments],
                        help="exact finite-lattice components at (P, Q, t)")
-    p.add_argument("--P", type=int, required=True, help="number of right segments")
-    p.add_argument("--Q", type=int, required=True, help="number of left segments")
     p.add_argument("--t", type=_rational, required=True,
                    help="endpoint time, rational 'a/b' or integer")
 
@@ -387,12 +376,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except CheckerboardError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, ResourceLimitError) else 3
 
 
 if __name__ == "__main__":

@@ -175,9 +175,8 @@ def _grid(region: Region, h: float, margin: float, cap: int):
     return tt, xx, mask
 
 
-def _residuals_at(region: Region, h: float, margin: float, j0_scale: float,
-                  cap: int) -> tuple[dict[str, float], int]:
-    tt, xx, mask = _grid(region, h, margin, cap)
+def _residuals_at(h: float, j0_scale: float, tt: np.ndarray, xx: np.ndarray,
+                  mask: np.ndarray) -> tuple[dict[str, float], int]:
     a, b, c = _component_fields(tt, xx, j0_scale)
     a_t, a_x = _central(a, h)
     b_t, b_x = _central(b, h)
@@ -214,9 +213,10 @@ def dirac_residual(region: Region, h: float, j0_scale: float = 1.0,
         raise DomainError(
             f"region edge t0 (1 - xfrac) = {region.t0 * (1 - region.xfrac):g} "
             f"does not clear the stencil margin 2h = {margin:g}")
-    _steps(region, h / 2.0, cap)  # the fine grid, the larger, before any work
-    coarse, n_coarse = _residuals_at(region, h, margin, j0_scale, cap)
-    fine, n_fine = _residuals_at(region, h / 2.0, margin, j0_scale, cap)
+    fine_grid = _grid(region, h / 2.0, margin, cap)  # the larger: cap first
+    coarse, n_coarse = _residuals_at(h, j0_scale,
+                                     *_grid(region, h, margin, cap))
+    fine, n_fine = _residuals_at(h / 2.0, j0_scale, *fine_grid)
     ratio = {}
     order = {}
     for key in ROW_KEYS:

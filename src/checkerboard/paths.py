@@ -54,11 +54,11 @@ class LatticePath:
 
     @property
     def rights(self) -> int:
-        return sum(1 for s in self.segments if s is Direction.R)
+        return self.segments.count(Direction.R)
 
     @property
     def lefts(self) -> int:
-        return sum(1 for s in self.segments if s is Direction.L)
+        return self.segments.count(Direction.L)
 
     @property
     def start_dir(self) -> Optional[Direction]:
@@ -71,19 +71,17 @@ class LatticePath:
     @property
     def bends(self) -> int:
         """Total direction reversals R, including the final one."""
-        return sum(1 for a, b in zip(self.segments, self.segments[1:]) if a is not b)
+        return len(bend_records(self))
 
     @property
     def bends_to_left(self) -> int:
         """Reversals from right-moving to left-moving (R followed by L)."""
-        return sum(1 for a, b in zip(self.segments, self.segments[1:])
-                   if a is Direction.R and b is Direction.L)
+        return sum(rec.side is Direction.R for rec in bend_records(self))
 
     @property
     def bends_to_right(self) -> int:
         """Reversals from left-moving to right-moving (L followed by R)."""
-        return sum(1 for a, b in zip(self.segments, self.segments[1:])
-                   if a is Direction.L and b is Direction.R)
+        return sum(rec.side is Direction.L for rec in bend_records(self))
 
 
 @dataclass(frozen=True)
@@ -260,12 +258,12 @@ def count_paths(P: int, Q: int, start: Direction, end: Direction, R: int) -> int
     """Number of paths with P rights, Q lefts, exactly R reversals, given
     start and end directions, in closed form.
 
-    A path starting R and ending L has odd R = 2k+1 and splits its rights
-    into k+1 runs and lefts into k+1 runs: comb(P-1, k) * comb(Q-1, k)
-    compositions. Starting R and ending R has even R = 2k with k+1 right
-    runs and k left runs: comb(P-1, k) * comb(Q-1, k-1). The remaining two
-    sectors mirror these under swapping P with Q. R = 0 forces a straight
-    path, possible only when the absent direction has zero segments.
+    A path starting R alternates runs R, L, R, ...: R reversals make
+    R // 2 + 1 right runs and (R + 1) // 2 left runs, and it ends L
+    exactly when R is odd. Splitting P rights and Q lefts into that many
+    nonempty runs gives comb(P-1, R // 2) * comb(Q-1, (R+1) // 2 - 1)
+    compositions; R = 0 is the straight path, which needs P > 0 = Q. An
+    L start is the mirror image: swap P with Q and flip the end direction.
     """
     if P < 0 or Q < 0 or R < 0:
         raise InvalidParameterError("P, Q, R must be >= 0")
@@ -278,30 +276,12 @@ def count_paths(P: int, Q: int, start: Direction, end: Direction, R: int) -> int
             return 0
         return comb(total - 1, parts - 1)
 
-    if start is Direction.R and end is Direction.L:
-        if R % 2 == 0:
-            return 0
-        k = (R - 1) // 2
-        return runs(P, k + 1) * runs(Q, k + 1)
-    if start is Direction.L and end is Direction.R:
-        if R % 2 == 0:
-            return 0
-        k = (R - 1) // 2
-        return runs(Q, k + 1) * runs(P, k + 1)
-    if start is Direction.R and end is Direction.R:
-        if R % 2 == 1:
-            return 0
-        if R == 0:
-            return 1 if (Q == 0 and P > 0) else 0
-        k = R // 2
-        return runs(P, k + 1) * runs(Q, k)
-    # start L, end L
-    if R % 2 == 1:
+    if start is Direction.L:
+        P, Q = Q, P
+        end = Direction.R if end is Direction.L else Direction.L
+    if (R % 2 == 1) != (end is Direction.L):
         return 0
-    if R == 0:
-        return 1 if (P == 0 and Q > 0) else 0
-    k = R // 2
-    return runs(Q, k + 1) * runs(P, k)
+    return runs(P, R // 2 + 1) * runs(Q, (R + 1) // 2)
 
 
 def total_path_count(P: int, Q: int, start: Direction, end: Direction) -> int:

@@ -46,12 +46,14 @@ def format_rational(value: RationalLike) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or a plain integer string into a Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse "a/b" or a plain integer string into a Fraction; any other
+    text, or a zero denominator, raises InvalidParameterError."""
+    num, slash, den = text.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameterError(
+            f"expected a rational 'a/b' or integer, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,7 @@ class MembershipWitness:
 
     def point(self) -> SpacetimePoint:
         """Reconstruct the witnessed event exactly."""
-        scale = Fraction(self.n, self.m)
-        pp, qq = self.p * self.p, self.q * self.q
-        return SpacetimePoint(t=scale * (pp + qq), x=scale * (pp - qq))
+        return make_point(self.n, self.m, self.p, self.q)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Lattice paths: enumeration oracle, bend bookkeeping, amplitudes."""
 
 import itertools
+import json
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from checkerboard.cli import main
 from checkerboard.errors import InvalidParameterError, ResourceLimitError
 from checkerboard.paths import (AmplitudePolynomial, BendRecord, Direction,
                                 LatticePath, bend_records, count_paths,
@@ -35,7 +37,7 @@ def P_of(text):
     return LatticePath.from_string(text)
 
 
-def test_path_parsing_and_counts():
+def test_path_parsing_and_counts(capsys):
     p = P_of("RRLRLL")
     assert str(p) == "RRLRLL"
     assert p.rights == 3 and p.lefts == 3
@@ -45,6 +47,22 @@ def test_path_parsing_and_counts():
     assert p.bends_to_right == 1  # L followed by R, once
     with pytest.raises(InvalidParameterError):
         P_of("RXL")
+    # the bend counts read bend_records; hold them to the path's string,
+    # and the CLI's counted_bends to "all but the last"
+    for P, Q, start, end in itertools.product(range(7), range(7), (R, L),
+                                              (R, L)):
+        bends = {}
+        for path in enumerate_paths(P, Q, start, end):
+            text = str(path)
+            assert path.bends_to_left == text.count("RL"), text
+            assert path.bends_to_right == text.count("LR"), text
+            assert path.bends == path.bends_to_left + path.bends_to_right
+            bends[text] = path.bends
+        assert main(["enumerate", "--P", str(P), "--Q", str(Q), "--start",
+                     str(start), "--end", str(end), "--format", "json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["paths"]
+        assert {e["path"]: e["counted_bends"] for e in entries} == {
+            text: max(b - 1, 0) for text, b in bends.items()}
 
 
 def test_enumerate_examples():

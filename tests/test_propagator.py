@@ -21,9 +21,15 @@ from checkerboard.propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                                      pq_identity_check)
 from test_paths import fraction_per_term
 
+try:
+    import mpmath
+except ImportError:  # pragma: no cover
+    mpmath = None
+
 R, L = Direction.R, Direction.L
 SECTORS = {"psi_pp": (R, R), "psi_pm": (L, R), "psi_mp": (R, L),
            "psi_mm": (L, L)}
+U = 2.0 ** -53  # float64 unit roundoff
 
 # Reference values computed with an independent 40-digit evaluation of the
 # defining series, frozen before this module was written.
@@ -147,6 +153,25 @@ def test_closed_matrix_parity():
     assert m_plus.psi_mp == m_minus.psi_mp
     assert m_plus.psi_pp == m_minus.psi_mm
     assert m_plus.psi_mm == m_minus.psi_pp
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+def test_closed_matrix_relative_near_light_cone():
+    # psi_pp and psi_mm divide J1(s) by s, so J1 must keep its relative
+    # accuracy as s -> 0: t = 1, x = 1 - d, 400 points with d in
+    # [1e-15, 1e-3], against mpmath at the same float (t, x).
+    with mpmath.workdps(40):
+        for d in (10.0 ** (-15 + 12 * i / 399) for i in range(400)):
+            x = 1.0 - d
+            m = closed_matrix(1.0, x)
+            X = mpmath.mpf(x)
+            s = mpmath.sqrt((1 - X) * (1 + X))
+            j1 = mpmath.besselj(1, s)
+            for name, ref in (("psi_pp", (1 + X) / s * j1),
+                              ("psi_mm", (1 - X) / s * j1)):
+                got = m.component(name)
+                assert got.real == 0.0, (name, d)
+                assert abs(got.imag - ref) <= 8 * U * ref, (name, d)
 
 
 def test_closed_matrix_domain():

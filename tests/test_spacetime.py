@@ -219,6 +219,9 @@ def test_rational_serialization():
     assert parse_rational("5/1") == Fraction(5)
     assert parse_rational("-3/5") == Fraction(-3, 5)
     assert parse_rational(" 7 ") == Fraction(7)
+    for bad in ("1/0", "abc", "1.5", "5/", "1/2/3"):
+        with pytest.raises(InvalidParameterError, match="rational"):
+            parse_rational(bad)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InvalidParameterError, match="finite"):
             format_rational(bad)

@@ -12,29 +12,24 @@ finite-difference check confirms the closed forms solve the Dirac system.
 
 from .bessel import (SeriesResult, bessel_j0, bessel_j1, j0_j1_values,
                      j0_values, j1_values)
-from .dirac import (DEFAULT_GRID_CAP, Region, ResidualReport, Spinor,
-                    assemble, dirac_residual, independence_determinant,
+from .dirac import (DEFAULT_GRID_CAP, Region, ResidualReport, dirac_residual,
                     residual_rows)
 from .errors import (CheckerboardError, DomainError, InvalidParameterError,
-                     OutOfRangeError, ResourceLimitError,
-                     UndefinedVelocityError)
+                     OutOfRangeError, ResourceLimitError)
 from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, BendRecord,
                     Direction, LatticePath, bend_records, count_paths,
-                    enumerate_paths, path_amplitude, sector_sum_bruteforce,
-                    total_path_count)
+                    enumerate_paths, path_amplitude, sector_sum_bruteforce)
 from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                          ConvergenceRow, LatticeSpec, LinearSpec,
                          PropagatorMatrix, SymmetricTable, closed_matrix,
                          convergence_sweep, elem_sym_table, exact_component,
-                         exact_matrix, exact_parts, gamma_of,
-                         linear_component, linear_converge, linear_matrix,
+                         exact_parts, linear_component, linear_converge,
                          linear_parts, pq_identity_check, split_counts)
 from .spacetime import (BoostMatrix, LightConePoint, MembershipWitness,
                         SpacetimePoint, apply_boost, boost, compose,
-                        format_rational, from_lightcone, is_member, make_point,
+                        format_rational, is_member, make_point,
                         matrix_product, parse_rational, rational_square_root,
-                        spectrum_membership, to_lightcone, velocity,
-                        velocity_spectrum)
+                        spectrum_membership, to_lightcone, velocity_spectrum)
 
 __version__ = "0.1.0"
 
@@ -42,21 +37,19 @@ __all__ = [
     "AmplitudePolynomial", "BendRecord", "BoostMatrix",
     "CheckerboardError", "COMPONENT_ORDER", "ConvergenceRow",
     "DEFAULT_ENUMERATION_CAP", "DEFAULT_GRID_CAP", "DEFAULT_LATTICE_CAP",
-    "Direction",
-    "DomainError",
+    "Direction", "DomainError",
     "InvalidParameterError", "LatticePath", "LatticeSpec", "LightConePoint",
     "LinearSpec", "MembershipWitness", "OutOfRangeError", "PropagatorMatrix",
     "Region", "ResidualReport", "ResourceLimitError", "SeriesResult",
-    "SpacetimePoint", "Spinor", "SymmetricTable", "UndefinedVelocityError",
-    "apply_boost", "assemble", "bend_records", "bessel_j0", "bessel_j1",
+    "SpacetimePoint", "SymmetricTable",
+    "apply_boost", "bend_records", "bessel_j0", "bessel_j1",
     "boost", "closed_matrix", "compose", "convergence_sweep", "count_paths",
     "dirac_residual", "elem_sym_table", "enumerate_paths", "exact_component",
-    "exact_matrix", "exact_parts", "format_rational", "from_lightcone",
-    "gamma_of", "independence_determinant", "is_member", "j0_j1_values",
+    "exact_parts", "format_rational", "is_member", "j0_j1_values",
     "j0_values", "j1_values", "linear_component", "linear_converge",
-    "linear_matrix", "linear_parts", "make_point", "matrix_product",
+    "linear_parts", "make_point", "matrix_product",
     "parse_rational", "path_amplitude", "pq_identity_check",
     "rational_square_root", "residual_rows", "sector_sum_bruteforce",
-    "spectrum_membership", "split_counts", "to_lightcone", "total_path_count",
-    "velocity", "velocity_spectrum",
+    "spectrum_membership", "split_counts", "to_lightcone",
+    "velocity_spectrum",
 ]

@@ -9,13 +9,13 @@ closed forms lean on no special-function library. The partial sums grow
 to about e^s before cancelling to O(1): about s log2(e) bits are lost.
 So s is taken exactly as the integer ratio p/q of the float and the terms
 are summed in fixed point with F = ceil(s log2 e) + 64 fractional bits,
-on every platform (J1 below s = 1, which is about s/2, gets about
-log2(1/s) more, so its value keeps 64 significant bits). Each term is
-floored once; an error made at term j reaches term j + m scaled by at
+on every platform (J1 below s = 1, which is about s/2, gets extra =
+about log2(1/s) more, so its value keeps 64 significant bits). Each term
+is floored once; an error made at term j reaches term j + m scaled by at
 most (s/2)^(2m) / (m!)^2, so K computed terms carry at most
-K I0(s) <= K e^s units of 2^-F of rounding, that is K 2^-63 (one bit
-spare for the float ceil). error_bound adds that to the tail and to the
-final rounding to float64. The sum stops only where the terms decrease
+K I0(s) <= K e^s units of 2^-F of rounding, that is K 2^-(63 + extra)
+(one bit spare for the float ceil). error_bound adds that to the tail and
+to the final rounding to float64. The sum stops only where the terms decrease
 ((s/2)^2 <= d_k), so the tail is bounded by its first term; at the
 MAX_SERIES_TERMS cap that holds for every s <= 402. Valid on
 [0, SERIES_WINDOW].
@@ -83,7 +83,7 @@ def _series(s: float, order: int, tol: float) -> SeriesResult:
 
     The sum stops once the next term starts a decreasing tail and is below
     tol * (|partial sum| + 1), or at MAX_SERIES_TERMS terms. For J1 below
-    s = 1 the 1 becomes 2^-extra, about s, so the stop is relative there.
+    s = 1 the stop is tol * |partial sum|, relative to the value's size.
     """
     if not (isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
@@ -95,7 +95,7 @@ def _series(s: float, order: int, tol: float) -> SeriesResult:
     extra = max(0, q.bit_length() - p.bit_length()) if order and p else 0
     bits = ceil(s * _LOG2_E) + 64 + extra
     one = 1 << bits
-    floor = one >> extra  # 2^-extra: the stop test's floor on |sum|
+    floor = 0 if extra else one  # the stop test's floor on |sum|
     num, den = p * p, 4 * q * q  # (s/2)^2 = num / den
     term = one if order == 0 else (p << bits) // (2 * q)
     total = k = 0  # k terms summed; term holds |term_k|
@@ -111,7 +111,7 @@ def _series(s: float, order: int, tol: float) -> SeriesResult:
             break
     # The terms decrease from here on (at the cap too, since s <= 402), so
     # the first omitted term bounds the tail.
-    rounding = (k + 1) << (bits - 63)
+    rounding = (k + 1) << (bits - 63 - extra)
     value = total / one
     bound = nextafter((term + rounding) / one, inf) + ulp(value) / 2
     return SeriesResult(value, k, nextafter(bound, inf))

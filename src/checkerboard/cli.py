@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from math import sqrt
@@ -53,15 +54,16 @@ def _fmt_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _integer(text: str) -> int:
+    """ASCII digits with an optional sign, nothing else (no spaces,
+    underscores or non-ASCII digits, which int() would take)."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
+    return [_integer(part) for part in text.split(",")]
 
 
 def _rational(text: str) -> Fraction:
@@ -267,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write to this file instead of stdout")
     segments = argparse.ArgumentParser(add_help=False)
-    segments.add_argument("--P", type=int, required=True,
+    segments.add_argument("--P", type=_integer, required=True,
                           help="number of right segments")
-    segments.add_argument("--Q", type=int, required=True,
+    segments.add_argument("--Q", type=_integer, required=True,
                           help="number of left segments")
     lattice_cap = argparse.ArgumentParser(add_help=False)
     lattice_cap.add_argument(
-        "--cap", type=int, default=DEFAULT_LATTICE_CAP,
+        "--cap", type=_integer, default=DEFAULT_LATTICE_CAP,
         help="refuse a lattice with P+Q above this (default %(default)s)")
 
     ap = argparse.ArgumentParser(
@@ -292,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boost", parents=[common],
                        help="exact boost matrix for generator (p, q)")
-    p.add_argument("--p", type=int, required=True, help="generator p (nonzero integer)")
-    p.add_argument("--q", type=int, required=True, help="generator q (nonzero integer)")
+    p.add_argument("--p", type=_integer, required=True, help="generator p (nonzero integer)")
+    p.add_argument("--q", type=_integer, required=True, help="generator q (nonzero integer)")
     p.add_argument("--apply-t", type=_rational, dest="apply_t",
                    help="optionally transform this event time (rational; "
                         "negative: --apply-t=-5/1)")
@@ -303,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="discrete velocity spectrum up to a generator bound")
-    p.add_argument("--max-pq", type=int, required=True, dest="max_pq",
+    p.add_argument("--max-pq", type=_integer, required=True, dest="max_pq",
                    help="enumerate generators 1 <= p, q <= this bound")
 
     p = sub.add_parser("enumerate", parents=[common, segments],
                        help="list all lattice paths of one sector with amplitudes")
     p.add_argument("--start", type=_direction, required=True, help="first segment direction, R or L")
     p.add_argument("--end", type=_direction, required=True, help="last segment direction, R or L")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+    p.add_argument("--cap", type=_integer, default=DEFAULT_ENUMERATION_CAP,
                    help="refuse enumeration when P+Q exceeds this (default %(default)s)")
     p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt",
                    help="output format (default %(default)s)")
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j0-scale", type=float, default=1.0, dest="j0_scale",
                    help="rescale the J0-valued components (negative control; "
                         "default %(default)s)")
-    p.add_argument("--cap", type=int, default=DEFAULT_GRID_CAP,
+    p.add_argument("--cap", type=_integer, default=DEFAULT_GRID_CAP,
                    help="refuse a fine grid (spacing h/2) of more than this "
                         "many nodes (default %(default)s)")
     return ap
@@ -357,14 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_paired_flags(parser: argparse.ArgumentParser,
                         args: argparse.Namespace) -> None:
     """Flags that only make sense together are a usage error (exit 2)
-    when one comes without the other."""
+    when one comes without the other, and so is the size list of the
+    converge model not chosen."""
     if args.command == "boost" and (args.apply_t is None) != (args.apply_x is None):
         parser.error("boost: --apply-t and --apply-x go together")
     if args.command == "converge":
-        flag, given = (("--p", args.p_list) if args.model == "quadratic"
-                       else ("--n", args.n_list))
-        if given is None:
-            parser.error(f"converge: --model {args.model} requires {flag}")
+        sizes = {"quadratic": ("--p", args.p_list),
+                 "linear": ("--n", args.n_list)}
+        for model, (flag, given) in sizes.items():
+            if model == args.model and given is None:
+                parser.error(f"converge: --model {args.model} requires {flag}")
+            if model != args.model and given is not None:
+                parser.error(
+                    f"converge: --model {args.model} does not take {flag}")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

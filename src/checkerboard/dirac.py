@@ -40,16 +40,9 @@ import numpy as np
 
 from .bessel import j0_j1_values
 from .errors import DomainError, InvalidParameterError, ResourceLimitError
-from .propagator import closed_matrix
 
 ROW_KEYS = ("psi1_row1", "psi1_row2", "psi2_row1", "psi2_row2")
 DEFAULT_GRID_CAP = 1 << 22  # nodes of the fine grid
-
-
-@dataclass(frozen=True)
-class Spinor:
-    upper: complex
-    lower: complex
 
 
 @dataclass(frozen=True)
@@ -81,19 +74,6 @@ class ResidualReport:
     max_residual_h2: dict[str, float]
     ratio: dict[str, float]
     observed_order: dict[str, float]
-
-
-def assemble(t: float, x: float) -> tuple[Spinor, Spinor]:
-    """The two candidate solutions at one point, from the closed forms."""
-    m = closed_matrix(t, x)
-    return (Spinor(upper=m.psi_pp, lower=m.psi_pm),
-            Spinor(upper=m.psi_pm, lower=m.psi_mm))
-
-
-def independence_determinant(t: float, x: float) -> complex:
-    """det [[psi1_u, psi2_u], [psi1_l, psi2_l]]; equals -(J0^2 + J1^2)."""
-    s1, s2 = assemble(t, x)
-    return s1.upper * s2.lower - s1.lower * s2.upper
 
 
 def _central(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

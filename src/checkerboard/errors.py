@@ -18,10 +18,6 @@ class DomainError(CheckerboardError, ValueError):
     """The requested point lies outside the mathematical domain."""
 
 
-class UndefinedVelocityError(DomainError):
-    """Velocity x/t requested at t = 0."""
-
-
 class OutOfRangeError(DomainError):
     """Argument outside the validity window of a series implementation."""
 

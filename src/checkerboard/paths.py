@@ -40,48 +40,8 @@ class LatticePath:
 
     segments: tuple[Direction, ...]
 
-    @classmethod
-    def from_string(cls, text: str) -> "LatticePath":
-        """Parse a string like "RRLRLL" into a path."""
-        try:
-            return cls(tuple(Direction(c) for c in text))
-        except ValueError:
-            raise InvalidParameterError(
-                f"path string must contain only R and L, got {text!r}") from None
-
     def __str__(self) -> str:
         return "".join(s.value for s in self.segments)
-
-    @property
-    def rights(self) -> int:
-        return self.segments.count(Direction.R)
-
-    @property
-    def lefts(self) -> int:
-        return self.segments.count(Direction.L)
-
-    @property
-    def start_dir(self) -> Optional[Direction]:
-        return self.segments[0] if self.segments else None
-
-    @property
-    def end_dir(self) -> Optional[Direction]:
-        return self.segments[-1] if self.segments else None
-
-    @property
-    def bends(self) -> int:
-        """Total direction reversals R, including the final one."""
-        return len(bend_records(self))
-
-    @property
-    def bends_to_left(self) -> int:
-        """Reversals from right-moving to left-moving (R followed by L)."""
-        return sum(rec.side is Direction.R for rec in bend_records(self))
-
-    @property
-    def bends_to_right(self) -> int:
-        """Reversals from left-moving to right-moving (L followed by R)."""
-        return sum(rec.side is Direction.L for rec in bend_records(self))
 
 
 @dataclass(frozen=True)
@@ -135,10 +95,6 @@ class AmplitudePolynomial:
         self._coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
 
     @classmethod
-    def zero(cls) -> "AmplitudePolynomial":
-        return cls()
-
-    @classmethod
     def monomial(cls, order: int, coeff: int = 1) -> "AmplitudePolynomial":
         return cls({order: coeff})
 
@@ -148,19 +104,10 @@ class AmplitudePolynomial:
     def orders(self) -> list[int]:
         return sorted(self._coeffs)
 
-    def __add__(self, other: "AmplitudePolynomial") -> "AmplitudePolynomial":
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return AmplitudePolynomial(out)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AmplitudePolynomial):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -264,6 +211,8 @@ def count_paths(P: int, Q: int, start: Direction, end: Direction, R: int) -> int
     nonempty runs gives comb(P-1, R // 2) * comb(Q-1, (R+1) // 2 - 1)
     compositions; R = 0 is the straight path, which needs P > 0 = Q. An
     L start is the mirror image: swap P with Q and flip the end direction.
+    Kept as an oracle: enumeration and the uniform-lattice coefficients
+    are checked against it at sizes enumeration cannot reach.
     """
     if P < 0 or Q < 0 or R < 0:
         raise InvalidParameterError("P, Q, R must be >= 0")
@@ -282,11 +231,6 @@ def count_paths(P: int, Q: int, start: Direction, end: Direction, R: int) -> int
     if (R % 2 == 1) != (end is Direction.L):
         return 0
     return runs(P, R // 2 + 1) * runs(Q, (R + 1) // 2)
-
-
-def total_path_count(P: int, Q: int, start: Direction, end: Direction) -> int:
-    """Sum of count_paths over all reversal numbers R."""
-    return sum(count_paths(P, Q, start, end, R) for R in range(P + Q + 1))
 
 
 def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,

@@ -32,14 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isfinite, sqrt
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .bessel import bessel_j0, bessel_j1
 from .errors import DomainError, InvalidParameterError, ResourceLimitError
 from .paths import AmplitudePolynomial, Direction
-from .spacetime import rational_square_root, spectrum_membership, to_fraction
+from .spacetime import (RationalLike, rational_square_root,
+                        spectrum_membership, to_fraction)
 
-RationalLike = Union[int, Fraction]
 Rows = Callable[[int], Sequence[int]]
 
 COMPONENT_ORDER = ("psi_pp", "psi_pm", "psi_mp", "psi_mm")
@@ -57,13 +57,7 @@ class SymmetricTable:
     values[k] = e_k({1, 3, ..., 2n-1}) for k = 0..n, exact integers.
     """
 
-    n: int
     values: tuple[int, ...]
-
-    def e(self, k: int) -> int:
-        if 0 <= k <= self.n:
-            return self.values[k]
-        return 0
 
 
 @lru_cache(maxsize=32)
@@ -84,7 +78,7 @@ def elem_sym_table(n: int) -> SymmetricTable:
         for k in range(1, len(nxt)):
             nxt[k] = (row[k] if k < len(row) else 0) + odd * row[k - 1]
         row = nxt
-    return SymmetricTable(n=n, values=tuple(row))
+    return SymmetricTable(values=tuple(row))
 
 
 def _odd_row(n: int) -> tuple[int, ...]:
@@ -279,12 +273,6 @@ class PropagatorMatrix:
         return getattr(self, name)
 
 
-def _to_matrix(parts: dict[str, tuple[Fraction, Fraction]]) -> PropagatorMatrix:
-    """Round exact (real, imag) parts to complex at the very end."""
-    return PropagatorMatrix(**{name: complex(float(re), float(im))
-                               for name, (re, im) in parts.items()})
-
-
 def exact_parts(spec: LatticeSpec, cap: int = DEFAULT_LATTICE_CAP
                 ) -> dict[str, tuple[Fraction, Fraction]]:
     """All four components evaluated at eps0, as exact (real, imag) pairs.
@@ -298,20 +286,11 @@ def exact_parts(spec: LatticeSpec, cap: int = DEFAULT_LATTICE_CAP
     return _parts(_odd_row, spec.P, spec.Q, spec.eps0, cap)
 
 
-def exact_matrix(spec: LatticeSpec) -> PropagatorMatrix:
-    """Exact finite-lattice components, rounded to complex at the very end."""
-    return _to_matrix(exact_parts(spec))
-
-
 def linear_parts(spec: LinearSpec, cap: int = DEFAULT_LATTICE_CAP
                  ) -> dict[str, tuple[Fraction, Fraction]]:
     """All four uniform-lattice components at eps = t / N as exact
     (real, imag) pairs; N above cap raises ResourceLimitError."""
     return _parts(_unit_row, spec.P, spec.Q, spec.epsilon, cap)
-
-
-def linear_matrix(spec: LinearSpec) -> PropagatorMatrix:
-    return _to_matrix(linear_parts(spec))
 
 
 def closed_matrix(t: float, x: float) -> PropagatorMatrix:
@@ -338,39 +317,21 @@ def closed_matrix(t: float, x: float) -> PropagatorMatrix:
     )
 
 
-def gamma_of(v: Union[RationalLike, float]) -> Union[Fraction, float]:
-    """Lorentz factor 1 / sqrt(1 - v^2), exact when the input allows it.
-
-    Rational v with 1 - v^2 a rational square (always the case for
-    spectrum velocities) gives back an exact Fraction; anything else
-    falls through to floating point.
-    """
-    if isinstance(v, (int, Fraction)):
-        v = Fraction(v)
-        if abs(v) >= 1:
-            raise DomainError(f"|v| must be < 1, got {v}")
-        root = rational_square_root(1 - v * v)
-        if root is not None:
-            return 1 / root
-        v = float(v)
-    if not abs(v) < 1.0:
-        raise DomainError(f"|v| must be < 1, got {v}")
-    return 1.0 / sqrt(1.0 - v * v)
-
-
 def pq_identity_check(P: int, Q: int) -> bool:
     """Exact check of 2 P Q gamma = P^2 + Q^2 at the lattice velocity.
 
     Equivalent to 4 P^2 Q^2 = (P^2 + Q^2)^2 (1 - v^2) with
-    v = (P^2 - Q^2) / (P^2 + Q^2); this is the identity that turns the
-    series over lattice reversals into the J0 series in s = t / gamma.
+    v = (P^2 - Q^2) / (P^2 + Q^2), gamma = 1 / sqrt(1 - v^2). Kept as the
+    paper's identity: it turns the series over lattice reversals into the
+    J0 series in s = t / gamma.
     """
     if P < 1 or Q < 1:
         raise InvalidParameterError("identity check needs P, Q >= 1")
     ss = P * P + Q * Q
     v = Fraction(P * P - Q * Q, ss)
-    g = gamma_of(v)
-    return 4 * P * P * Q * Q == ss * ss * (1 - v * v) and 2 * P * Q * g == ss
+    gamma = 1 / rational_square_root(1 - v * v)
+    return (4 * P * P * Q * Q == ss * ss * (1 - v * v)
+            and 2 * P * Q * gamma == ss)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ point enters this module.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .errors import InvalidParameterError, UndefinedVelocityError
+from .errors import InvalidParameterError
 
 RationalLike = Union[int, Fraction]
 
@@ -46,14 +47,15 @@ def format_rational(value: RationalLike) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or a plain integer string into a Fraction; any other
-    text, or a zero denominator, raises InvalidParameterError."""
-    num, slash, den = text.strip().partition("/")
-    try:
-        return Fraction(int(num), int(den) if slash else 1)
-    except (ValueError, ZeroDivisionError):
+    """Parse "a/b" or a plain integer string, ASCII digits with an optional
+    sign on a, into a Fraction; any other text (spaces, underscores,
+    non-ASCII digits), or a zero denominator, raises InvalidParameterError."""
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text)
+    den = int(match[2] or 1) if match else 0
+    if den == 0:
         raise InvalidParameterError(
-            f"expected a rational 'a/b' or integer, got {text!r}") from None
+            f"expected a rational 'a/b' or integer, got {text!r}")
+    return Fraction(int(match[1]), den)
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,6 @@ class MembershipWitness:
     p: int
     q: int
 
-    def point(self) -> SpacetimePoint:
-        """Reconstruct the witnessed event exactly."""
-        return make_point(self.n, self.m, self.p, self.q)
-
 
 @dataclass(frozen=True)
 class BoostMatrix:
@@ -119,7 +117,8 @@ def make_point(n: int, m: int, p: int, q: int) -> SpacetimePoint:
     """Build the event (n/m)(p^2+q^2, p^2-q^2) in lowest terms.
 
     All four generators must be nonzero; the result always satisfies
-    |x| < |t| since p^2 + q^2 > |p^2 - q^2| for nonzero p, q.
+    |x| < |t| since p^2 + q^2 > |p^2 - q^2| for nonzero p, q. Kept as the
+    paper's definition of the event set, which is_member inverts.
     """
     if n == 0 or m == 0 or p == 0 or q == 0:
         raise InvalidParameterError("all of n, m, p, q must be nonzero")
@@ -130,10 +129,6 @@ def make_point(n: int, m: int, p: int, q: int) -> SpacetimePoint:
 
 def to_lightcone(pt: SpacetimePoint) -> LightConePoint:
     return LightConePoint(r=(pt.t + pt.x) / 2, l=(pt.t - pt.x) / 2)
-
-
-def from_lightcone(lc: LightConePoint) -> SpacetimePoint:
-    return SpacetimePoint(t=lc.r + lc.l, x=lc.r - lc.l)
 
 
 def rational_square_root(v: RationalLike) -> Optional[Fraction]:
@@ -211,18 +206,12 @@ def compose(b1: BoostMatrix, b2: BoostMatrix) -> BoostMatrix:
 
 
 def matrix_product(b1: BoostMatrix, b2: BoostMatrix) -> tuple[Fraction, ...]:
-    """Entries of b1 * b2 by direct multiplication (cross-check for compose)."""
+    """Entries of b1 * b2 by direct multiplication: the oracle that
+    compose's generator rule is checked against."""
     return (b1.a11 * b2.a11 + b1.a12 * b2.a21,
             b1.a11 * b2.a12 + b1.a12 * b2.a22,
             b1.a21 * b2.a11 + b1.a22 * b2.a21,
             b1.a21 * b2.a12 + b1.a22 * b2.a22)
-
-
-def velocity(pt: SpacetimePoint) -> Fraction:
-    """Exact velocity x/t of the event as seen from the origin."""
-    if pt.t == 0:
-        raise UndefinedVelocityError("velocity undefined at t = 0")
-    return pt.x / pt.t
 
 
 def velocity_spectrum(max_pq: int) -> list[Fraction]:

@@ -21,8 +21,8 @@ from checkerboard.paths import (Direction, bend_records, count_paths,
                                 enumerate_paths, sector_sum_bruteforce)
 from checkerboard.propagator import (closed_matrix, convergence_sweep,
                                      exact_component, linear_converge)
-from checkerboard.spacetime import (MembershipWitness, apply_boost, boost,
-                                    compose, is_member)
+from checkerboard.spacetime import (apply_boost, boost, compose, is_member,
+                                    make_point)
 
 R, L = Direction.R, Direction.L
 
@@ -132,13 +132,12 @@ def test_criterion_5_group_exactness():
             assert composed == boost(p1 * p2, q1 * q2), (p1, q1, p2, q2)
             assert b1.determinant == 1 and composed.determinant == 1
         for _ in range(100):
-            witness = MembershipWitness(n=draw(1000), m=rng.randint(1, 1000),
-                                        p=rng.randint(1, 100),
-                                        q=rng.randint(1, 100))
-            pt = witness.point()
-            assert is_member(pt) is not None, witness
+            generators = (draw(1000), rng.randint(1, 1000),
+                          rng.randint(1, 100), rng.randint(1, 100))
+            pt = make_point(*generators)
+            assert is_member(pt) is not None, generators
             moved = apply_boost(boost(draw(1000), draw(1000)), pt)
-            assert is_member(moved) is not None, witness
+            assert is_member(moved) is not None, generators
         assert time.perf_counter() - start < 10.0
 
 
@@ -149,17 +148,21 @@ def test_criterion_6_path_combinatorics():
             for s, e in itertools.product((R, L), repeat=2):
                 counted = {}
                 for path in enumerate_paths(P, Q, s, e):
-                    counted[path.bends] = counted.get(path.bends, 0) + 1
+                    bends = len(bend_records(path))
+                    counted[bends] = counted.get(bends, 0) + 1
                 for bends in range(0, P + Q + 1):
                     assert count_paths(P, Q, s, e, bends) == \
                         counted.get(bends, 0), (P, Q, s, e, bends)
+        # five reversals: two toward the right (L -> R), three toward
+        # the left (R -> L)
         fixtures = [p for p in enumerate_paths(5, 3, R, L)
-                    if p.bends == 5 and p.bends_to_right == 2
-                    and p.bends_to_left == 3]
+                    if sorted(rec.side.value for rec in bend_records(p))
+                    == ["L", "L", "R", "R", "R"]]
         assert fixtures
         for path in fixtures:
-            assert path.rights == 5 and path.lefts == 3
-            assert path.rights + path.lefts == 8
+            segs = path.segments
+            assert segs.count(R) == 5 and segs.count(L) == 3
+            assert len(segs) == 8
             assert sum(1 for rec in bend_records(path) if rec.counted) == 4
 
 

@@ -5,6 +5,11 @@ never edited: each workload's warm-up and each hand-traced operation
 must still run against the package, and the traced form must return what
 the untraced one does. A rename or a moved name in the package then
 fails here, in the ordinary suite, rather than in a benchmark run.
+
+The same reading of the source guards the exported surface: every name in
+__all__ has a caller in the package, in perfbench/ or in the README quick
+tour, or a reason to stay in KEEP, and no module imports a name it never
+uses.
 """
 
 import ast
@@ -18,6 +23,7 @@ import pytest
 import checkerboard as cb
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "checkerboard"
 sys.path.insert(0, os.fspath(ROOT / "perfbench"))
 
 from spans import Tracer  # noqa: E402
@@ -55,8 +61,64 @@ def test_every_exported_name_resolves():
 
 
 def test_no_module_imports_a_private_name():
-    for path in (ROOT / "src" / "checkerboard").glob("*.py"):
+    for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (path.name, node.module, private)
+
+
+# Exported names that no program code calls, each kept for one reason.
+KEEP = {
+    "count_paths": "oracle: closed-form path counts, checked against "
+                   "enumeration and the uniform-lattice coefficients",
+    "make_point": "the paper's event set, which is_member inverts",
+    "matrix_product": "oracle: the direct product compose is checked against",
+    "pq_identity_check": "the paper's identity 2 P Q gamma = P^2 + Q^2",
+}
+
+
+def loaded_names(tree, attributes=False):
+    """Names the code reads; with attributes, also every attribute it
+    reads off an object, as perfbench reads the package (cb.name)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif attributes and isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def quick_tour():
+    """The python block of the README's library quick tour."""
+    section = (ROOT / "README.md").read_text().split(
+        "## Library quick tour", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_every_exported_name_has_a_caller_or_a_reason():
+    used = loaded_names(ast.parse(quick_tour()))
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= loaded_names(ast.parse(path.read_text()))
+    for path in (ROOT / "perfbench").glob("*.py"):
+        used |= loaded_names(ast.parse(path.read_text()), attributes=True)
+    assert set(KEEP) <= set(cb.__all__)
+    assert sorted(set(cb.__all__) - used - set(KEEP)) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports what it exports
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0]
+                             for a in node.names}
+        used = (set(cb.__all__) if path.name == "__init__.py"
+                else loaded_names(tree))
+        assert sorted(imported - used) == [], path.name

@@ -1,6 +1,8 @@
 """J0/J1, scalar and grid routes, against frozen references, mpmath and
 their own error bounds."""
 
+from math import ulp
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,8 @@ def test_j1_against_frozen_table():
 
 # (s, value, terms_used, error_bound) of the scalar series, frozen from the
 # implementation whose loop recomputed each term's divisor; the tighter
-# loop must return the same bits.
+# loop must return the same bits. The J1 rows below s = 1 (1e-08 and 0.5)
+# carry the bound whose rounding term counts the extra bits there.
 J0_SERIES_BITS = [
     (0.0, 1.0, 1, 1.1123914289701278e-16),
     (1e-08, 1.0, 1, 1.3623000297280366e-16),
@@ -85,8 +88,8 @@ J0_SERIES_BITS = [
 ]
 J1_SERIES_BITS = [
     (0.0, 0.0, 1, 2.16840434497101e-19),
-    (1e-08, 5e-09, 1, 2.168409104894603e-19),
-    (0.5, 0.2422684576748739, 7, 1.932590372455412e-17),
+    (1e-08, 5e-09, 1, 4.776079464570095e-25),
+    (0.5, 0.2422684576748739, 7, 1.8892222855559918e-17),
     (1.73, 0.5793234669251777, 11, 5.866889005862187e-17),
     (6.0, -0.2766838581275656, 19, 4.361732634414976e-17),
     (12.0, -0.22344710449062768, 28, 1.0095669086537154e-16),
@@ -126,14 +129,31 @@ def test_zero_argument():
 
 @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
 def test_j1_small_argument_linear():
-    # Below s = 1 the stop test is tol (|sum| + 2^-extra) with 2^-extra
-    # at most 2s, so the first omitted term is below 5 tol |J1| = 2.25u |J1|;
-    # with the final rounding the value is within 3u |J1|.
+    # Below s = 1 the stop test is tol |sum|, so the first omitted term is
+    # below tol |J1| = 0.45u |J1|; with the final rounding the value is
+    # within 3u |J1|.
     with mpmath.workdps(30):
         for s in (1e-8, 1e-6, 1e-4):
             exact = mpmath.besselj(1, mpmath.mpf(s))
             err = abs(mpmath.mpf(float(bessel_j1(s))) - exact)
             assert err <= 3 * U * exact, s
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+def test_j1_below_one_within_two_ulp():
+    # |value - J1| <= error_bound <= 2 ulp(J1) on 2001 log-spaced points of
+    # [1e-300, 1]; two arguments where a stop test with an absolute floor
+    # left 2u are now within half an ulp
+    with mpmath.workdps(30):
+        for s in np.logspace(-300.0, 0.0, 2001).tolist():
+            r = bessel_j1(s)
+            exact = mpmath.besselj(1, mpmath.mpf(s))
+            err = float(abs(mpmath.mpf(r.value) - exact))
+            assert err <= r.error_bound <= 2 * ulp(float(exact)), s
+        for s in (4.2210263201569026e-08, 0.011052951411260243):
+            exact = mpmath.besselj(1, mpmath.mpf(s))
+            err = float(abs(mpmath.mpf(bessel_j1(s).value) - exact))
+            assert err <= 0.5 * ulp(float(exact)), s
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 7.5, 15.0])

@@ -192,6 +192,17 @@ def test_converge_missing_sizes(capsys):
         assert out == "" and f"requires {flag}" in err
 
 
+def test_converge_other_models_sizes_refused(capsys):
+    # the size list of the model not chosen is a usage error, not ignored
+    for model, own, other in (("quadratic", "--p", "--n"),
+                              ("linear", "--n", "--p")):
+        code, out, err = run_cli(capsys, "converge", "--model", model,
+                                 "--v", "0", "--t", "2", own, "8",
+                                 other, "8")
+        assert code == 2
+        assert out == "" and f"does not take {other}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["exact", "--P", "2048", "--Q", "2049", "--t", "1"],
     ["exact", "--P", "5", "--Q", "3", "--t", "1", "--cap", "7"],
@@ -279,6 +290,22 @@ def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys, "converge", "--model", "quadratic", "--v", "0",
                    "--t", "2", "--p", "4,x")[0] == 2
+    # numbers are ASCII digits with an optional sign, nothing that int()
+    # also takes: underscores, spaces, a signed denominator, other digits
+    for argv in (["exact", "--P", "1_0", "--Q", "2", "--t", "1"],
+                 ["exact", "--P", "2", "--Q", " 2", "--t", "1"],
+                 ["exact", "--P", "2", "--Q", "2", "--t", "1_0"],
+                 ["exact", "--P", "2", "--Q", "2", "--t", "1",
+                  "--cap", "\u0663"],
+                 ["member", "--t", "+3/+5", "--x", "0"],
+                 ["boost", "--p", "2", "--q", "1_0"],
+                 ["spectrum", "--max-pq", "3 "],
+                 ["converge", "--model", "quadratic", "--v", "0", "--t", "2",
+                  "--p", "4, 8"],
+                 ["converge", "--model", "linear", "--v", "0", "--t", "2",
+                  "--n", "8,,16"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
 
 
 def test_domain_error_exit_code(capsys):

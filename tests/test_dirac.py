@@ -7,9 +7,8 @@ import pytest
 
 from checkerboard import dirac
 from checkerboard.bessel import bessel_j0, bessel_j1
-from checkerboard.dirac import (DEFAULT_GRID_CAP, ROW_KEYS, Region, assemble,
-                                dirac_residual, independence_determinant,
-                                residual_rows)
+from checkerboard.dirac import (DEFAULT_GRID_CAP, ROW_KEYS, Region,
+                                dirac_residual, residual_rows)
 from checkerboard.errors import (DomainError, InvalidParameterError,
                                  ResourceLimitError)
 from checkerboard.propagator import closed_matrix
@@ -18,30 +17,32 @@ README_REGION = Region(t0=0.5, t1=3.0, xfrac=0.4)
 U = 2.0 ** -53  # float64 unit roundoff
 
 
+def component_fields(t, x):
+    """The real fields (a, b, c) that dirac_residual assembles, with
+    psi_pp = i a, psi_pm = b and psi_mm = i c, at the given points."""
+    return dirac._component_fields(np.array(t), np.array(x), 1.0)
+
+
 def test_assemble_at_origin_axis():
-    s1, s2 = assemble(1.0, 0.0)
+    a, b, c = component_fields([1.0], [0.0])
     j0 = float(bessel_j0(1.0))
     j1 = float(bessel_j1(1.0))
-    assert s1.upper == pytest.approx(complex(0, j1), abs=1e-14)
-    assert s1.lower == pytest.approx(complex(j0, 0), abs=1e-14)
-    assert s2.upper == s1.lower
-    assert s2.lower == pytest.approx(complex(0, j1), abs=1e-14)
+    assert a[0] == pytest.approx(j1, abs=1e-14)
+    assert b[0] == pytest.approx(j0, abs=1e-14)
+    assert c[0] == a[0]
 
 
 def test_assemble_parity():
-    # x -> -x swaps the roles of the two spinors, component-wise
-    a1, a2 = assemble(2.0, 0.5)
-    b1, b2 = assemble(2.0, -0.5)
-    assert a1.upper == b2.lower
-    assert a1.lower == b1.lower  # psi_pm is even in x
-    assert a2.lower == b1.upper
+    # x -> -x swaps psi_pp and psi_mm; psi_pm is even in x
+    a, b, c = component_fields([2.0, 2.0], [0.5, -0.5])
+    assert a[0] == c[1] and a[1] == c[0]
+    assert b[0] == b[1]
 
 
 def test_assemble_outside_cone():
-    with pytest.raises(DomainError):
-        assemble(1.0, 1.0)
-    with pytest.raises(DomainError):
-        assemble(-1.0, 0.0)
+    # nodes on or outside the light cone are filled with 0
+    a, b, c = component_fields([1.0, 1.0], [1.0, -2.0])
+    assert not (a.any() or b.any() or c.any())
 
 
 def test_residual_rows_zero_field():
@@ -115,8 +116,11 @@ def test_dirac_residual_validation():
 
 
 def test_independence_determinant():
+    # det [[psi_pp, psi_pm], [psi_pm, psi_mm]] of the two spinors
+    # (psi_pp, psi_pm) and (psi_pm, psi_mm) is -(J0^2 + J1^2), never 0
     for t, x in ((1.0, 0.0), (2.0, 0.6), (3.0, -1.2)):
-        det = independence_determinant(t, x)
+        m = closed_matrix(t, x)
+        det = m.psi_pp * m.psi_mm - m.psi_pm * m.psi_mp
         s = np.sqrt(t * t - x * x)
         expected = -(float(bessel_j0(s)) ** 2 + float(bessel_j1(s)) ** 2)
         assert det == pytest.approx(complex(expected, 0), abs=1e-13)

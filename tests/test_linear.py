@@ -7,12 +7,12 @@ import pytest
 
 from checkerboard.cli import main
 from checkerboard.errors import InvalidParameterError
-from checkerboard.paths import (AmplitudePolynomial, Direction, count_paths,
-                                enumerate_paths)
+from checkerboard.paths import (AmplitudePolynomial, Direction, bend_records,
+                                count_paths, enumerate_paths)
 from checkerboard.propagator import (COMPONENT_ORDER, WARNING_COMPONENT,
                                      LinearSpec, linear_component,
-                                     linear_converge, linear_matrix,
-                                     linear_parts, split_counts)
+                                     linear_converge, linear_parts,
+                                     split_counts)
 
 R, L = Direction.R, Direction.L
 
@@ -45,7 +45,8 @@ def test_linear_component_matches_enumeration():
             poly = linear_component(P, Q, start, end)
             by_bends = {}
             for path in enumerate_paths(P, Q, start, end):
-                by_bends[path.bends] = by_bends.get(path.bends, 0) + 1
+                bends = len(bend_records(path))
+                by_bends[bends] = by_bends.get(bends, 0) + 1
             expected = {R_ - 1: c for R_, c in by_bends.items()}
             assert {k: poly.coeff(k) for k in poly.orders()} == expected
 
@@ -95,14 +96,14 @@ def test_linear_spec():
             LinearSpec(N=4, P=2, Q=2, t=bad)
 
 
-def test_linear_matrix_realness_pattern():
+def test_linear_parts_realness_pattern():
     for P, Q in itertools.product(range(1, 6), range(1, 6)):
-        m = linear_matrix(LinearSpec(N=P + Q, P=P, Q=Q, t=Fraction(3, 2)))
-        assert m.psi_pm.imag == 0 and m.psi_mp.imag == 0
-        assert m.psi_pp.real == 0 and m.psi_mm.real == 0
-        assert m.psi_pm == m.psi_mp
+        parts = linear_parts(LinearSpec(N=P + Q, P=P, Q=Q, t=Fraction(3, 2)))
+        assert parts["psi_pm"][1] == 0 and parts["psi_mp"][1] == 0
+        assert parts["psi_pp"][0] == 0 and parts["psi_mm"][0] == 0
+        assert parts["psi_pm"] == parts["psi_mp"]
         if P == Q:
-            assert m.psi_pp == m.psi_mm
+            assert parts["psi_pp"] == parts["psi_mm"]
 
 
 def test_linear_converge_warning_rows():

@@ -14,7 +14,7 @@ from checkerboard.errors import InvalidParameterError, ResourceLimitError
 from checkerboard.paths import (AmplitudePolynomial, BendRecord, Direction,
                                 LatticePath, bend_records, count_paths,
                                 enumerate_paths, path_amplitude,
-                                sector_sum_bruteforce, total_path_count)
+                                sector_sum_bruteforce)
 
 R, L = Direction.R, Direction.L
 
@@ -34,35 +34,38 @@ def fraction_per_term(poly, eps0):
 
 
 def P_of(text):
-    return LatticePath.from_string(text)
+    return LatticePath(tuple(Direction(c) for c in text))
+
+
+def bends(path):
+    """Every reversal of the path, the final one included."""
+    return len(bend_records(path))
 
 
 def test_path_parsing_and_counts(capsys):
     p = P_of("RRLRLL")
     assert str(p) == "RRLRLL"
-    assert p.rights == 3 and p.lefts == 3
-    assert p.start_dir is R and p.end_dir is L
-    assert p.bends == 3
-    assert p.bends_to_left == 2   # R followed by L, twice
-    assert p.bends_to_right == 1  # L followed by R, once
-    with pytest.raises(InvalidParameterError):
+    records = bend_records(p)
+    assert len(records) == 3
+    assert [rec.side for rec in records] == [R, L, R]  # R->L twice, L->R once
+    with pytest.raises(ValueError):
         P_of("RXL")
-    # the bend counts read bend_records; hold them to the path's string,
-    # and the CLI's counted_bends to "all but the last"
+    # hold bend_records to the path's string, and the CLI's counted_bends
+    # to "all but the last"
     for P, Q, start, end in itertools.product(range(7), range(7), (R, L),
                                               (R, L)):
-        bends = {}
+        counts = {}
         for path in enumerate_paths(P, Q, start, end):
             text = str(path)
-            assert path.bends_to_left == text.count("RL"), text
-            assert path.bends_to_right == text.count("LR"), text
-            assert path.bends == path.bends_to_left + path.bends_to_right
-            bends[text] = path.bends
+            sides = [rec.side for rec in bend_records(path)]
+            assert sides.count(R) == text.count("RL"), text
+            assert sides.count(L) == text.count("LR"), text
+            counts[text] = len(sides)
         assert main(["enumerate", "--P", str(P), "--Q", str(Q), "--start",
                      str(start), "--end", str(end), "--format", "json"]) == 0
         entries = json.loads(capsys.readouterr().out)["paths"]
         assert {e["path"]: e["counted_bends"] for e in entries} == {
-            text: max(b - 1, 0) for text, b in bends.items()}
+            text: max(b - 1, 0) for text, b in counts.items()}
 
 
 def test_enumerate_examples():
@@ -80,8 +83,9 @@ def test_enumerate_is_exhaustive_and_ordered():
         for start, end in itertools.product((R, L), repeat=2):
             texts = []
             for path in enumerate_paths(P, Q, start, end):
-                assert path.rights == P and path.lefts == Q
-                assert path.start_dir is start and path.end_dir is end
+                segs = path.segments
+                assert segs.count(R) == P and segs.count(L) == Q
+                assert segs[0] is start and segs[-1] is end
                 texts.append(str(path))
             # lexicographic with R before L
             assert texts == sorted(texts, key=lambda s: s.replace("R", "0")
@@ -112,13 +116,14 @@ def test_figure_fixture_path_present():
     two reversals toward the right and three toward the left, of which
     4 are counted."""
     matches = [p for p in enumerate_paths(5, 3, R, L)
-               if p.bends == 5 and p.bends_to_right == 2 and p.bends_to_left == 3]
+               if [rec.side for rec in bend_records(p)].count(L) == 2
+               and bends(p) == 5]
     assert matches, "no 5-bend path in the (5, 3) right-to-left sector"
     for p in matches:
         recs = bend_records(p)
-        assert len(recs) == 5
+        assert [rec.side for rec in recs].count(R) == 3
         assert sum(1 for rec in recs if rec.counted) == 4
-        assert p.rights + p.lefts == 8
+        assert len(p.segments) == 8
 
 
 def test_count_paths_examples():
@@ -135,10 +140,10 @@ def test_count_paths_matches_enumeration():
         for start, end in itertools.product((R, L), repeat=2):
             by_bends = {}
             for path in enumerate_paths(P, Q, start, end):
-                by_bends[path.bends] = by_bends.get(path.bends, 0) + 1
-            for bends in range(P + Q + 1):
-                assert count_paths(P, Q, start, end, bends) == \
-                    by_bends.get(bends, 0), (P, Q, start, end, bends)
+                by_bends[bends(path)] = by_bends.get(bends(path), 0) + 1
+            for R_ in range(P + Q + 1):
+                assert count_paths(P, Q, start, end, R_) == \
+                    by_bends.get(R_, 0), (P, Q, start, end, R_)
 
 
 def test_count_paths_degenerate_straight():
@@ -147,13 +152,6 @@ def test_count_paths_degenerate_straight():
     assert count_paths(0, 3, L, L, 0) == 1
     assert count_paths(3, 1, R, R, 0) == 0
     assert count_paths(0, 0, R, R, 0) == 0
-
-
-def test_total_path_count():
-    for P, Q in itertools.product(range(1, 6), range(1, 6)):
-        for start, end in itertools.product((R, L), repeat=2):
-            assert total_path_count(P, Q, start, end) == \
-                sum(1 for _ in enumerate_paths(P, Q, start, end))
 
 
 def test_bend_records_examples():
@@ -167,7 +165,7 @@ def test_bend_records_structure():
     for P, Q in itertools.product(range(1, 6), range(1, 6)):
         for path in enumerate_paths(P, Q, R, L):
             recs = bend_records(path)
-            assert len(recs) == path.bends
+            assert len(recs) == str(path).count("RL") + str(path).count("LR")
             assert all(not rec.counted for rec in recs[-1:])
             assert all(rec.counted for rec in recs[:-1])
             # coordinates increase strictly along each side
@@ -193,7 +191,7 @@ def test_counted_coords_are_a_bijection():
             keys = {}
             for path in enumerate_paths(P, Q, start, end):
                 recs = bend_records(path)
-                key = (path.bends,
+                key = (len(recs),
                        frozenset(r.coord for r in recs if r.counted and r.side is R),
                        frozenset(r.coord for r in recs if r.counted and r.side is L))
                 assert key not in keys, (P, Q, start, end, key)
@@ -208,13 +206,11 @@ def test_path_amplitude_examples():
 
 
 def test_amplitude_polynomial_algebra():
-    a = AmplitudePolynomial.monomial(0, 1)
-    b = AmplitudePolynomial.monomial(2, 3)
-    s = a + b
+    s = AmplitudePolynomial({0: 1, 1: 0, 2: 3})
     assert s.coeff(0) == 1 and s.coeff(2) == 3 and s.coeff(1) == 0
     assert s.orders() == [0, 2]
-    assert s + AmplitudePolynomial.zero() == s
-    assert AmplitudePolynomial.monomial(1, 0) == AmplitudePolynomial.zero()
+    assert AmplitudePolynomial.monomial(2, 3) == AmplitudePolynomial({2: 3})
+    assert AmplitudePolynomial.monomial(1, 0) == AmplitudePolynomial()
     assert s.to_json_dict() == {"0": 1, "2": 3}
 
 

@@ -15,8 +15,8 @@ from checkerboard.paths import Direction, sector_sum_bruteforce
 from checkerboard.propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                                      LatticeSpec, LinearSpec, closed_matrix,
                                      convergence_sweep, elem_sym_table,
-                                     exact_component, exact_matrix,
-                                     exact_parts, gamma_of, linear_component,
+                                     exact_component, exact_parts,
+                                     linear_component,
                                      linear_converge, linear_parts,
                                      pq_identity_check)
 from test_paths import fraction_per_term
@@ -54,8 +54,6 @@ def test_elem_sym_examples():
     t3 = elem_sym_table(3)
     assert t3.values == (1, 9, 23, 15)
     assert elem_sym_table(0).values == (1,)
-    assert t3.e(0) == 1
-    assert t3.e(4) == 0
     with pytest.raises(InvalidParameterError):
         elem_sym_table(-1)
 
@@ -65,12 +63,12 @@ def test_elem_sym_against_subset_sums():
         odds = [2 * j - 1 for j in range(1, n + 1)]
         table = elem_sym_table(n)
         for k in range(n + 1):
-            assert table.e(k) == brute_elem_sym(odds, k), (n, k)
+            assert table.values[k] == brute_elem_sym(odds, k), (n, k)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_elem_sym_e1_is_square(n):
-    assert elem_sym_table(n).e(1) == n * n
+    assert elem_sym_table(n).values[1] == n * n
 
 
 def test_exact_component_examples():
@@ -110,12 +108,12 @@ def test_lattice_spec():
             LatticeSpec(P=1, Q=1, t=bad)
 
 
-def test_exact_matrix_examples():
-    m = exact_matrix(LatticeSpec(P=2, Q=2, t=Fraction(1)))
-    assert m.psi_mp == complex(0.984375, 0)
-    assert m.psi_pm == m.psi_mp
-    m21 = exact_matrix(LatticeSpec(P=2, Q=1, t=Fraction(1)))
-    assert m21.psi_pp == complex(0, 0.2)
+def test_exact_parts_examples():
+    parts = exact_parts(LatticeSpec(P=2, Q=2, t=Fraction(1)))
+    assert parts["psi_mp"] == (Fraction(63, 64), 0)
+    assert parts["psi_pm"] == parts["psi_mp"]
+    parts21 = exact_parts(LatticeSpec(P=2, Q=1, t=Fraction(1)))
+    assert parts21["psi_pp"] == (0, Fraction(1, 5))
 
 
 def test_exact_parts_realness_pattern():
@@ -189,24 +187,6 @@ def test_closed_matrix_domain():
             closed_matrix(t, x)
 
 
-def test_gamma_of():
-    assert gamma_of(0) == 1
-    assert gamma_of(Fraction(3, 5)) == Fraction(5, 4)
-    assert gamma_of(Fraction(8, 17)) == Fraction(17, 15)
-    assert gamma_of(0.6) == pytest.approx(1.25)
-    # rational but not a spectrum velocity: falls back to float
-    g = gamma_of(Fraction(1, 3))
-    assert isinstance(g, float)
-    assert g == pytest.approx(1.0606601717798212)
-    with pytest.raises(DomainError):
-        gamma_of(1)
-    with pytest.raises(DomainError):
-        gamma_of(-1.0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            gamma_of(bad)
-
-
 @pytest.mark.parametrize("P,Q", [(5, 3), (2, 1), (7, 7), (12, 5)])
 def test_pq_identity(P, Q):
     assert pq_identity_check(P, Q)
@@ -256,18 +236,6 @@ def test_parts_match_each_sector(P, Q):
             exact_component(P, Q, start, end).evaluate_exact(spec.eps0)
 
 
-@given(P=st.integers(min_value=1, max_value=9),
-       Q=st.integers(min_value=1, max_value=9))
-@settings(max_examples=30)
-def test_exact_matrix_matches_exact_parts(P, Q):
-    spec = LatticeSpec(P=P, Q=Q, t=Fraction(7, 4))
-    parts = exact_parts(spec)
-    m = exact_matrix(spec)
-    for name in COMPONENT_ORDER:
-        re, im = parts[name]
-        assert m.component(name) == complex(float(re), float(im))
-
-
 def assert_parts_equal_oracle(P, Q, t):
     """exact_parts and linear_parts at (P, Q, t) equal the Fraction-per-term
     oracle applied to each sector polynomial."""
@@ -278,10 +246,12 @@ def assert_parts_equal_oracle(P, Q, t):
             (linear_parts(lin), linear_component, lin.epsilon)):
         polys = {name: component(P, Q, *dirs) for name, dirs in SECTORS.items()}
         # the two mixed sectors are one polynomial: run the oracle once
-        oracle = {poly: fraction_per_term(poly, step)
-                  for poly in set(polys.values())}
-        for name, poly in polys.items():
-            assert parts[name] == oracle[poly], \
+        assert polys["psi_pm"] == polys["psi_mp"]
+        oracle = {name: fraction_per_term(polys[name], step)
+                  for name in ("psi_pp", "psi_pm", "psi_mm")}
+        oracle["psi_mp"] = oracle["psi_pm"]
+        for name in polys:
+            assert parts[name] == oracle[name], \
                 (P, Q, t, name, component.__name__)
 
 

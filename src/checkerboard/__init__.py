@@ -24,7 +24,8 @@ from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                          PropagatorMatrix, SymmetricTable, closed_matrix,
                          convergence_sweep, elem_sym_table, exact_component,
                          exact_parts, linear_component, linear_converge,
-                         linear_parts, pq_identity_check, split_counts)
+                         linear_parts, pq_identity_check, proper_time,
+                         split_counts)
 from .spacetime import (BoostMatrix, LightConePoint, MembershipWitness,
                         SpacetimePoint, apply_boost, boost, compose,
                         format_rational, is_member, make_point,
@@ -48,7 +49,7 @@ __all__ = [
     "exact_parts", "format_rational", "is_member", "j0_j1_values",
     "j0_values", "j1_values", "linear_component", "linear_converge",
     "linear_parts", "make_point", "matrix_product",
-    "parse_rational", "path_amplitude", "pq_identity_check",
+    "parse_rational", "path_amplitude", "pq_identity_check", "proper_time",
     "rational_square_root", "residual_rows", "sector_sum_bruteforce",
     "spectrum_membership", "split_counts", "to_lightcone",
     "velocity_spectrum",

@@ -66,16 +66,13 @@ class SeriesResult:
     terms_used: int
     error_bound: float
 
-    def __float__(self) -> float:
-        return self.value
 
-
-def _check_window(lo: float, hi: float, window: float) -> None:
-    """Refuse arguments outside [0, window]; NaN fails the test too."""
-    if not (0.0 <= lo and hi <= window):
+def _check_window(lo: float, hi: float) -> None:
+    """Refuse arguments outside [0, SERIES_WINDOW]; NaN fails the test too."""
+    if not (0.0 <= lo and hi <= SERIES_WINDOW):
         raise OutOfRangeError(
             f"Bessel arguments [{lo}, {hi}] leave the validity window "
-            f"[0, {window}]")
+            f"[0, {SERIES_WINDOW}]")
 
 
 def _series(s: float, order: int, tol: float) -> SeriesResult:
@@ -88,7 +85,7 @@ def _series(s: float, order: int, tol: float) -> SeriesResult:
     if not (isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     s = float(s)
-    _check_window(s, s, SERIES_WINDOW)
+    _check_window(s, s)
     p, q = s.as_integer_ratio()
     # J1(s) is about s/2: below s = 1, about log2(1/s) more bits keep its
     # 64 significant bits, and the stop test scales with it
@@ -134,7 +131,7 @@ def j0_j1_values(s) -> tuple[np.ndarray, np.ndarray]:
     if not flat.size:
         return np.empty_like(arr), np.empty_like(arr)
     lo, hi = float(flat.min()), float(flat.max())
-    _check_window(lo, hi, SERIES_WINDOW)
+    _check_window(lo, hi)
     tiny = flat < _TINY if lo < _TINY else None
     if tiny is not None:
         flat = np.where(tiny, 1.0, flat)

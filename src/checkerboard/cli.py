@@ -28,8 +28,8 @@ import io
 import json
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
-from math import sqrt
 from typing import Optional
 
 from .dirac import DEFAULT_GRID_CAP, Region, dirac_residual
@@ -38,20 +38,24 @@ from .errors import (CheckerboardError, InvalidParameterError,
 from .paths import (DEFAULT_ENUMERATION_CAP, Direction, bend_records,
                     enumerate_paths, path_amplitude)
 from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
-                         WARNING_COMPONENT, LatticeSpec, closed_matrix,
-                         convergence_sweep, exact_parts, linear_converge)
+                         WARNING_COMPONENT, ConvergenceRow, LatticeSpec,
+                         closed_matrix, convergence_sweep, exact_parts,
+                         linear_converge, proper_time)
 from .spacetime import (SpacetimePoint, apply_boost, boost, format_rational,
                         is_member, parse_rational, velocity_spectrum)
 
 SCHEMA_VERSION = 1
 
-CSV_HEADER = ["schema_version", "P", "Q", "t", "v", "component",
-              "exact_re", "exact_im", "closed_re", "closed_im",
-              "abs_err", "rel_err"]
+CSV_HEADER = ["schema_version", *(f.name for f in fields(ConvergenceRow))]
 
 
-def _fmt_real(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(value) -> object:
+    """One CSV cell: a rational as num/den, a real with 17 digits."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return value
 
 
 def _integer(text: str) -> int:
@@ -79,19 +83,6 @@ def _direction(text: str) -> Direction:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected R or L, got {text!r}") from None
-
-
-def format_amplitude(poly) -> str:
-    """Human-readable polynomial in the bend symbol, e.g. 3*(i*eps0)^2."""
-    parts = []
-    for k in poly.orders():
-        c = poly.coeff(k)
-        if k == 0:
-            parts.append(str(c))
-            continue
-        base = "(i*eps0)" if k == 1 else f"(i*eps0)^{k}"
-        parts.append(base if c == 1 else f"{c}*{base}")
-    return " + ".join(parts) if parts else "0"
 
 
 def _cmd_member(args: argparse.Namespace) -> dict:
@@ -149,7 +140,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> dict | str:
         return "".join(
             f"{e['path']} bends={e['bends']} to_right={e['to_right']} "
             f"to_left={e['to_left']} "
-            f"amplitude={format_amplitude(e['amplitude'])}\n"
+            f"amplitude={e['amplitude']}\n"
             for e in entries)
     for e in entries:
         e["amplitude"] = e["amplitude"].to_json_dict()
@@ -182,9 +173,9 @@ def _cmd_propagator(args: argparse.Namespace) -> dict:
     m = closed_matrix(t, x)
     return {
         "t": t, "x": x,
-        "s": sqrt((t - x) * (t + x)),
-        "components": {name: {"re": m.component(name).real,
-                              "im": m.component(name).imag}
+        "s": proper_time(t, x),
+        "components": {name: {"re": getattr(m, name).real,
+                              "im": getattr(m, name).imag}
                        for name in COMPONENT_ORDER},
     }
 
@@ -203,13 +194,8 @@ def _cmd_converge(args: argparse.Namespace) -> str:
             print(f"warning: N={row.P} cannot realize v={format_rational(v)} "
                   "with integer segment counts; emitting marker row",
                   file=sys.stderr)
-        writer.writerow([
-            SCHEMA_VERSION, row.P, row.Q,
-            format_rational(row.t), format_rational(row.v), row.component,
-            _fmt_real(row.exact_re), _fmt_real(row.exact_im),
-            _fmt_real(row.closed_re), _fmt_real(row.closed_im),
-            _fmt_real(row.abs_err), _fmt_real(row.rel_err),
-        ])
+        writer.writerow([SCHEMA_VERSION, *(_cell(getattr(row, f.name))
+                                           for f in fields(row))])
     return buf.getvalue()
 
 
@@ -229,18 +215,6 @@ def _cmd_dirac_check(args: argparse.Namespace) -> dict:
     }
 
 
-_HANDLERS = {
-    "member": _cmd_member,
-    "boost": _cmd_boost,
-    "spectrum": _cmd_spectrum,
-    "enumerate": _cmd_enumerate,
-    "exact": _cmd_exact,
-    "propagator": _cmd_propagator,
-    "converge": _cmd_converge,
-    "dirac-check": _cmd_dirac_check,
-}
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code.
 
@@ -249,7 +223,7 @@ def run(args: argparse.Namespace) -> int:
     ended by a newline; text is written as it is. Either goes to stdout,
     or to --output.
     """
-    out = _HANDLERS[args.command](args)
+    out = args.handler(args)
     text = out if isinstance(out, str) else json.dumps(
         {"schema_version": SCHEMA_VERSION, **out}, indent=2) + "\n"
     if args.output:
@@ -286,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("member", parents=[common],
                        help="test lattice-spacetime membership of a rational event")
+    p.set_defaults(handler=_cmd_member)
     p.add_argument("--t", type=_rational, required=True,
                    help="time, rational 'a/b' or integer (negative: --t=-5/2)")
     p.add_argument("--x", type=_rational, required=True,
@@ -294,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boost", parents=[common],
                        help="exact boost matrix for generator (p, q)")
+    p.set_defaults(handler=_cmd_boost)
     p.add_argument("--p", type=_integer, required=True, help="generator p (nonzero integer)")
     p.add_argument("--q", type=_integer, required=True, help="generator q (nonzero integer)")
     p.add_argument("--apply-t", type=_rational, dest="apply_t",
@@ -305,11 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="discrete velocity spectrum up to a generator bound")
+    p.set_defaults(handler=_cmd_spectrum)
     p.add_argument("--max-pq", type=_integer, required=True, dest="max_pq",
                    help="enumerate generators 1 <= p, q <= this bound")
 
     p = sub.add_parser("enumerate", parents=[common, segments],
                        help="list all lattice paths of one sector with amplitudes")
+    p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("--start", type=_direction, required=True, help="first segment direction, R or L")
     p.add_argument("--end", type=_direction, required=True, help="last segment direction, R or L")
     p.add_argument("--cap", type=_integer, default=DEFAULT_ENUMERATION_CAP,
@@ -319,16 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", parents=[common, lattice_cap, segments],
                        help="exact finite-lattice components at (P, Q, t)")
+    p.set_defaults(handler=_cmd_exact)
     p.add_argument("--t", type=_rational, required=True,
                    help="endpoint time, rational 'a/b' or integer")
 
     p = sub.add_parser("propagator", parents=[common],
                        help="closed-form components at a real point inside the light cone")
+    p.set_defaults(handler=_cmd_propagator)
     p.add_argument("--t", type=float, required=True, help="time, decimal literal")
     p.add_argument("--x", type=float, required=True, help="position, decimal literal")
 
     p = sub.add_parser("converge", parents=[common, lattice_cap],
                        help="CSV table of exact-versus-closed deviations")
+    p.set_defaults(handler=_cmd_converge)
     p.add_argument("--model", choices=("quadratic", "linear"), required=True)
     p.add_argument("--v", type=_rational, required=True,
                    help="velocity, rational in the spectrum (e.g. 0, 3/5; "
@@ -342,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dirac-check", parents=[common],
                        help="finite-difference residual of the Dirac system")
+    p.set_defaults(handler=_cmd_dirac_check)
     p.add_argument("--t0", type=float, required=True, help="region start time")
     p.add_argument("--t1", type=float, required=True, help="region end time")
     p.add_argument("--xfrac", type=float, required=True,

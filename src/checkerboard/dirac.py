@@ -64,7 +64,6 @@ class ResidualReport:
     second-order decay gives 2.
     """
 
-    region: Region
     h: float
     margin: float
     j0_scale: float
@@ -142,7 +141,8 @@ def _steps(region: Region, h: float, cap: int) -> tuple[int, int]:
 
 def _grid(region: Region, h: float, margin: float, cap: int):
     """Node coordinates (tt, xx) at spacing h and the mask of interior
-    nodes measured."""
+    nodes measured. The mask always holds (t0, 0), since dirac_residual
+    requires t0 >= t0 (1 - xfrac) > 2h = margin."""
     n_t, n_x = _steps(region, h, cap)
     t_vals = region.t0 + h * np.arange(-1, n_t + 2)
     x_vals = h * np.arange(-n_x - 1, n_x + 2)
@@ -150,8 +150,6 @@ def _grid(region: Region, h: float, margin: float, cap: int):
     t_in = tt[1:-1, 1:-1]
     x_in = np.abs(xx[1:-1, 1:-1])
     mask = (t_in - x_in > margin) & (x_in <= region.xfrac * t_in)
-    if not mask.any():
-        raise DomainError("no grid nodes survive the light-cone margin")
     return tt, xx, mask
 
 
@@ -209,7 +207,7 @@ def dirac_residual(region: Region, h: float, j0_scale: float = 1.0,
         else:
             order[key] = float("nan")
     return ResidualReport(
-        region=region, h=h, margin=margin, j0_scale=j0_scale,
+        h=h, margin=margin, j0_scale=j0_scale,
         points_coarse=n_coarse, points_fine=n_fine,
         max_residual_h=coarse, max_residual_h2=fine,
         ratio=ratio, observed_order=order)

@@ -94,10 +94,6 @@ class AmplitudePolynomial:
     def __init__(self, coeffs: Optional[dict[int, int]] = None):
         self._coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
 
-    @classmethod
-    def monomial(cls, order: int, coeff: int = 1) -> "AmplitudePolynomial":
-        return cls({order: coeff})
-
     def coeff(self, order: int) -> int:
         return self._coeffs.get(order, 0)
 
@@ -109,11 +105,19 @@ class AmplitudePolynomial:
             return NotImplemented
         return self._coeffs == other._coeffs
 
+    def __str__(self) -> str:
+        """Human-readable form in the bend symbol, e.g. 1 + 3*(i*eps0)^2."""
+        parts = []
+        for k, c in sorted(self._coeffs.items()):
+            if k == 0:
+                parts.append(str(c))
+                continue
+            base = "(i*eps0)" if k == 1 else f"(i*eps0)^{k}"
+            parts.append(base if c == 1 else f"{c}*{base}")
+        return " + ".join(parts) or "0"
+
     def __repr__(self) -> str:
-        if not self._coeffs:
-            return "AmplitudePolynomial(0)"
-        terms = [f"{c}*(i*eps0)^{k}" for k, c in sorted(self._coeffs.items())]
-        return "AmplitudePolynomial(" + " + ".join(terms) + ")"
+        return f"AmplitudePolynomial({self})"
 
     def evaluate_exact(self, eps0: Fraction) -> tuple[Fraction, Fraction]:
         """Substitute a rational eps0; return exact (real, imag) parts.
@@ -163,7 +167,7 @@ def path_amplitude(path: LatticePath) -> AmplitudePolynomial:
         if rec.counted:
             coeff *= 2 * rec.coord - 1
             order += 1
-    return AmplitudePolynomial.monomial(order, coeff)
+    return AmplitudePolynomial({order: coeff})
 
 
 def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,

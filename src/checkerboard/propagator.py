@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isfinite, sqrt
+from math import comb, frexp, isfinite, ldexp, sqrt
 from typing import Callable, Optional, Sequence
 
 from .bessel import bessel_j0, bessel_j1
@@ -267,11 +267,6 @@ class PropagatorMatrix:
     psi_mp: complex
     psi_mm: complex
 
-    def component(self, name: str) -> complex:
-        if name not in COMPONENT_ORDER:
-            raise InvalidParameterError(f"unknown component {name!r}")
-        return getattr(self, name)
-
 
 def exact_parts(spec: LatticeSpec, cap: int = DEFAULT_LATTICE_CAP
                 ) -> dict[str, tuple[Fraction, Fraction]]:
@@ -293,20 +288,29 @@ def linear_parts(spec: LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     return _parts(_unit_row, spec.P, spec.Q, spec.epsilon, cap)
 
 
-def closed_matrix(t: float, x: float) -> PropagatorMatrix:
-    """Limiting components at a real point strictly inside the light cone.
-
-    With s = sqrt(t^2 - x^2): psi_mp = psi_pm = J0(s), and the diagonal
-    components are i (t +/- x) / s times J1(s).
-    """
-    t = float(t)
-    x = float(x)
+def proper_time(t: float, x: float) -> float:
+    """s = sqrt(t^2 - x^2) at a finite point strictly inside the forward
+    light cone (DomainError elsewhere). t and x are scaled by 2^-k,
+    k = frexp(t)[1], so (t - x)(t + x) neither underflows nor overflows;
+    where it is a normal float, s is bit-identical to the unscaled form."""
     if not (isfinite(t) and isfinite(x)):
         raise DomainError(f"point (t={t}, x={x}) must have finite coordinates")
     if t <= abs(x):
         raise DomainError(
             f"point (t={t}, x={x}) is outside the open forward light cone")
-    s = sqrt((t - x) * (t + x))
+    k = frexp(t)[1]
+    t, x = ldexp(t, -k), ldexp(x, -k)
+    return ldexp(sqrt((t - x) * (t + x)), k)
+
+
+def closed_matrix(t: float, x: float) -> PropagatorMatrix:
+    """Limiting components at a real point strictly inside the light cone.
+
+    With s = proper_time(t, x): psi_mp = psi_pm = J0(s), and the diagonal
+    components are i (t +/- x) / s times J1(s).
+    """
+    t, x = float(t), float(x)
+    s = proper_time(t, x)
     j0 = bessel_j0(s).value
     j1 = bessel_j1(s).value
     return PropagatorMatrix(
@@ -357,7 +361,7 @@ def _deviation_rows(P: int, Q: int, t: Fraction, v: Fraction,
     rows = []
     for name in COMPONENT_ORDER:
         ex_re, ex_im = parts[name]
-        cl = closed.component(name)
+        cl = getattr(closed, name)
         exf = complex(float(ex_re), float(ex_im))
         abs_err = abs(exf - cl)
         if cl == 0:

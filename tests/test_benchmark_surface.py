@@ -9,7 +9,9 @@ fails here, in the ordinary suite, rather than in a benchmark run.
 The same reading of the source guards the exported surface: every name in
 __all__ has a caller in the package, in perfbench/ or in the README quick
 tour, or a reason to stay in KEEP, and no module imports a name it never
-uses.
+uses. Every field of a dataclass in the package is read as an attribute
+there, in perfbench/ or in the quick tour, or its class is walked by
+dataclasses.fields, or it has a reason to stay in KEEP_FIELDS.
 """
 
 import ast
@@ -122,3 +124,49 @@ def test_no_module_imports_a_name_it_never_uses():
         used = (set(cb.__all__) if path.name == "__init__.py"
                 else loaded_names(tree))
         assert sorted(imported - used) == [], path.name
+
+
+# Dataclass fields that no program code reads, each kept for one reason.
+KEEP_FIELDS = {
+    "SeriesResult.error_bound": "the bound behind each series value, which "
+                                "the tests hold to mpmath",
+}
+
+
+def dataclass_fields(tree):
+    """(class, field) for each annotated field of each @dataclass."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign):
+                    yield node.name, item.target.id
+
+
+def read_attributes(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def walked_classes(tree):
+    """Classes passed by name to dataclasses.fields."""
+    return {node.args[0].id for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("fields", "dataclasses.fields")
+            and node.args and isinstance(node.args[0], ast.Name)}
+
+
+def test_every_dataclass_field_is_read_or_kept():
+    src = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    bench = [ast.parse(path.read_text())
+             for path in (ROOT / "perfbench").glob("*.py")]
+    read = set().union(*map(read_attributes,
+                            src + bench + [ast.parse(quick_tour())]))
+    walked = set().union(*map(walked_classes, src))
+    members = {f"{cls}.{name}": (cls, name)
+               for tree in src for cls, name in dataclass_fields(tree)}
+    unread = {member for member, (cls, name) in members.items()
+              if name not in read and cls not in walked}
+    assert set(KEEP_FIELDS) <= unread  # a field that gains a reader leaves KEEP
+    assert sorted(unread - set(KEEP_FIELDS)) == []

@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
 from checkerboard import cli
 from checkerboard.bessel import bessel_j0, bessel_j1
-from checkerboard.cli import CSV_HEADER, format_amplitude, main
+from checkerboard.cli import CSV_HEADER, main
 from checkerboard.paths import AmplitudePolynomial
+
+U = 2.0 ** -53  # float64 unit roundoff
 
 
 def run_cli(capsys, *argv):
@@ -107,9 +110,9 @@ def test_propagator_example(capsys):
     assert code == 0
     payload = json.loads(out)
     comps = payload["components"]
-    assert comps["psi_mp"]["re"] == pytest.approx(float(bessel_j0(1.0)), abs=1e-15)
+    assert comps["psi_mp"]["re"] == pytest.approx(bessel_j0(1.0).value, abs=1e-15)
     assert comps["psi_mp"]["im"] == 0.0
-    assert comps["psi_pp"]["im"] == pytest.approx(float(bessel_j1(1.0)), abs=1e-15)
+    assert comps["psi_pp"]["im"] == pytest.approx(bessel_j1(1.0).value, abs=1e-15)
     assert comps["psi_pp"] == comps["psi_mm"]
 
 
@@ -303,7 +306,9 @@ def test_usage_error_exit_code(capsys):
                  ["converge", "--model", "quadratic", "--v", "0", "--t", "2",
                   "--p", "4, 8"],
                  ["converge", "--model", "linear", "--v", "0", "--t", "2",
-                  "--n", "8,,16"]):
+                  "--n", "8,,16"],
+                 ["enumerate", "--P", "2", "--Q", "2", "--start", "X",
+                  "--end", "L"]):
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
 
@@ -312,6 +317,56 @@ def test_domain_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "propagator", "--t", "1", "--x", "2")
     assert code == 3
     assert "light cone" in err
+    code, out, err = run_cli(capsys, "enumerate", "--P", "-1", "--Q", "2",
+                             "--start", "R", "--end", "L")
+    assert (code, out, err) == (
+        3, "", "error: segment counts P, Q must be >= 0\n")
+
+
+@pytest.mark.parametrize("t", ["1e-200", "1e-160"])
+def test_propagator_where_t_squared_underflows(capsys, t):
+    # t^2 is 0 at 1e-200 and subnormal at 1e-160; proper_time scales t
+    # and x by a power of two before it squares
+    mpmath = pytest.importorskip("mpmath")
+    code, out, err = run_cli(capsys, "propagator", "--t", t, "--x", "0")
+    assert code == 0
+    payload = json.loads(out)
+    comps = payload["components"]
+    with mpmath.workdps(40):
+        s = mpmath.mpf(float(t))  # s = t at x = 0
+        assert abs(payload["s"] - s) <= 2 * U * s
+        assert abs(comps["psi_pm"]["re"] - mpmath.besselj(0, s)) <= 16 * U
+        j1 = mpmath.besselj(1, s)  # psi_pp = psi_mm = i (t / s) J1(s)
+        assert abs(comps["psi_pp"]["im"] - j1) <= 8 * U * j1
+    assert comps["psi_pp"] == comps["psi_mm"]
+
+
+def test_converge_where_t_squared_underflows(capsys):
+    # the sweep's closed forms at t = 1e-200, where t^2 is 0
+    mpmath = pytest.importorskip("mpmath")
+    code, out, err = run_cli(capsys, "converge", "--model", "quadratic",
+                             "--v", "0", "--t", "1/1" + "0" * 200, "--p", "2")
+    assert code == 0
+    rows = {r["component"]: r for r in csv.DictReader(io.StringIO(out))}
+    with mpmath.workdps(40):
+        s = mpmath.mpf(1e-200)
+        j0, j1 = mpmath.besselj(0, s), mpmath.besselj(1, s)
+        for name in ("psi_pm", "psi_mp"):
+            assert abs(float(rows[name]["closed_re"]) - j0) <= 16 * U
+        for name in ("psi_pp", "psi_mm"):
+            assert abs(float(rows[name]["closed_im"]) - j1) <= 8 * U * j1
+
+
+def test_propagator_refuses_s_past_the_window_by_its_value(capsys):
+    # t^2 overflows here; s = 8.66e199 is finite and leaves [0, 50]
+    mpmath = pytest.importorskip("mpmath")
+    code, out, err = run_cli(capsys, "propagator", "--t", "1e200",
+                             "--x", "5e199")
+    assert (code, out) == (3, "")
+    s = float(re.search(r"arguments \[([^,]+),", err).group(1))
+    with mpmath.workdps(40):
+        ref = mpmath.sqrt(mpmath.mpf(1e200) ** 2 - mpmath.mpf(5e199) ** 2)
+        assert abs(s - ref) <= 2 * U * ref
 
 
 def test_output_files_byte_identical(tmp_path, capsys):
@@ -360,7 +415,7 @@ def test_propagator_output_file_round_trip(tmp_path, capsys):
 
 
 def test_format_amplitude():
-    assert format_amplitude(AmplitudePolynomial({0: 1, 2: 3})) == \
-        "1 + 3*(i*eps0)^2"
-    assert format_amplitude(AmplitudePolynomial({1: 1})) == "(i*eps0)"
-    assert format_amplitude(AmplitudePolynomial()) == "0"
+    # the amplitude column of `enumerate --format text`
+    assert str(AmplitudePolynomial({0: 1, 2: 3})) == "1 + 3*(i*eps0)^2"
+    assert str(AmplitudePolynomial({1: 1})) == "(i*eps0)"
+    assert str(AmplitudePolynomial()) == "0"

@@ -1,6 +1,6 @@
 """Finite-difference verification that the closed forms solve the equation."""
 
-from math import log2
+from math import inf, log2, nextafter
 
 import numpy as np
 import pytest
@@ -25,8 +25,8 @@ def component_fields(t, x):
 
 def test_assemble_at_origin_axis():
     a, b, c = component_fields([1.0], [0.0])
-    j0 = float(bessel_j0(1.0))
-    j1 = float(bessel_j1(1.0))
+    j0 = bessel_j0(1.0).value
+    j1 = bessel_j1(1.0).value
     assert a[0] == pytest.approx(j1, abs=1e-14)
     assert b[0] == pytest.approx(j0, abs=1e-14)
     assert c[0] == a[0]
@@ -95,6 +95,24 @@ def test_dirac_residual_margin_violation():
         dirac_residual(Region(t0=0.5, t1=1.0, xfrac=0.4), h=0.2)
 
 
+def test_smallest_admitted_t0_measures_the_axis_node():
+    # The margin check admits t0 (1 - xfrac) > 2h, so t0 > 2h: the node
+    # (t0, 0) clears the margin on both grids, and no mask is empty.
+    h, xfrac = 0.1, 0.4
+    t0 = 2 * h / (1 - xfrac)
+    while t0 * (1 - xfrac) <= 2 * h:
+        t0 = nextafter(t0, inf)
+    with pytest.raises(DomainError):
+        dirac_residual(Region(t0=nextafter(t0, 0), t1=1.0, xfrac=xfrac), h)
+    region = Region(t0=t0, t1=1.0, xfrac=xfrac)
+    for spacing in (h, h / 2):
+        tt, xx, mask = dirac._grid(region, spacing, 2 * h, DEFAULT_GRID_CAP)
+        axis = (tt[1:-1, 1:-1] == t0) & (xx[1:-1, 1:-1] == 0.0)
+        assert axis.sum() == 1 and mask[axis].all(), spacing
+    report = dirac_residual(region, h)
+    assert report.points_coarse >= 1 and report.points_fine >= 1
+
+
 def test_dirac_residual_validation():
     region = Region(t0=1.0, t1=2.0, xfrac=0.4)
     with pytest.raises(InvalidParameterError):
@@ -122,7 +140,7 @@ def test_independence_determinant():
         m = closed_matrix(t, x)
         det = m.psi_pp * m.psi_mm - m.psi_pm * m.psi_mp
         s = np.sqrt(t * t - x * x)
-        expected = -(float(bessel_j0(s)) ** 2 + float(bessel_j1(s)) ** 2)
+        expected = -(bessel_j0(s).value ** 2 + bessel_j1(s).value ** 2)
         assert det == pytest.approx(complex(expected, 0), abs=1e-13)
         assert abs(det) > 1e-6
 

@@ -1,8 +1,10 @@
 """Exact lattice components, closed forms, and the convergence machinery."""
 
 import itertools
+import random
+import sys
 from fractions import Fraction
-from math import prod
+from math import prod, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from checkerboard.propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                                      exact_component, exact_parts,
                                      linear_component,
                                      linear_converge, linear_parts,
-                                     pq_identity_check)
+                                     pq_identity_check, proper_time)
 from test_paths import fraction_per_term
 
 try:
@@ -167,7 +169,7 @@ def test_closed_matrix_relative_near_light_cone():
             j1 = mpmath.besselj(1, s)
             for name, ref in (("psi_pp", (1 + X) / s * j1),
                               ("psi_mm", (1 - X) / s * j1)):
-                got = m.component(name)
+                got = getattr(m, name)
                 assert got.real == 0.0, (name, d)
                 assert abs(got.imag - ref) <= 8 * U * ref, (name, d)
 
@@ -185,11 +187,48 @@ def test_closed_matrix_domain():
                  (float("inf"), 0.0), (float("inf"), float("inf"))):
         with pytest.raises(DomainError):
             closed_matrix(t, x)
+    # proper_time owns these refusals; closed_matrix meets them through it
+    for t, x in ((1.0, -1.0), (0.0, 0.0), (float("nan"), 0.0)):
+        with pytest.raises(DomainError):
+            proper_time(t, x)
+
+
+def test_proper_time_is_the_plain_form_where_that_is_normal():
+    rng = random.Random(12)
+    for _ in range(4000):
+        t = 10.0 ** rng.uniform(-150.0, 150.0)
+        x = t * rng.uniform(-1.0, 1.0)
+        product = (t - x) * (t + x)
+        if t > abs(x) and product >= sys.float_info.min:
+            assert proper_time(t, x) == sqrt(product), (t, x)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath not installed")
+def test_closed_matrix_where_the_square_underflows():
+    # (t - x)(t + x) underflows to 0 here; proper_time scales first
+    t, x = 1e-200, 9.999999999999998e-201
+    m = closed_matrix(t, x)
+    with mpmath.workdps(40):
+        T, X = mpmath.mpf(t), mpmath.mpf(x)
+        s = mpmath.sqrt((T - X) * (T + X))
+        assert abs(proper_time(t, x) - s) <= 2 * U * s
+        assert m.psi_pm == m.psi_mp
+        assert abs(m.psi_pm - mpmath.besselj(0, s)) <= 16 * U
+        j1 = mpmath.besselj(1, s)
+        for got, ref in ((m.psi_pp, (T + X) / s * j1),
+                         (m.psi_mm, (T - X) / s * j1)):
+            assert got.real == 0.0
+            assert abs(got.imag - ref) <= 8 * U * ref
 
 
 @pytest.mark.parametrize("P,Q", [(5, 3), (2, 1), (7, 7), (12, 5)])
 def test_pq_identity(P, Q):
     assert pq_identity_check(P, Q)
+
+
+def test_pq_identity_refuses_an_empty_axis():
+    with pytest.raises(InvalidParameterError, match="P, Q >= 1"):
+        pq_identity_check(0, 1)
 
 
 def _component_errors(rows, component):
@@ -219,6 +258,8 @@ def test_sweep_velocity_scaling():
         convergence_sweep(2, Fraction(3, 5), [5])  # 5 not a multiple of 2
     with pytest.raises(DomainError):
         convergence_sweep(2, Fraction(1, 3), [4])  # not a spectrum velocity
+    with pytest.raises(InvalidParameterError, match="t > 0"):
+        convergence_sweep(0, 0, [4])
     for t, v in ((float("nan"), 0), (float("inf"), 0), (2, float("nan"))):
         with pytest.raises(InvalidParameterError, match="finite"):
             convergence_sweep(t, v, [4])

@@ -26,9 +26,9 @@ from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                          exact_parts, linear_component, linear_converge,
                          linear_parts, pq_identity_check, proper_time,
                          split_counts)
-from .spacetime import (BoostMatrix, LightConePoint, MembershipWitness,
-                        SpacetimePoint, apply_boost, boost, compose,
-                        format_rational, is_member, make_point,
+from .spacetime import (DEFAULT_SPECTRUM_CAP, BoostMatrix, LightConePoint,
+                        MembershipWitness, SpacetimePoint, apply_boost, boost,
+                        compose, format_rational, is_member, make_point,
                         matrix_product, parse_rational, rational_square_root,
                         spectrum_membership, to_lightcone, velocity_spectrum)
 
@@ -38,6 +38,7 @@ __all__ = [
     "AmplitudePolynomial", "BendRecord", "BoostMatrix",
     "CheckerboardError", "COMPONENT_ORDER", "ConvergenceRow",
     "DEFAULT_ENUMERATION_CAP", "DEFAULT_GRID_CAP", "DEFAULT_LATTICE_CAP",
+    "DEFAULT_SPECTRUM_CAP",
     "Direction", "DomainError",
     "InvalidParameterError", "LatticePath", "LatticeSpec", "LightConePoint",
     "LinearSpec", "MembershipWitness", "OutOfRangeError", "PropagatorMatrix",

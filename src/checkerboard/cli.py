@@ -15,9 +15,9 @@ significant digits so files round-trip bit-exactly. Every
 output carries schema_version = 1. Exit codes: 0 success, 2 usage error
 (including an --output file that cannot be written and a flag given
 without the flag it goes with), 3 domain error,
-4 resource cap exceeded (the enumeration cap of enumerate, the lattice
-cap on P + Q of exact and converge, the node cap on dirac-check's fine
-grid).
+4 resource cap exceeded (the generator cap on spectrum's --max-pq, the
+enumeration cap of enumerate, the lattice cap on P + Q of exact and
+converge, the node cap on dirac-check's fine grid).
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                          WARNING_COMPONENT, ConvergenceRow, LatticeSpec,
                          closed_matrix, convergence_sweep, exact_parts,
                          linear_converge, proper_time)
-from .spacetime import (SpacetimePoint, apply_boost, boost, format_rational,
-                        is_member, parse_rational, velocity_spectrum)
+from .spacetime import (DEFAULT_SPECTRUM_CAP, SpacetimePoint, apply_boost,
+                        boost, format_rational, is_member, parse_rational,
+                        velocity_spectrum)
 
 SCHEMA_VERSION = 1
 
@@ -114,7 +115,7 @@ def _cmd_boost(args: argparse.Namespace) -> dict:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> dict:
-    values = velocity_spectrum(args.max_pq)
+    values = velocity_spectrum(args.max_pq, cap=args.cap)
     return {
         "max_pq": args.max_pq,
         "count": len(values),
@@ -284,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectrum)
     p.add_argument("--max-pq", type=_integer, required=True, dest="max_pq",
                    help="enumerate generators 1 <= p, q <= this bound")
+    p.add_argument("--cap", type=_integer, default=DEFAULT_SPECTRUM_CAP,
+                   help="refuse a --max-pq above this (default %(default)s)")
 
     p = sub.add_parser("enumerate", parents=[common, segments],
                        help="list all lattice paths of one sector with amplitudes")

@@ -55,29 +55,52 @@ class BendRecord:
     counted: bool
 
 
-def bend_records(path: LatticePath) -> list[BendRecord]:
-    """All reversals of a path in order, with per-axis segment coordinates.
+def _reversals(segments: tuple[Direction, ...]) -> list[tuple[Direction, int]]:
+    """The one walk over a path's reversals: (side, coord) for each, in
+    order.
 
     The completed segment before an R -> L reversal is the k-th right
-    segment, so the bend carries coord k on side R; symmetrically for
-    L -> R. The last reversal is flagged counted=False.
+    segment, so the bend is (R, k); symmetrically for L -> R.
     """
-    records = []
+    pairs = []
+    right = Direction.R  # looked up once: enum attribute access is slow
     r_done = 0
     l_done = 0
-    segs = path.segments
-    for a, b in zip(segs, segs[1:]):
-        if a is Direction.R:
+    for a, b in zip(segments, segments[1:]):
+        if a is right:
             r_done += 1
         else:
             l_done += 1
         if a is not b:
-            coord = r_done if a is Direction.R else l_done
-            records.append(BendRecord(side=a, coord=coord, counted=True))
-    if records:
-        records[-1] = BendRecord(side=records[-1].side,
-                                 coord=records[-1].coord, counted=False)
-    return records
+            pairs.append((a, r_done if a is right else l_done))
+    return pairs
+
+
+def bend_records(path: LatticePath) -> list[BendRecord]:
+    """All reversals of a path in order, with per-axis segment coordinates.
+
+    Each record wraps one (side, coord) pair of the one reversal walk,
+    and the last is flagged counted=False. Records are built only here,
+    on request: sector_sum_bruteforce reads the bare pairs instead.
+    """
+    pairs = _reversals(path.segments)
+    last = len(pairs) - 1
+    return [BendRecord(side=side, coord=coord, counted=i != last)
+            for i, (side, coord) in enumerate(pairs)]
+
+
+def _bend_term(coords: list[int]) -> tuple[int, int]:
+    """(order, coefficient) of the amplitude of a path whose reversals
+    have these per-axis coords, in order: each bend but the last
+    contributes i * (2 coord - 1) * eps0, so the order is one less than
+    the number of reversals and the coefficient is prod(2 coord - 1)
+    over all but the last. A straight path (no reversals) has
+    amplitude 1.
+    """
+    coeff = 1
+    for coord in coords[:-1]:
+        coeff *= 2 * coord - 1
+    return max(len(coords) - 1, 0), coeff
 
 
 class AmplitudePolynomial:
@@ -158,15 +181,10 @@ def path_amplitude(path: LatticePath) -> AmplitudePolynomial:
     """Amplitude of a single path as a monomial in (i * eps0).
 
     The product over counted bends of i * (2j - 1) * eps0 gives coefficient
-    prod(2j - 1) at order R - 1. A straight path (no reversals at all)
-    has amplitude 1.
+    prod(2j - 1) at order R - 1 (see _bend_term). A straight path (no
+    reversals at all) has amplitude 1.
     """
-    coeff = 1
-    order = 0
-    for rec in bend_records(path):
-        if rec.counted:
-            coeff *= 2 * rec.coord - 1
-            order += 1
+    order, coeff = _bend_term([rec.coord for rec in bend_records(path)])
     return AmplitudePolynomial({order: coeff})
 
 
@@ -243,10 +261,13 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
 
     This is the independent slow route the closed-form sector polynomials
     are checked against; it shares no code with them beyond the lattice
-    conventions.
+    conventions. Each path is walked once into plain (side, coord) pairs,
+    whose bend weights are multiplied out (_bend_term) and summed by
+    order; no BendRecord or per-path polynomial is built.
     """
     coeffs: dict[int, int] = {}
     for path in enumerate_paths(P, Q, start, end, cap=cap):
-        for k, c in path_amplitude(path)._coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) + c
+        order, coeff = _bend_term(
+            [coord for _, coord in _reversals(path.segments)])
+        coeffs[order] = coeffs.get(order, 0) + coeff
     return AmplitudePolynomial(coeffs)

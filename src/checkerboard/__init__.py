@@ -16,9 +16,9 @@ from .dirac import (DEFAULT_GRID_CAP, Region, ResidualReport, dirac_residual,
                     residual_rows)
 from .errors import (CheckerboardError, DomainError, InvalidParameterError,
                      OutOfRangeError, ResourceLimitError)
-from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, BendRecord,
-                    Direction, LatticePath, bend_records, count_paths,
-                    enumerate_paths, path_amplitude, sector_sum_bruteforce)
+from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, Direction,
+                    bend_records, count_paths, enumerate_paths,
+                    path_amplitude, sector_sum_bruteforce)
 from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                          ConvergenceRow, LatticeSpec, LinearSpec,
                          PropagatorMatrix, SymmetricTable, closed_matrix,
@@ -26,21 +26,19 @@ from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                          exact_parts, linear_component, linear_converge,
                          linear_parts, pq_identity_check, proper_time,
                          split_counts)
-from .spacetime import (DEFAULT_SPECTRUM_CAP, BoostMatrix, LightConePoint,
-                        MembershipWitness, SpacetimePoint, apply_boost, boost,
-                        compose, format_rational, is_member, make_point,
+from .spacetime import (DEFAULT_SPECTRUM_CAP, BoostMatrix, MembershipWitness,
+                        SpacetimePoint, apply_boost, boost, compose,
+                        format_rational, is_member, make_point,
                         matrix_product, parse_rational, rational_square_root,
-                        spectrum_membership, to_lightcone, velocity_spectrum)
+                        spectrum_membership, velocity_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudePolynomial", "BendRecord", "BoostMatrix",
-    "CheckerboardError", "COMPONENT_ORDER", "ConvergenceRow",
-    "DEFAULT_ENUMERATION_CAP", "DEFAULT_GRID_CAP", "DEFAULT_LATTICE_CAP",
-    "DEFAULT_SPECTRUM_CAP",
-    "Direction", "DomainError",
-    "InvalidParameterError", "LatticePath", "LatticeSpec", "LightConePoint",
+    "AmplitudePolynomial", "BoostMatrix", "CheckerboardError",
+    "COMPONENT_ORDER", "ConvergenceRow", "DEFAULT_ENUMERATION_CAP",
+    "DEFAULT_GRID_CAP", "DEFAULT_LATTICE_CAP", "DEFAULT_SPECTRUM_CAP",
+    "Direction", "DomainError", "InvalidParameterError", "LatticeSpec",
     "LinearSpec", "MembershipWitness", "OutOfRangeError", "PropagatorMatrix",
     "Region", "ResidualReport", "ResourceLimitError", "SeriesResult",
     "SpacetimePoint", "SymmetricTable",
@@ -52,6 +50,5 @@ __all__ = [
     "linear_parts", "make_point", "matrix_product",
     "parse_rational", "path_amplitude", "pq_identity_check", "proper_time",
     "rational_square_root", "residual_rows", "sector_sum_bruteforce",
-    "spectrum_membership", "split_counts", "to_lightcone",
-    "velocity_spectrum",
+    "spectrum_membership", "split_counts", "velocity_spectrum",
 ]

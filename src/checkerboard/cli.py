@@ -11,13 +11,14 @@ real-valued flags take decimal literals; which is which is stated in each
 flag's help text. A negative rational is joined to its flag with "=",
 as in --v=-3/5: after a space argparse reads "-3/5" as an option.
 Rationals are printed as "num/den" in lowest terms, reals with 17
-significant digits so files round-trip bit-exactly. Every
-output carries schema_version = 1. Exit codes: 0 success, 2 usage error
-(including an --output file that cannot be written and a flag given
-without the flag it goes with), 3 domain error,
-4 resource cap exceeded (the generator cap on spectrum's --max-pq, the
-enumeration cap of enumerate, the lattice cap on P + Q of exact and
-converge, the node cap on dirac-check's fine grid).
+significant digits so files round-trip bit-exactly. Every JSON
+output starts with schema_version = 1, and the converge CSV has it as
+its first column; the default text of enumerate carries none. Exit
+codes: 0 success, 2 usage error (including an --output file that cannot
+be written and a flag given without the flag it goes with), 3 domain
+error, 4 resource cap exceeded (the generator cap on spectrum's
+--max-pq, the enumeration cap of enumerate, the lattice cap on P + Q of
+exact and converge, the node cap on dirac-check's fine grid).
 """
 
 from __future__ import annotations
@@ -125,17 +126,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> dict:
 
 def _cmd_enumerate(args: argparse.Namespace) -> dict | str:
     entries = []
-    for p in enumerate_paths(args.P, args.Q, args.start, args.end,
-                             cap=args.cap):
-        records = bend_records(p)
-        to_left = sum(rec.side is Direction.R for rec in records)
+    for path in enumerate_paths(args.P, args.Q, args.start, args.end,
+                                cap=args.cap):
+        bends = bend_records(path)
+        to_left = sum(side is Direction.R for side, _ in bends)
         entries.append({
-            "path": str(p),
-            "bends": len(records),
-            "to_right": len(records) - to_left,
+            "path": "".join(d.value for d in path),
+            "bends": len(bends),
+            "to_right": len(bends) - to_left,
             "to_left": to_left,
-            "counted_bends": sum(rec.counted for rec in records),
-            "amplitude": path_amplitude(p),
+            "counted_bends": max(len(bends) - 1, 0),
+            "amplitude": path_amplitude(path),
         })
     if args.fmt == "text":
         return "".join(

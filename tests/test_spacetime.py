@@ -1,19 +1,20 @@
 """Exact-rational spacetime: membership, boosts, velocity spectrum."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from checkerboard.errors import InvalidParameterError, ResourceLimitError
 from checkerboard.spacetime import (DEFAULT_SPECTRUM_CAP, BoostMatrix,
-                                    LightConePoint, MembershipWitness,
-                                    SpacetimePoint, apply_boost, boost, compose,
+                                    MembershipWitness, SpacetimePoint,
+                                    apply_boost, boost, compose,
                                     format_rational, is_member, make_point,
                                     matrix_product, parse_rational,
                                     rational_square_root, spectrum_membership,
-                                    to_lightcone, velocity_spectrum)
+                                    velocity_spectrum)
 
 nonzero = st.integers(min_value=-1000, max_value=1000).filter(lambda n: n != 0)
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
@@ -36,22 +37,6 @@ def test_make_point_rejects_zero_generators():
 def test_make_point_inside_light_cone(n, m, p, q):
     pt = make_point(n, m, p, q)
     assert abs(pt.x) < abs(pt.t)
-
-
-def test_lightcone_examples():
-    assert to_lightcone(SpacetimePoint(Fraction(5), Fraction(3))) == \
-        LightConePoint(Fraction(4), Fraction(1))
-    assert to_lightcone(SpacetimePoint(Fraction(2), Fraction(0))) == \
-        LightConePoint(Fraction(1), Fraction(1))
-    assert to_lightcone(SpacetimePoint(Fraction(5), Fraction(4))) == \
-        LightConePoint(Fraction(9, 2), Fraction(1, 2))
-
-
-@given(t=rationals, x=rationals)
-def test_lightcone_round_trip(t, x):
-    pt = SpacetimePoint(t, x)
-    lc = to_lightcone(pt)
-    assert SpacetimePoint(lc.r + lc.l, lc.r - lc.l) == pt
 
 
 def test_rational_square_root_examples():
@@ -213,6 +198,13 @@ def test_spectrum_membership_examples():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InvalidParameterError, match="finite"):
             spectrum_membership(bad)
+
+
+@given(p=st.integers(min_value=1, max_value=10**6),
+       q=st.integers(min_value=1, max_value=10**6))
+def test_spectrum_membership_recovers_boost_generator(p, q):
+    assume(gcd(p, q) == 1)
+    assert spectrum_membership(boost(p, q).velocity) == (p, q)
 
 
 def test_rational_serialization():

@@ -116,29 +116,35 @@ class AmplitudePolynomial:
         (i eps0)^(2j) = x^j and (i eps0)^(2j+1) = i eps0 x^j with
         x = -eps0^2, so the even orders are a polynomial in x (the real
         part) and the odd orders eps0 times another (the imaginary part).
-        With eps0 = a/b each is summed by Horner's rule as an integer
-        numerator over a power of b^2, and becomes a Fraction once: one
-        gcd per part instead of one per term.
+        With eps0 = a/b each is summed by Estrin's scheme (see _estrin) as
+        an integer numerator over a power of b^2, and becomes a Fraction
+        once: one gcd per part instead of one per term.
         """
         eps0 = Fraction(eps0)
         a, b = eps0.numerator, eps0.denominator
-        re_num, re_den = self._horner(0, -a * a, b * b)
-        im_num, im_den = self._horner(1, -a * a, b * b)
+        re_num, re_den = self._estrin(0, -a * a, b * b)
+        im_num, im_den = self._estrin(1, -a * a, b * b)
         return Fraction(re_num, re_den), Fraction(a * im_num, b * im_den)
 
-    def _horner(self, parity: int, u: int, w: int) -> tuple[int, int]:
+    def _estrin(self, parity: int, u: int, w: int) -> tuple[int, int]:
         """Sum over orders k = parity + 2j of c_k (u/w)^j, as (num, den).
 
-        num = sum_j c_k u^j w^(J-j) and den = w^J, J the top j; the loop
-        keeps one running power of w and no list of powers.
+        Each pass pairs neighbours as c w + c' u, w times a coefficient in
+        (u/w)^2, then squares u and w and folds one w into den; every
+        product stays balanced. den is a power of w, possibly above the
+        top one, which the caller's Fraction reduces.
         """
         coeffs = self._coeffs
         top = max((k for k in coeffs if k % 2 == parity), default=parity)
-        num, scale = 0, 1
-        for k in range(top, parity - 1, -2):
-            num = num * u + coeffs.get(k, 0) * scale
-            scale *= w
-        return num, scale // w
+        terms = [coeffs.get(k, 0) for k in range(parity, top + 1, 2)]
+        den = 1
+        while len(terms) > 1:
+            if len(terms) % 2:
+                terms.append(0)
+            terms = [c * w + d * u for c, d in zip(terms[::2], terms[1::2])]
+            den *= w
+            u, w = u * u, w * w
+        return terms[0], den
 
     def to_json_dict(self) -> dict[str, int]:
         """Coefficients keyed by stringified order for JSON output."""

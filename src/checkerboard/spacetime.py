@@ -150,7 +150,8 @@ def is_member(pt: SpacetimePoint) -> Optional[MembershipWitness]:
     r/l = (p/q)^2 for some integers p, q. The witness takes p/q from the
     exact square root in lowest terms and n/m = r/p^2 (reduced, sign on n).
     """
-    r, l = (pt.t + pt.x) / 2, (pt.t - pt.x) / 2
+    t, x = to_fraction(pt.t, "t"), to_fraction(pt.x, "x")
+    r, l = (t + x) / 2, (t - x) / 2
     if r == 0 or l == 0 or (r > 0) != (l > 0):
         return None
     root = rational_square_root(r / l)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -274,6 +275,34 @@ def test_evaluation_edge_cases_match_oracle(coeffs, eps0):
 def test_evaluation_equals_oracle(coeffs, eps0):
     poly = AmplitudePolynomial(coeffs)
     assert poly.evaluate_exact(eps0) == fraction_per_term(poly, eps0)
+
+
+# 2^k - 1, 2^k and 2^k + 1 terms per parity: Estrin's passes pad an odd
+# count with a zero at the first pass only, at none, or at all but the last
+ESTRIN_COUNTS = sorted({c for k in range(9) for c in (2**k - 1, 2**k, 2**k + 1)
+                        if 1 <= c <= 257})
+
+
+def big_coefficients(count, seed):
+    rng = random.Random(seed)
+    return [rng.choice((-1, 1)) * (rng.getrandbits(1200) | 1)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", ESTRIN_COUNTS)
+@pytest.mark.parametrize("layout", ["even", "odd", "mixed"])
+def test_evaluation_at_every_estrin_padding_matches_oracle(count, layout):
+    cs = big_coefficients(count, count)
+    if layout == "mixed":  # count terms of each parity, signs mixed
+        coeffs = dict(enumerate(cs + big_coefficients(count, -count)))
+    else:
+        first = 0 if layout == "even" else 1
+        coeffs = {first + 2 * j: c for j, c in enumerate(cs)}
+    poly = AmplitudePolynomial(coeffs)
+    assert len(poly.orders()) == len(coeffs)
+    for eps0 in (Fraction(2, 131073), Fraction(-5, 3), Fraction(0)):
+        assert poly.evaluate_exact(eps0) == fraction_per_term(poly, eps0), \
+            eps0
 
 
 @given(st.dictionaries(st.integers(min_value=0, max_value=12),

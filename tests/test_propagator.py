@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 from math import prod, sqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,60 @@ def test_elem_sym_against_subset_sums():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_elem_sym_e1_is_square(n):
     assert elem_sym_table(n).values[1] == n * n
+
+
+PLAIN_MAX_N = 300
+
+
+def plain_elem_sym_rows():
+    """e_k rows of the odd numbers for n = 0..PLAIN_MAX_N, each grown from
+    [1] by the plain recurrence e_k(new) = e_k(old) + (2n-1) e_{k-1}(old)."""
+    rows, row = [(1,)], [1]
+    for n in range(1, PLAIN_MAX_N + 1):
+        row = [a + (2 * n - 1) * b for a, b in zip(row + [0], [0] + row)]
+        rows.append(tuple(row))
+    return rows
+
+
+PLAIN_ROWS = plain_elem_sym_rows()
+
+
+def test_elem_sym_table_equals_plain_recurrence_ascending_and_descending():
+    for order in (range(PLAIN_MAX_N + 1), range(PLAIN_MAX_N, -1, -1)):
+        elem_sym_table.cache_clear()
+        for n in order:
+            assert elem_sym_table(n).values == PLAIN_ROWS[n], n
+
+
+@given(st.lists(st.one_of(st.integers(min_value=0, max_value=PLAIN_MAX_N),
+                          st.none()), max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_elem_sym_table_equals_plain_recurrence_in_any_order(calls):
+    """None in the list clears the cache, so a table is built cold, from a
+    warm chain or from a chain that was cleared part way."""
+    elem_sym_table.cache_clear()
+    for n in calls:
+        if n is None:
+            elem_sym_table.cache_clear()
+        else:
+            assert elem_sym_table(n).values == PLAIN_ROWS[n], n
+
+
+def test_readme_cache_counts_are_current():
+    """README "Exact evaluation" states the cache_info() counts of two
+    sweeps; each stated call is run after cache_clear() and must give
+    its stated hits and misses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.findall(
+        r"`(convergence_sweep\([^`]*\))`\s+gets\s+(\d+)\s+hits\s+and"
+        r"\s+(\d+)\s+misses", readme)
+    assert len(stated) == 2
+    for call, hits, misses in stated:
+        elem_sym_table.cache_clear()
+        eval(call, {"convergence_sweep": convergence_sweep,
+                    "Fraction": Fraction})
+        info = elem_sym_table.cache_info()
+        assert (info.hits, info.misses) == (int(hits), int(misses)), call
 
 
 def test_exact_component_examples():

@@ -59,6 +59,12 @@ def test_rational_square_root_recovers_squares(r):
 def test_is_member_examples():
     w = is_member(SpacetimePoint(Fraction(5), Fraction(3)))
     assert w == MembershipWitness(n=1, m=1, p=2, q=1)
+    # ints and floats are exact rationals too; nan and inf are refused
+    for t, x in ((5, 3), (5.0, 3.0), (Fraction(10, 2), 3)):
+        assert is_member(SpacetimePoint(t, x)) == w
+    for t, x in ((float("nan"), 3), (5, float("nan")), (float("inf"), 3)):
+        with pytest.raises(InvalidParameterError):
+            is_member(SpacetimePoint(t, x))
     assert is_member(SpacetimePoint(Fraction(3), Fraction(1))) is None
     # light cone itself is excluded (l = 0 would need q = 0)
     assert is_member(SpacetimePoint(Fraction(2), Fraction(2))) is None

@@ -130,20 +130,23 @@ class AmplitudePolynomial:
         """Sum over orders k = parity + 2j of c_k (u/w)^j, as (num, den).
 
         Each pass pairs neighbours as c w + c' u, w times a coefficient in
-        (u/w)^2, then squares u and w and folds one w into den; every
-        product stays balanced. den is a power of w, possibly above the
-        top one, which the caller's Fraction reduces.
+        (u/w)^2, folds one w into den, and squares u and w for the next;
+        every product stays balanced. The first pass runs in the gather of
+        the coefficients. den is a power of w, possibly above the top one,
+        which the caller's Fraction reduces.
         """
         coeffs = self._coeffs
         top = max((k for k in coeffs if k % 2 == parity), default=parity)
-        terms = [coeffs.get(k, 0) for k in range(parity, top + 1, 2)]
-        den = 1
+        get = coeffs.get
+        terms = [get(k, 0) * w + get(k + 2, 0) * u
+                 for k in range(parity, top + 1, 4)]
+        den = w
         while len(terms) > 1:
+            u, w = u * u, w * w
             if len(terms) % 2:
                 terms.append(0)
             terms = [c * w + d * u for c, d in zip(terms[::2], terms[1::2])]
             den *= w
-            u, w = u * u, w * w
         return terms[0], den
 
     def to_json_dict(self) -> dict[str, int]:

@@ -1,7 +1,7 @@
 """J0/J1, scalar and grid routes, against frozen references, mpmath and
 their own error bounds."""
 
-from math import ulp
+from math import ceil, inf, nextafter, ulp
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from checkerboard.bessel import (MAX_SERIES_TERMS, SERIES_WINDOW, bessel_j0,
                                  bessel_j1, j0_j1_values, j0_values,
                                  j1_values)
 from checkerboard.errors import InvalidParameterError, OutOfRangeError
+from checkerboard.propagator import (PropagatorMatrix, closed_matrix,
+                                     proper_time)
 
 try:
     import mpmath
@@ -118,6 +120,86 @@ def test_series_bits_frozen_loose_tol():
         (0.04768948232136961).hex(), 21, (1.8435914821274317e-07).hex())
     assert series_bits(bessel_j1(12.0, tol=1e-6)) == (
         (-0.22344770282505907).hex(), 20, (6.452570187402643e-07).hex())
+
+
+def oracle_series(s, order, tol):
+    """(value, terms_used, error_bound) by one division of each term by
+    the whole integer 4 q^2 (k + 1)(k + 1 + order) and a stop test after
+    every term: the loop that the shift and small divisor in bessel must
+    match bit for bit, frozen here."""
+    p, q = s.as_integer_ratio()
+    extra = max(0, q.bit_length() - p.bit_length()) if order and p else 0
+    bits = ceil(s * 1.4426950408889634) + 64 + extra
+    one = 1 << bits
+    floor = 0 if extra else one
+    num, den = p * p, 4 * q * q
+    term = one if order == 0 else (p << bits) // (2 * q)
+    total = k = 0
+    d = den * (1 + order)
+    while True:
+        total += -term if k & 1 else term
+        term = term * num // d
+        k += 1
+        d = den * (k + 1) * (k + 1 + order)
+        if k == MAX_SERIES_TERMS or (
+                num <= d and term < tol * (abs(total) + floor)):
+            break
+    rounding = (k + 1) << (bits - 63 - extra)
+    value = total / one
+    bound = nextafter((term + rounding) / one, inf) + ulp(value) / 2
+    return value, k, nextafter(bound, inf)
+
+
+# 5,000 seeded arguments over the window, 1,000 in [0, 2) where J1 below
+# s = 1 carries extra bits, and the edges: zero, subnormal and tiny s, the
+# grid's 2^-27, both sides of 1, and the top of the window.
+DENSE_S = sorted({*np.random.default_rng(16).uniform(0.0, 50.0, 5000).tolist(),
+                  *np.random.default_rng(17).uniform(0.0, 2.0, 1000).tolist(),
+                  0.0, 5e-324, 1e-300, 2.0 ** -27, nextafter(1.0, 0.0), 1.0,
+                  nextafter(1.0, 2.0), 2.0, 49.999999999, 50.0})
+
+
+# tol >= 1 stops on the first decreasing term, where a stop test one
+# divisor early would differ
+@pytest.mark.parametrize("tol", [1e-300, 1e-16, 1e-6, 0.5, 2.0, 1e3, 1e10])
+def test_series_bits_equal_frozen_loop(tol):
+    for s in DENSE_S:
+        for order, fn in ((0, bessel_j0), (1, bessel_j1)):
+            value, terms, bound = oracle_series(s, order, tol)
+            assert series_bits(fn(s, tol=tol)) == (
+                value.hex(), terms, bound.hex()), (order, s)
+
+
+def test_tight_tol_stops_where_the_floored_terms_vanish():
+    # at s = 50 the floored terms reach zero after 104 of them, long before
+    # the cap, so even tol = 1e-300 ends there
+    for fn in (bessel_j0, bessel_j1):
+        assert fn(50.0, tol=1e-300).terms_used == 104 < MAX_SERIES_TERMS
+
+
+def matrix_bits(m):
+    return [(c.real.hex(), c.imag.hex())
+            for c in (m.psi_pp, m.psi_pm, m.psi_mp, m.psi_mm)]
+
+
+def test_closed_matrix_equals_frozen_loop():
+    # 2,000 points: 1,600 boosted over the window, 400 of them with s in
+    # (40, 50), and 400 next to the light cone at t = 1, |x| = 1 - delta
+    rng = np.random.default_rng(18)
+    s = np.concatenate([rng.uniform(0.0, 50.0, 1200),
+                        rng.uniform(40.0, 50.0, 400)])
+    eta = rng.uniform(-3.0, 3.0, s.size)
+    cone = 1.0 - np.logspace(-15.0, -1.0, 400)
+    ts = np.concatenate([s * np.cosh(eta), np.ones(400)])
+    xs = np.concatenate([s * np.sinh(eta), cone * np.resize([1.0, -1.0], 400)])
+    for t, x in zip(ts.tolist(), xs.tolist()):
+        r = proper_time(t, x)
+        j0 = oracle_series(r, 0, 1e-16)[0]
+        j1 = oracle_series(r, 1, 1e-16)[0]
+        want = PropagatorMatrix(complex(0.0, (t + x) / r * j1),
+                                complex(j0, 0.0), complex(j0, 0.0),
+                                complex(0.0, (t - x) / r * j1))
+        assert matrix_bits(closed_matrix(t, x)) == matrix_bits(want), (t, x)
 
 
 def test_zero_argument():

@@ -11,7 +11,9 @@ not counted. With eps0 left symbolic the amplitude of a path is a monomial
 in (i * eps0), and a sector sum is a polynomial. This module enumerates
 paths, counts them in closed form, and evaluates those polynomials exactly.
 A path is the plain tuple of its segment directions and a bend the plain
-(side, coord) pair of bend_records; neither has a record type.
+(side, coord) pair of bend_records; neither has a record type. The
+brute-force sector sum builds neither: it walks the path tree run by run,
+multiplying each path's bend weights along the way.
 """
 
 from __future__ import annotations
@@ -56,19 +58,6 @@ def bend_records(path: tuple[Direction, ...]) -> list[tuple[Direction, int]]:
         if a is not b:
             pairs.append((a, r_done if a is right else l_done))
     return pairs
-
-
-def _bend_term(pairs: list[tuple[Direction, int]]) -> tuple[int, int]:
-    """(order, coefficient) of the amplitude of a path with these bends:
-    each bend but the last contributes i * (2 coord - 1) * eps0, so the
-    order is one less than the number of bends and the coefficient is
-    prod(2 coord - 1) over all but the last. A straight path (no bends)
-    has amplitude 1.
-    """
-    coeff = 1
-    for _, coord in pairs[:-1]:
-        coeff *= 2 * coord - 1
-    return max(len(pairs) - 1, 0), coeff
 
 
 class AmplitudePolynomial:
@@ -118,16 +107,21 @@ class AmplitudePolynomial:
         part) and the odd orders eps0 times another (the imaginary part).
         With eps0 = a/b each is summed by Estrin's scheme (see _estrin) as
         an integer numerator over a power of b^2, and becomes a Fraction
-        once: one gcd per part instead of one per term.
+        once: one gcd per part instead of one per term. A part with no
+        order of its parity (every sector polynomial has one parity only)
+        is Fraction(0) without any evaluation.
         """
         eps0 = Fraction(eps0)
         a, b = eps0.numerator, eps0.denominator
-        re_num, re_den = self._estrin(0, -a * a, b * b)
-        im_num, im_den = self._estrin(1, -a * a, b * b)
-        return Fraction(re_num, re_den), Fraction(a * im_num, b * im_den)
+        re = self._estrin(0, -a * a, b * b)
+        im = self._estrin(1, -a * a, b * b)
+        return (Fraction(*re) if re else Fraction(0),
+                Fraction(a * im[0], b * im[1]) if im else Fraction(0))
 
-    def _estrin(self, parity: int, u: int, w: int) -> tuple[int, int]:
-        """Sum over orders k = parity + 2j of c_k (u/w)^j, as (num, den).
+    def _estrin(self, parity: int, u: int, w: int
+                ) -> Optional[tuple[int, int]]:
+        """Sum over orders k = parity + 2j of c_k (u/w)^j, as (num, den),
+        or None when no order has this parity.
 
         Each pass pairs neighbours as c w + c' u, w times a coefficient in
         (u/w)^2, folds one w into den, and squares u and w for the next;
@@ -136,7 +130,9 @@ class AmplitudePolynomial:
         which the caller's Fraction reduces.
         """
         coeffs = self._coeffs
-        top = max((k for k in coeffs if k % 2 == parity), default=parity)
+        top = max((k for k in coeffs if k % 2 == parity), default=None)
+        if top is None:
+            return None
         get = coeffs.get
         terms = [get(k, 0) * w + get(k + 2, 0) * u
                  for k in range(parity, top + 1, 4)]
@@ -157,12 +153,24 @@ class AmplitudePolynomial:
 def path_amplitude(path: tuple[Direction, ...]) -> AmplitudePolynomial:
     """Amplitude of a single path as a monomial in (i * eps0).
 
-    The product over counted bends of i * (2j - 1) * eps0 gives coefficient
-    prod(2j - 1) at order R - 1 (see _bend_term). A straight path (no
-    reversals at all) has amplitude 1.
+    Every bend but the last contributes i * (2 coord - 1) * eps0, so R
+    bends give coefficient prod(2 coord - 1) over the first R - 1 at order
+    R - 1. A straight path (no reversals at all) has amplitude 1.
     """
-    order, coeff = _bend_term(bend_records(path))
-    return AmplitudePolynomial({order: coeff})
+    pairs = bend_records(path)
+    coeff = 1
+    for _, coord in pairs[:-1]:
+        coeff *= 2 * coord - 1
+    return AmplitudePolynomial({max(len(pairs) - 1, 0): coeff})
+
+
+def _check_sector(P: int, Q: int, cap: int) -> None:
+    if P < 0 or Q < 0:
+        raise InvalidParameterError("segment counts P, Q must be >= 0")
+    if P + Q > cap:
+        raise ResourceLimitError(
+            f"P + Q = {P + Q} exceeds enumeration cap {cap}; "
+            "raise the cap explicitly if the wait is acceptable")
 
 
 def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
@@ -177,13 +185,8 @@ def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
     P + Q; enumeration is exponential and anything beyond ~24 segments is
     better served by count_paths and the closed-form sector sums.
     """
-    if P < 0 or Q < 0:
-        raise InvalidParameterError("segment counts P, Q must be >= 0")
+    _check_sector(P, Q, cap)
     n = P + Q
-    if n > cap:
-        raise ResourceLimitError(
-            f"P + Q = {n} exceeds enumeration cap {cap}; "
-            "raise the cap explicitly if the wait is acceptable")
     if n == 1:
         if start is end and (P if start is Direction.R else Q) == 1:
             yield (start,)
@@ -240,12 +243,51 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
 
     This is the independent slow route the closed-form sector polynomials
     are checked against; it shares no code with them beyond the lattice
-    conventions. Each path is walked once into its bends (bend_records),
-    whose weights are multiplied out (_bend_term) and summed by order; no
-    per-path polynomial is built.
+    conventions. `end` fixes the last segment, so the walk places the
+    first P + Q - 1 run by run, depth first on an explicit stack (no
+    recursion limit applies). An entry is a prefix ending at a bend: the
+    next run's axis, the rights and lefts used, the bend count, the
+    product of the counted weights and the weight 2j - 1 of the latest
+    bend, counted once another bend follows. A pop pushes one bend per
+    length of the next run but the longest, which leaves the other axis
+    to close the prefix: a leaf. Every path is its own leaf with its own
+    product. Prefixes that reach the same state are not merged, as that
+    merge is the recurrence behind the closed forms.
     """
+    _check_sector(P, Q, cap)
+    to_right = end is Direction.R
+    rights, lefts = P - to_right, Q - (not to_right)  # the walked prefix
+    on_right = start is Direction.R
+    first, other = (rights, lefts) if on_right else (lefts, rights)
+    if rights < 0 or lefts < 0 or (not first and (other or start is not end)):
+        # nothing for the last segment, or the prefix cannot start on
+        # `start`; an empty prefix is fine when the path is just (end,)
+        return AmplitudePolynomial()
+    if not other:  # one straight prefix; a bend after it is the last
+        return AmplitudePolynomial({0: 1})
     coeffs: dict[int, int] = {}
-    for path in enumerate_paths(P, Q, start, end, cap=cap):
-        order, coeff = _bend_term(bend_records(path))
-        coeffs[order] = coeffs.get(order, 0) + coeff
+    get = coeffs.get
+    stack = [(on_right, 0, 0, 0, 1, 1)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        on_right, r, l, bends, prod, pending = pop()
+        # both axes have segments left: the next run ends at a bend, so
+        # the latest one counts
+        prod *= pending
+        bends += 1
+        if on_right:
+            for j in range(r + 1, rights):
+                push((False, j, l, bends, prod, 2 * j - 1))
+            last = rights
+        else:
+            for j in range(l + 1, lefts):
+                push((True, r, j, bends, prod, 2 * j - 1))
+            last = lefts
+        # the run through segment `last` uses up its axis; the other axis
+        # closes the prefix and either bends into the last segment (that
+        # bend is the last) or runs on into it (the bend at `last` is)
+        if on_right is to_right:
+            coeffs[bends] = get(bends, 0) + prod * (2 * last - 1)
+        else:
+            coeffs[bends - 1] = get(bends - 1, 0) + prod
     return AmplitudePolynomial(coeffs)

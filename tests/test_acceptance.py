@@ -56,17 +56,17 @@ def criterion(number, description):
 
 def test_criterion_1_exact_sums_match_enumeration():
     with criterion(1, "exact sector sums equal brute-force enumeration, "
-                      "P+Q <= 15, all sectors, integer equality"):
+                      "P+Q <= 17, all sectors, integer equality"):
         start = time.perf_counter()
         checked = 0
-        for total in range(2, 16):
+        for total in range(2, 18):
             for P in range(1, total):
                 Q = total - P
                 for s, e in itertools.product((R, L), repeat=2):
                     assert exact_component(P, Q, s, e) == \
                         sector_sum_bruteforce(P, Q, s, e), (P, Q, s, e)
                     checked += 1
-        assert checked == 4 * sum(n - 1 for n in range(2, 16))
+        assert checked == 4 * sum(n - 1 for n in range(2, 18))
         assert time.perf_counter() - start < 60.0
 
 

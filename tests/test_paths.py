@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from checkerboard.cli import main
 from checkerboard.errors import InvalidParameterError, ResourceLimitError
-from checkerboard.paths import (AmplitudePolynomial, Direction, bend_records,
-                                count_paths, enumerate_paths, path_amplitude,
+from checkerboard.paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial,
+                                Direction, bend_records, count_paths,
+                                enumerate_paths, path_amplitude,
                                 sector_sum_bruteforce)
 
 R, L = Direction.R, Direction.L
@@ -321,6 +322,42 @@ def test_sector_sum_examples():
     assert sector_sum_bruteforce(2, 1, R, L) == one
     assert sector_sum_bruteforce(2, 2, R, L) == AmplitudePolynomial({0: 1, 2: 1})
     assert sector_sum_bruteforce(2, 1, R, R) == AmplitudePolynomial({1: 1})
+
+
+def test_sector_sum_equals_the_per_path_sum():
+    # the walk against the definition enumerate prints: one path_amplitude
+    # per enumerated path, including empty, one-segment and one-axis sectors
+    for P, Q in itertools.product(range(11), repeat=2):
+        for start, end in itertools.product((R, L), repeat=2):
+            total = {}
+            for path in enumerate_paths(P, Q, start, end):
+                amp = path_amplitude(path)
+                for k in amp.orders():
+                    total[k] = total.get(k, 0) + amp.coeff(k)
+            assert sector_sum_bruteforce(P, Q, start, end) == \
+                AmplitudePolynomial(total), (P, Q, start, end)
+
+
+def test_sector_sum_deep_sectors():
+    # thousands of segments on one axis: the walk keeps its own stack, so
+    # depth never reaches the interpreter's recursion limit
+    cases = {(3000, 0, R, R): {0: 1}, (2999, 1, R, L): {0: 1},
+             (1, 2999, L, R): {0: 1},
+             # R^j L R^(2999 - j) for j = 1..2998, one counted bend 2j - 1
+             (2999, 1, R, R): {1: 2998 ** 2}}
+    for (P, Q, start, end), coeffs in cases.items():
+        assert sector_sum_bruteforce(P, Q, start, end, cap=3000) == \
+            AmplitudePolynomial(coeffs), (P, Q, start, end)
+
+
+def test_sector_sum_refusals():
+    over = DEFAULT_ENUMERATION_CAP + 1
+    for P in (0, 1, over // 2, over):
+        with pytest.raises(ResourceLimitError, match=f"cap {over - 1}"):
+            sector_sum_bruteforce(P, over - P, R, L)
+    for P, Q in ((-1, 3), (3, -1), (-1, 10**9)):
+        with pytest.raises(InvalidParameterError):
+            sector_sum_bruteforce(P, Q, R, R)
 
 
 def test_sector_sum_coefficients_nonnegative():

@@ -112,8 +112,9 @@ def test_enumerate_is_exhaustive_and_ordered():
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError, match="cap 24"):
         list(enumerate_paths(13, 12, R, L))
-    # explicit cap raise unlocks it
-    assert sum(1 for _ in enumerate_paths(13, 12, R, L, cap=25)) > 0
+    # explicit cap raise unlocks it; the generator checks the cap before
+    # its first path, so one path shows the refusal is gone
+    assert next(enumerate_paths(13, 12, R, L, cap=25))
     with pytest.raises(ResourceLimitError, match="cap 10"):
         list(enumerate_paths(6, 5, R, L, cap=10))
 

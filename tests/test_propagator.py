@@ -385,8 +385,14 @@ def test_sweeps_check_every_size_before_the_first(monkeypatch):
     def no_work(*args):
         raise AssertionError("a size was evaluated before the refusal")
 
-    monkeypatch.setattr(propagator, "_parts", no_work)
+    # both sweeps evaluate every size through exact_parts
+    monkeypatch.setattr(propagator, "exact_parts", no_work)
     with pytest.raises(ResourceLimitError, match="P \\+ Q = 24 exceeds"):
         convergence_sweep(2, Fraction(3, 5), [4, 16], cap=20)
     with pytest.raises(ResourceLimitError, match="P \\+ Q = 32 exceeds"):
         linear_converge(2, 0, [8, 9, 32], cap=31)
+    # and an admitted sweep does reach the patched evaluation
+    with pytest.raises(AssertionError, match="evaluated"):
+        convergence_sweep(2, Fraction(3, 5), [4], cap=20)
+    with pytest.raises(AssertionError, match="evaluated"):
+        linear_converge(2, 0, [8], cap=31)

@@ -99,6 +99,24 @@ def residual_rows(u: np.ndarray, w: np.ndarray,
     return row1, row2
 
 
+def _mirrored_j0_j1(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """j0_j1_values(s), from the right half of a [t, x] array s whose
+    columns mirror about the middle, as s does on _grid's nodes: x is h m
+    for m = -n_x-1..n_x+1, so s is exactly symmetric in x.
+
+    j0_j1_values' start order, rescale and tiny handling depend only on
+    the array's min and max, which the right half shares, and on each
+    element itself, so the mirrored half is the whole result bit for bit.
+    Any other array goes to j0_j1_values whole.
+    """
+    mid = s.shape[1] // 2 if s.ndim == 2 else 0
+    if not (mid and np.array_equal(s[:, :mid], s[:, :-mid - 1:-1])):
+        return j0_j1_values(s)
+    j0, j1 = j0_j1_values(s[:, mid:])
+    return (np.concatenate((j0[:, :-mid - 1:-1], j0), axis=1),
+            np.concatenate((j1[:, :-mid - 1:-1], j1), axis=1))
+
+
 def _component_fields(tt: np.ndarray, xx: np.ndarray, j0_scale: float):
     """Real arrays (a, b, c) with psi_pp = i a, psi_pm = b, psi_mm = i c.
 
@@ -110,7 +128,7 @@ def _component_fields(tt: np.ndarray, xx: np.ndarray, j0_scale: float):
     s_sq = tt * tt - xx * xx
     inside = s_sq > 0.0
     s = np.sqrt(np.where(inside, s_sq, 1.0))
-    j0, j1 = j0_j1_values(s)
+    j0, j1 = _mirrored_j0_j1(s)
     j1 /= s
     a = np.where(inside, (tt + xx) * j1, 0.0)
     b = np.where(inside, j0 * j0_scale, 0.0)

@@ -1,14 +1,16 @@
 """J0/J1, scalar and grid routes, against frozen references, mpmath and
 their own error bounds."""
 
-from math import ceil, inf, nextafter, ulp
+from fractions import Fraction
+from math import ceil, inf, nextafter, sqrt, ulp
 
 import numpy as np
 import pytest
 
+from checkerboard import bessel
 from checkerboard.bessel import (MAX_SERIES_TERMS, SERIES_WINDOW, bessel_j0,
-                                 bessel_j1, j0_j1_values, j0_values,
-                                 j1_values)
+                                 bessel_j0_j1, bessel_j1, j0_j1_values,
+                                 j0_values, j1_values)
 from checkerboard.errors import InvalidParameterError, OutOfRangeError
 from checkerboard.propagator import (PropagatorMatrix, closed_matrix,
                                      proper_time)
@@ -170,6 +172,81 @@ def test_series_bits_equal_frozen_loop(tol):
                 value.hex(), terms, bound.hex()), (order, s)
 
 
+def test_j0_j1_pair_equals_the_two_series():
+    for s in DENSE_S:
+        j0, j1 = bessel_j0_j1(s)
+        assert (j0.hex(), j1.hex()) == (bessel_j0(s).value.hex(),
+                                        bessel_j1(s).value.hex()), s
+
+
+def oracle_steps(s, order):
+    """(k, S_k, |term_k|, decreasing, floor) along the oracle's loop: the
+    sum of the first k terms, the next term, whether the terms from k on
+    decrease (num <= 4 q^2 d_k) and the stop test's floor on |sum|."""
+    p, q = s.as_integer_ratio()
+    extra = max(0, q.bit_length() - p.bit_length()) if order and p else 0
+    bits = ceil(s * 1.4426950408889634) + 64 + extra
+    floor = 0 if extra else 1 << bits
+    num, den = p * p, 4 * q * q
+    term = 1 << bits if order == 0 else (p << bits) // (2 * q)
+    total = 0
+    for k in range(MAX_SERIES_TERMS):
+        yield k, total, term, num <= den * (k + 1) * (k + 1 + order), floor
+        total += -term if k & 1 else term
+        term = term * num // (den * (k + 1) * (k + 1 + order))
+
+
+def oracle_peak(s, order):
+    """(k, S_k, |term_k|, floor) at the first k >= 1 where the terms start
+    to decrease, found by linear search."""
+    return next((k, total, term, floor)
+                for k, total, term, down, floor in oracle_steps(s, order)
+                if k and down)
+
+
+def just_above(d):
+    """The least float s with (s/2)^2 > d."""
+    s = 2.0 * sqrt(d)
+    while Fraction(s) ** 2 > 4 * d:
+        s = nextafter(s, 0.0)
+    while Fraction(s) ** 2 <= 4 * d:
+        s = nextafter(s, inf)
+    return s
+
+
+def test_peak_index_equals_linear_search():
+    # At s = 2m, (s/2)^2 is J0's divisor m^2 itself, so the peak is there;
+    # just above a divisor of either order it is one index further. A tol
+    # no term reaches stops the sum exactly at the peak.
+    cases = [(0, 2.0 * m) for m in range(1, 26)]
+    cases += [(0, just_above(m * m)) for m in range(1, 25)]
+    cases += [(1, just_above(m * (m + 1))) for m in range(1, 25)]
+    for order, s in cases:
+        fn = (bessel_j0, bessel_j1)[order]
+        assert fn(s, tol=1e300).terms_used == oracle_peak(s, order)[0], (
+            order, s)
+
+
+# (order, s, tol) whose exact stop term lies in the hoisted band
+# [tol (|S_peak| + floor), tol (|S_peak| + term_peak + floor)): there the
+# exact test ends the sum while a bound without term_peak would run on
+HOISTED_BAND = [(0, 3.213, 0.7), (0, 3.889, 1.0), (1, 4.028, 0.9),
+                (0, 11.841, 2.0), (1, 36.729, 2.0)]
+
+
+def test_exact_stop_inside_hoisted_band():
+    for order, s, tol in HOISTED_BAND:
+        fn = (bessel_j0, bessel_j1)[order]
+        value, terms, bound = oracle_series(s, order, tol)
+        assert series_bits(fn(s, tol=tol)) == (
+            value.hex(), terms, bound.hex()), (order, s)
+        _, total, peak_term, floor = oracle_peak(s, order)
+        stop = next(term for k, _, term, _, _ in oracle_steps(s, order)
+                    if k == terms)
+        assert (tol * (abs(total) + floor) <= stop
+                < tol * (abs(total) + peak_term + floor)), (order, s)
+
+
 def test_tight_tol_stops_where_the_floored_terms_vanish():
     # at s = 50 the floored terms reach zero after 104 of them, long before
     # the cap, so even tol = 1e-300 ends there
@@ -200,6 +277,17 @@ def test_closed_matrix_equals_frozen_loop():
                                 complex(j0, 0.0), complex(j0, 0.0),
                                 complex(0.0, (t - x) / r * j1))
         assert matrix_bits(closed_matrix(t, x)) == matrix_bits(want), (t, x)
+
+
+def test_closed_matrix_builds_no_series_record(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("SeriesResult built")
+
+    want = matrix_bits(closed_matrix(5.0, 3.0))
+    monkeypatch.setattr(bessel, "SeriesResult", refuse)
+    with pytest.raises(AssertionError):
+        bessel_j0(4.0)
+    assert matrix_bits(closed_matrix(5.0, 3.0)) == want
 
 
 def test_zero_argument():

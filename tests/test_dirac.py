@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from checkerboard import dirac
-from checkerboard.bessel import bessel_j0, bessel_j1
+from checkerboard.bessel import bessel_j0, bessel_j1, j0_j1_values
 from checkerboard.dirac import (DEFAULT_GRID_CAP, ROW_KEYS, Region,
                                 dirac_residual, residual_rows)
 from checkerboard.errors import (DomainError, InvalidParameterError,
@@ -226,3 +226,37 @@ def test_default_grid_cap_admits_h_0_0025():
     assert dirac._steps(README_REGION, 0.0025 / 2.0, DEFAULT_GRID_CAP) == (
         2000, 960)
     assert 2003 * 1923 <= DEFAULT_GRID_CAP
+
+
+@pytest.mark.parametrize("region, h", [(README_REGION, 0.04),
+                                       (README_REGION, 0.01),
+                                       (Region(0.3, 2.0, 0.0), 0.02),
+                                       (Region(1.0, 5.0, 0.9), 0.05)])
+def test_mirrored_bessel_equals_the_whole_grid(region, h):
+    # the right half of a grid from _grid, mirrored, gives J0 and J1 of
+    # the whole grid bit for bit; xfrac = 0 leaves one column each side
+    for spacing in (h, h / 2.0):
+        tt, xx, _ = dirac._grid(region, spacing, 2.0 * h, DEFAULT_GRID_CAP)
+        s_sq = tt * tt - xx * xx
+        s = np.sqrt(np.where(s_sq > 0.0, s_sq, 1.0))
+        for got, want in zip(dirac._mirrored_j0_j1(s), j0_j1_values(s)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_dirac_residual_evaluates_half_of_each_grid(monkeypatch):
+    widths = []
+
+    def recording(s):
+        widths.append(s.shape[1])
+        return j0_j1_values(s)
+
+    monkeypatch.setattr(dirac, "j0_j1_values", recording)
+    for h in (0.04, 0.02):
+        n_x = dirac._steps(README_REGION, h, DEFAULT_GRID_CAP)[1]
+        dirac_residual(README_REGION, 2.0 * h)
+        # the coarse grid (spacing 2h) and then the fine one (spacing h)
+        assert widths[-1] == n_x + 2
+    # arrays that are not symmetric in x go whole
+    tt = np.array([[1.0, 2.0, 3.0]])
+    dirac._component_fields(tt, np.array([[0.0, 0.5, 0.5]]), 1.0)
+    assert widths[-1] == 3

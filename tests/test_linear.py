@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -94,6 +95,17 @@ def test_linear_spec():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InvalidParameterError, match="finite"):
             LinearSpec(N=4, P=2, Q=2, t=bad)
+
+
+def test_linear_row_is_the_binomial_row():
+    # every n <= 1024 against Pascal's rule, which builds math.comb's
+    # rows; math.comb itself at every entry of a sample of n
+    pascal = [1]
+    for n in range(1025):
+        assert LinearSpec.row(n) == pascal, n
+        pascal = [1] + [a + b for a, b in zip(pascal, pascal[1:])] + [1]
+    for n in (*range(65), 255, 383, 1023, 1024):
+        assert LinearSpec.row(n) == [comb(n, k) for k in range(n + 1)], n
 
 
 def test_linear_parts_realness_pattern():

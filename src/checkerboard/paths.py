@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -102,52 +102,52 @@ class AmplitudePolynomial:
     def evaluate_exact(self, eps0: Fraction) -> tuple[Fraction, Fraction]:
         """Substitute a rational eps0; return exact (real, imag) parts.
 
-        (i eps0)^(2j) = x^j and (i eps0)^(2j+1) = i eps0 x^j with
-        x = -eps0^2, so the even orders are a polynomial in x (the real
-        part) and the odd orders eps0 times another (the imaginary part).
-        With eps0 = a/b each is summed by Estrin's scheme (see _estrin) as
-        an integer numerator over a power of b^2, and becomes a Fraction
-        once: one gcd per part instead of one per term. A part with no
-        order of its parity (every sector polynomial has one parity only)
-        is Fraction(0) without any evaluation.
-        """
-        eps0 = Fraction(eps0)
-        a, b = eps0.numerator, eps0.denominator
-        re = self._estrin(0, -a * a, b * b)
-        im = self._estrin(1, -a * a, b * b)
-        return (Fraction(*re) if re else Fraction(0),
-                Fraction(a * im[0], b * im[1]) if im else Fraction(0))
-
-    def _estrin(self, parity: int, u: int, w: int
-                ) -> Optional[tuple[int, int]]:
-        """Sum over orders k = parity + 2j of c_k (u/w)^j, as (num, den),
-        or None when no order has this parity.
-
-        Each pass pairs neighbours as c w + c' u, w times a coefficient in
-        (u/w)^2, folds one w into den, and squares u and w for the next;
-        every product stays balanced. The first pass runs in the gather of
-        the coefficients. den is a power of w, possibly above the top one,
-        which the caller's Fraction reduces.
+        Gathers each parity's orders densely, gaps as 0, for parity_parts;
+        a parity with no order (as in every sector sum) is an empty row.
         """
         coeffs = self._coeffs
-        top = max((k for k in coeffs if k % 2 == parity), default=None)
-        if top is None:
-            return None
-        get = coeffs.get
-        terms = [get(k, 0) * w + get(k + 2, 0) * u
-                 for k in range(parity, top + 1, 4)]
-        den = w
-        while len(terms) > 1:
-            u, w = u * u, w * w
-            if len(terms) % 2:
-                terms.append(0)
-            terms = [c * w + d * u for c, d in zip(terms[::2], terms[1::2])]
-            den *= w
-        return terms[0], den
+
+        def row(parity: int) -> list[int]:
+            top = max((k for k in coeffs if k % 2 == parity), default=-1)
+            return [coeffs.get(k, 0) for k in range(parity, top + 1, 2)]
+
+        return parity_parts(row(0), row(1), Fraction(eps0))
 
     def to_json_dict(self) -> dict[str, int]:
         """Coefficients keyed by stringified order for JSON output."""
         return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}
+
+
+def parity_parts(even: Iterable[int], odd: Iterable[int], eps0: Fraction
+                 ) -> tuple[Fraction, Fraction]:
+    """Exact (real, imag) of sum_k even[k] z^(2k) + odd[k] z^(2k+1) at
+    z = i eps0. z^(2k) = x^k with x = -eps0^2, so the even row is a
+    polynomial in x (the real part) and the odd one eps0 times another
+    (the imaginary part). With eps0 = a/b, _estrin sums each as an integer
+    over a power of b^2, which becomes a Fraction once: one gcd per part,
+    not one per term; an empty row gives Fraction(0)."""
+    a, b = eps0.numerator, eps0.denominator
+    re = _estrin(even, -a * a, b * b)
+    im = _estrin(odd, -a * a, b * b)
+    return Fraction(*re), Fraction(a * im[0], b * im[1])
+
+
+def _estrin(coeffs: Iterable[int], u: int, w: int) -> tuple[int, int]:
+    """Estrin's scheme for sum_j c_j (u/w)^j over a dense row, as
+    (num, den). Each pass pairs neighbours as c w + c' u (the last with 0
+    at an odd count), folds one w into den and squares u and w for the
+    next, so every product stays balanced; den may exceed the top power
+    of w, which the caller's Fraction reduces. The first pass reads the
+    row once, so any iterable will do; an empty one sums to 0."""
+    terms, den = coeffs, 1
+    while True:
+        pairs = iter(terms)
+        terms = [c * w + d * u
+                 for c, d in zip_longest(pairs, pairs, fillvalue=0)]
+        den *= w
+        if len(terms) < 2:
+            return (terms[0] if terms else 0), den
+        u, w = u * u, w * w
 
 
 def path_amplitude(path: tuple[Direction, ...]) -> AmplitudePolynomial:

@@ -45,19 +45,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import frexp, isfinite, ldexp, sqrt
-from typing import Callable, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterator, Optional, Sequence
 
 from .bessel import bessel_j0_j1
 from .errors import DomainError, InvalidParameterError, ResourceLimitError
-from .paths import AmplitudePolynomial, Direction
+from .paths import AmplitudePolynomial, Direction, parity_parts
 from .spacetime import (RationalLike, rational_square_root,
                         spectrum_membership, to_fraction)
 
 COMPONENT_ORDER = ("psi_pp", "psi_pm", "psi_mp", "psi_mm")
 
 # Bound on P + Q for one exact evaluation. The cost grows about 7x per
-# doubling of P + Q: P = Q = 2048 takes about 3.5 s on a 2-CPU machine,
-# 2.5 s of it building the e_k tables.
+# doubling of P + Q: P = Q = 2048 takes 2.1-2.6 s on a 2-CPU machine,
+# 1.5-1.9 s of it building the e_k tables.
 DEFAULT_LATTICE_CAP = 4096
 
 
@@ -176,9 +177,10 @@ class LinearSpec(_Endpoint):
     epsilon = _Endpoint.step
 
 
-def _sector_polynomial(e_right: Sequence[int], e_left: Sequence[int],
-                       start: Direction, end: Direction) -> AmplitudePolynomial:
-    """Sector sum as a polynomial in (i * step), from per-axis e_k rows.
+def _sector_row(e_right: Sequence[int], e_left: Sequence[int],
+                start: Direction, end: Direction) -> Iterator[int]:
+    """A sector sum's coefficients c_k in (i * step), from per-axis e_k rows,
+    as a lazy row: Estrin's first pass or _component's zip reads it once.
 
     e_right[k] is e_k of the weights of the first P - 1 right segments and
     e_left[k] the same for the first Q - 1 left segments; a counted reversal
@@ -186,32 +188,32 @@ def _sector_polynomial(e_right: Sequence[int], e_left: Sequence[int],
     sectors (start and end differ) have 2k + 1 reversals at order 2k: the
     counted reversal coordinates form a free k-subset of each axis, so the
     sum over subset pairs is e_right[k] * e_left[k], whichever axis the
-    path starts on. A sector that starts and ends on one axis has 2k
-    reversals at order 2k - 1, k counted on its own axis and k - 1 on the
+    path starts on. A sector that starts and ends on one axis has 2k + 2
+    reversals at order 2k + 1, k + 1 counted on its own axis and k on the
     other. The rows stop at P - 1 and Q - 1 because the final segment of
     each axis never precedes a counted reversal; agreement with the
     brute-force enumeration oracle pins these bounds down.
     """
     if start is not end:
-        return AmplitudePolynomial(
-            {2 * k: a * b for k, (a, b) in enumerate(zip(e_right, e_left))})
+        return map(mul, e_right, e_left)
     own, other = (e_right, e_left) if start is Direction.R else (e_left, e_right)
-    return AmplitudePolynomial(
-        {2 * k + 1: a * b for k, (a, b) in enumerate(zip(own[1:], other))})
+    return map(mul, own[1:], other)
 
 
 def _component(row: Callable[[int], Sequence[int]], P: int, Q: int,
                start: Direction, end: Direction) -> AmplitudePolynomial:
     if P < 1 or Q < 1:
         raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
-    return _sector_polynomial(row(P - 1), row(Q - 1), start, end)
+    orders = range(start is end, P + Q, 2)  # c_k at 2k + 1 on the diagonal
+    return AmplitudePolynomial(
+        dict(zip(orders, _sector_row(row(P - 1), row(Q - 1), start, end))))
 
 
 def exact_component(P: int, Q: int, start: Direction, end: Direction) -> AmplitudePolynomial:
     """Exact sector sum as a polynomial in (i * eps0), no enumeration.
 
     With O_n the first n odd weights, the mixed sectors carry
-    e_k(O_{P-1}) * e_k(O_{Q-1}) at order 2k (see _sector_polynomial).
+    e_k(O_{P-1}) * e_k(O_{Q-1}) at order 2k (see _sector_row).
     """
     return _component(LatticeSpec.row, P, Q, start, end)
 
@@ -272,10 +274,11 @@ def exact_parts(spec: LatticeSpec | LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     """All four components of either spec at its step, as exact (real,
     imag) pairs: the exact Gaussian rational value of each path sum.
 
-    The mixed sectors are one polynomial (see _sector_polynomial),
-    evaluated once and reported twice. Each part is an integer sum over
-    one power of the step's denominator, divided once (see
-    AmplitudePolynomial.evaluate_exact), so cancellation costs nothing.
+    Each sector's row (see _sector_row) goes to paths.parity_parts as is,
+    with no AmplitudePolynomial; the mixed sectors are one even row,
+    evaluated once and reported twice, the diagonal ones odd rows. Each
+    part is an integer sum over one power of the step's denominator,
+    divided once, so cancellation costs nothing.
     P + Q above cap raises ResourceLimitError before any work.
     """
     _check_lattice_size(spec.P, spec.Q, cap)
@@ -283,13 +286,10 @@ def exact_parts(spec: LatticeSpec | LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     e_left = e_right if spec.Q == spec.P else spec.row(spec.Q - 1)
     step = spec.step
     R, L = Direction.R, Direction.L
-    mixed = _sector_polynomial(e_right, e_left, R, L).evaluate_exact(step)
-    return {
-        "psi_pp": _sector_polynomial(e_right, e_left, R, R).evaluate_exact(step),
-        "psi_pm": mixed,
-        "psi_mp": mixed,
-        "psi_mm": _sector_polynomial(e_right, e_left, L, L).evaluate_exact(step),
-    }
+    mixed = parity_parts(_sector_row(e_right, e_left, R, L), [], step)
+    pp, mm = (parity_parts([], _sector_row(e_right, e_left, d, d), step)
+              for d in (R, L))
+    return {"psi_pp": pp, "psi_pm": mixed, "psi_mp": mixed, "psi_mm": mm}
 
 
 linear_parts = exact_parts

@@ -99,8 +99,7 @@ def test_equation_fails_a_mutated_quadratic_row(row):
     assert odd_row_from(1)(12) == list(LatticeSpec.row(12))
 
     def mutant(P, Q, start, end):
-        return propagator._sector_polynomial(row(P - 1), row(Q - 1),
-                                             start, end)
+        return propagator._component(row, P, Q, start, end)
 
     checks = equation_checks(mutant, lambda j: weight(LatticeSpec, j), 11)
     assert checks.count(False) > len(checks) // 2

@@ -14,6 +14,7 @@ from checkerboard.propagator import (COMPONENT_ORDER, WARNING_COMPONENT,
                                      LinearSpec, linear_component,
                                      linear_converge, linear_parts,
                                      split_counts)
+from test_propagator import PARTS_SIZES
 
 R, L = Direction.R, Direction.L
 
@@ -63,7 +64,7 @@ def test_linear_component_matches_count_paths():
                 (P, Q, start, end)
 
 
-@pytest.mark.parametrize("P,Q", [(1, 1), (7, 2), (3, 11), (64, 32)])
+@pytest.mark.parametrize("P,Q", PARTS_SIZES)
 def test_linear_parts_match_each_sector(P, Q):
     spec = LinearSpec(N=P + Q, P=P, Q=Q, t=Fraction(5, 3))
     parts = linear_parts(spec)

@@ -328,7 +328,13 @@ def test_sector_sum_examples():
 def test_sector_sum_equals_the_per_path_sum():
     # the walk against the definition enumerate prints: one path_amplitude
     # per enumerated path, including empty, one-segment and one-axis sectors
-    for P, Q in itertools.product(range(11), repeat=2):
+    # and every start and end. P + Q <= 14 holds every such shape with
+    # several runs on both axes; the path count doubles per step of this
+    # bound (P, Q <= 10 took a fifth of the suite), and test_acceptance.py
+    # checks the closed forms against the walk alone up to P + Q = 17.
+    for P, Q in itertools.product(range(15), repeat=2):
+        if P + Q > 14:
+            continue
         for start, end in itertools.product((R, L), repeat=2):
             total = {}
             for path in enumerate_paths(P, Q, start, end):
@@ -337,6 +343,23 @@ def test_sector_sum_equals_the_per_path_sum():
                     total[k] = total.get(k, 0) + amp.coeff(k)
             assert sector_sum_bruteforce(P, Q, start, end) == \
                 AmplitudePolynomial(total), (P, Q, start, end)
+
+
+def test_evaluation_of_gapped_bruteforce_sums_matches_oracle():
+    # one sector of each parity, summed, with interior orders dropped: the
+    # dense gather pads each gap with 0, in both parities
+    for P, Q in ((7, 6), (9, 4)):
+        coeffs = {}
+        for start, end in ((R, L), (R, R)):
+            brute = sector_sum_bruteforce(P, Q, start, end)
+            coeffs.update((k, brute.coeff(k)) for k in brute.orders())
+        gapped = AmplitudePolynomial(
+            {k: c for k, c in coeffs.items() if k % 3 != 2})
+        assert 1 in gapped.orders() and 5 not in gapped.orders()
+        assert 4 in gapped.orders() and 8 not in gapped.orders()
+        for eps0 in (Fraction(1, 85), Fraction(-7, 3), Fraction(0)):
+            assert gapped.evaluate_exact(eps0) == \
+                fraction_per_term(gapped, eps0), (P, Q, eps0)
 
 
 def test_sector_sum_deep_sectors():

@@ -321,7 +321,13 @@ def test_sweep_velocity_scaling():
             convergence_sweep(t, v, [4])
 
 
-@pytest.mark.parametrize("P,Q", [(1, 1), (7, 2), (3, 11), (64, 32)])
+# P = 1 or Q = 1 (an empty diagonal row), P = Q (one row for both axes),
+# P != Q both ways, and the refine benchmark's largest sizes
+PARTS_SIZES = [(1, 1), (1, 6), (5, 1), (7, 2), (3, 11), (9, 9), (64, 32),
+               (256, 128), (128, 256), (192, 128)]
+
+
+@pytest.mark.parametrize("P,Q", PARTS_SIZES)
 def test_parts_match_each_sector(P, Q):
     # the mixed sum is evaluated once and reported twice; each mixed
     # orientation evaluated on its own must give that same value
@@ -331,6 +337,27 @@ def test_parts_match_each_sector(P, Q):
     for name, (start, end) in SECTORS.items():
         assert parts[name] == \
             exact_component(P, Q, start, end).evaluate_exact(spec.eps0)
+    # one segment on an axis leaves that axis's diagonal sector no path
+    assert (P > 1, Q > 1) == (parts["psi_pp"] != (0, 0),
+                              parts["psi_mm"] != (0, 0))
+
+
+def test_parts_build_no_amplitude_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("AmplitudePolynomial built")
+
+    t = Fraction(7, 4)
+    cases = [case for P, Q in ((1, 3), (4, 4), (6, 5)) for case in (
+        (exact_parts, exact_component, LatticeSpec(P=P, Q=Q, t=t)),
+        (linear_parts, linear_component, LinearSpec(N=P + Q, P=P, Q=Q, t=t)))]
+    want = [{name: fraction_per_term(component(spec.P, spec.Q, *dirs),
+                                     spec.step)
+             for name, dirs in SECTORS.items()}
+            for _, component, spec in cases]
+    monkeypatch.setattr(propagator, "AmplitudePolynomial", refuse)
+    with pytest.raises(AssertionError):
+        exact_component(2, 2, R, L)
+    assert [parts(spec) for parts, _, spec in cases] == want
 
 
 def assert_parts_equal_oracle(P, Q, t):

@@ -15,21 +15,21 @@ power of two, so (s/2)^2 = p^2 / 2^sh with sh = 2 bitlength(q), and each
 term is floored once, as (term p^2 >> sh) // d_k: a shift and a small
 divisor (d_k <= 40,200 up to the cap) give the integer one division by
 4 q^2 d_k gives, since floor(floor(a / 2^sh) / d) = floor(a / (2^sh d)).
-Against that one division, the field benchmark's 2,000 closed_matrix
-points fell from 0.074 to 0.058 s (sum of best-of times, 2-CPU x86-64).
 The terms grow while (s/2)^2 > d_k: the peak index, the first k >= 1
 with p^2 <= d_k 2^sh, is a bisection of the divisors for
 ceil(p^2 / 2^sh), and the head up to it is summed in pairs with no test
 and no sign branch. From the peak on the terms alternate and do not
-grow, so the stop test cannot hold while a term is at least tol times
-|sum at the peak| + peak term + floor; that one product is compared
-first, and only the last term or two run the exact test (see _sum).
-bessel_j0_j1, which closed_matrix calls, does the setup (the window
+grow, so the stop test cannot hold while a term is at least the bound
+tol (|sum at the peak| + peak term + floor), rounded up to an integer;
+the tail is summed in pairs against it, one int comparison per term,
+and only then does the exact test run (see _sum). At the field
+benchmark's 2,000 points a sum has a median of 3 head terms and 17
+bounded ones, and the exact test adds a median of 1 (mean 2.8, at most
+22). bessel_j0_j1, which closed_matrix calls, does the setup (the window
 check, p/q, p^2, sh, F) once for both orders and builds no SeriesResult
-and no bound. The two term chains stay separate, since one chain would
-floor different integers. With these, the field benchmark's median
-operation, a closed_matrix call, fell from 24.5 to 18.6 us (medians of
-ten 30 s runs against the previous loop, 2-CPU x86-64).
+and no bound; the two term chains stay separate, since one chain would
+floor different integers. The field benchmark's median operation, a
+closed_matrix call, takes 15.7 us (BENCH_21.json, 2-CPU x86-64).
 An error made at term j reaches term j + m scaled by at most
 (s/2)^(2m) / (m!)^2, so K computed terms carry at most K I0(s) <= K e^s
 units of 2^-F of rounding, that is K 2^-(63 + extra) (one bit spare for
@@ -116,7 +116,10 @@ def _sum(p: int, q: int, num: int, sh: int, bits: int, order: int,
     later partial sum lies within term_peak of the sum S_peak there. As
     fl(tol * fl(x)) is monotone in x, while term >= tol * (|S_peak| +
     term_peak + floor) the exact test term >= tol * (|total| + floor)
-    cannot fail: that one comparison runs first, then the exact loop.
+    cannot fail: that one comparison runs first, then the exact loop. An
+    int term meets h exactly when it meets ceil(h), so h is taken as
+    ceil(h) (ceil(inf) raises: an infinite h stays), and the bounded loop
+    adds at even k and subtracts at odd k in pairs, testing every term.
     """
     # J1(s) is about s/2: below s = 1, about log2(1/s) more bits keep its
     # 64 significant bits, and the stop test scales with it
@@ -138,10 +141,22 @@ def _sum(p: int, q: int, num: int, sh: int, bits: int, order: int,
         term = (term * num >> sh) // div[peak - 1]
     k = peak
     hoisted = tol * (abs(total) + term + floor)
-    while k < MAX_SERIES_TERMS and term >= hoisted:
-        total += -term if k & 1 else term
+    if hoisted != inf:
+        hoisted = ceil(hoisted)
+    if k & 1 and term >= hoisted:
+        total -= term
         term = (term * num >> sh) // div[k]
         k += 1
+    # runs from an even k, and MAX_SERIES_TERMS is even: div[k + 1] exists
+    while k < MAX_SERIES_TERMS and term >= hoisted:
+        total += term
+        term = (term * num >> sh) // div[k]
+        if term < hoisted:
+            k += 1
+            break
+        total -= term
+        term = (term * num >> sh) // div[k + 1]
+        k += 2
     while k < MAX_SERIES_TERMS and term >= tol * (abs(total) + floor):
         total += -term if k & 1 else term
         term = (term * num >> sh) // div[k]

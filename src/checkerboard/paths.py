@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import InvalidParameterError, ResourceLimitError
 
 DEFAULT_ENUMERATION_CAP = 24
+_ZERO = Fraction(0)
 
 
 class Direction(enum.Enum):
@@ -125,11 +126,13 @@ def parity_parts(even: Iterable[int], odd: Iterable[int], eps0: Fraction
     polynomial in x (the real part) and the odd one eps0 times another
     (the imaginary part). With eps0 = a/b, _estrin sums each as an integer
     over a power of b^2, which becomes a Fraction once: one gcd per part,
-    not one per term; an empty row gives Fraction(0)."""
+    not one per term. A falsy row, as (), gives Fraction(0) with no pass."""
     a, b = eps0.numerator, eps0.denominator
-    re = _estrin(even, -a * a, b * b)
-    im = _estrin(odd, -a * a, b * b)
-    return Fraction(*re), Fraction(a * im[0], b * im[1])
+    re = Fraction(*_estrin(even, -a * a, b * b)) if even else _ZERO
+    if not odd:
+        return re, _ZERO
+    num, den = _estrin(odd, -a * a, b * b)
+    return re, Fraction(a * num, b * den)
 
 
 def _estrin(coeffs: Iterable[int], u: int, w: int) -> tuple[int, int]:

@@ -275,10 +275,10 @@ def exact_parts(spec: LatticeSpec | LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     imag) pairs: the exact Gaussian rational value of each path sum.
 
     Each sector's row (see _sector_row) goes to paths.parity_parts as is,
-    with no AmplitudePolynomial; the mixed sectors are one even row,
-    evaluated once and reported twice, the diagonal ones odd rows. Each
-    part is an integer sum over one power of the step's denominator,
-    divided once, so cancellation costs nothing.
+    with () for the parity it lacks; the mixed sectors are one even row,
+    evaluated once and reported twice, the diagonal ones odd rows, one for
+    both when P == Q. Each part is an integer sum over one power of the
+    step's denominator, divided once, so cancellation costs nothing.
     P + Q above cap raises ResourceLimitError before any work.
     """
     _check_lattice_size(spec.P, spec.Q, cap)
@@ -286,9 +286,10 @@ def exact_parts(spec: LatticeSpec | LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     e_left = e_right if spec.Q == spec.P else spec.row(spec.Q - 1)
     step = spec.step
     R, L = Direction.R, Direction.L
-    mixed = parity_parts(_sector_row(e_right, e_left, R, L), [], step)
-    pp, mm = (parity_parts([], _sector_row(e_right, e_left, d, d), step)
-              for d in (R, L))
+    mixed = parity_parts(_sector_row(e_right, e_left, R, L), (), step)
+    pp = parity_parts((), _sector_row(e_right, e_left, R, R), step)
+    mm = pp if e_left is e_right else parity_parts(
+        (), _sector_row(e_right, e_left, L, L), step)
     return {"psi_pp": pp, "psi_pm": mixed, "psi_mp": mixed, "psi_mm": mm}
 
 

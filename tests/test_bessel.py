@@ -1,6 +1,7 @@
 """J0/J1, scalar and grid routes, against frozen references, mpmath and
 their own error bounds."""
 
+import sys
 from fractions import Fraction
 from math import ceil, inf, nextafter, sqrt, ulp
 
@@ -162,8 +163,9 @@ DENSE_S = sorted({*np.random.default_rng(16).uniform(0.0, 50.0, 5000).tolist(),
 
 
 # tol >= 1 stops on the first decreasing term, where a stop test one
-# divisor early would differ
-@pytest.mark.parametrize("tol", [1e-300, 1e-16, 1e-6, 0.5, 2.0, 1e3, 1e10])
+# divisor early would differ; from 1e300 up the hoisted bound is infinite
+@pytest.mark.parametrize("tol", [1e-300, 1e-16, 1e-6, 0.5, 2.0, 1e3, 1e10,
+                                 1e300, sys.float_info.max])
 def test_series_bits_equal_frozen_loop(tol):
     for s in DENSE_S:
         for order, fn in ((0, bessel_j0), (1, bessel_j1)):
@@ -180,9 +182,10 @@ def test_j0_j1_pair_equals_the_two_series():
 
 
 def oracle_steps(s, order):
-    """(k, S_k, |term_k|, decreasing, floor) along the oracle's loop: the
-    sum of the first k terms, the next term, whether the terms from k on
-    decrease (num <= 4 q^2 d_k) and the stop test's floor on |sum|."""
+    """(k, S_k, |term_k|, decreasing, floor) along the oracle's loop for
+    k <= MAX_SERIES_TERMS: the sum of the first k terms, the next term,
+    whether the terms from k on decrease (num <= 4 q^2 d_k) and the stop
+    test's floor on |sum|."""
     p, q = s.as_integer_ratio()
     extra = max(0, q.bit_length() - p.bit_length()) if order and p else 0
     bits = ceil(s * 1.4426950408889634) + 64 + extra
@@ -190,7 +193,7 @@ def oracle_steps(s, order):
     num, den = p * p, 4 * q * q
     term = 1 << bits if order == 0 else (p << bits) // (2 * q)
     total = 0
-    for k in range(MAX_SERIES_TERMS):
+    for k in range(MAX_SERIES_TERMS + 1):
         yield k, total, term, num <= den * (k + 1) * (k + 1 + order), floor
         total += -term if k & 1 else term
         term = term * num // (den * (k + 1) * (k + 1 + order))
@@ -245,6 +248,35 @@ def test_exact_stop_inside_hoisted_band():
                     if k == terms)
         assert (tol * (abs(total) + floor) <= stop
                 < tol * (abs(total) + peak_term + floor)), (order, s)
+
+
+def sum_at(s, order, tol):
+    """bessel._sum at s with the setup of bessel_j0 and bessel_j1, outside
+    the window too."""
+    p, q = s.as_integer_ratio()
+    bits = ceil(s * 1.4426950408889634) + 64
+    return bessel._sum(p, q, p * p, 2 * q.bit_length(), bits, order, tol)
+
+
+def test_tail_pairs_up_to_the_cap():
+    # Beyond the window the terms are still far from zero at the cap: at
+    # s = 200 (peak index 99, odd) and s = 202 (peak 100, even) a tol no
+    # term meets runs the hoisted pairs to the cap. A tol whose integer
+    # bound lies just above term 199 (or term 198) leaves the pairs there,
+    # at an odd (even) k, and the exact test adds the rest.
+    for s in (200.0, 202.0):
+        for order in (0, 1):
+            peak, peak_total, peak_term, floor = oracle_peak(s, order)
+            assert peak == (99 if s == 200.0 else 100)
+            terms = [term for _, _, term, _, _ in oracle_steps(s, order)]
+            *_, (_, total, term, _, _) = oracle_steps(s, order)
+            want = (total, term, MAX_SERIES_TERMS, 0)
+            assert sum_at(s, order, 1e-300) == want, (s, order)
+            band = abs(peak_total) + peak_term + floor
+            for last in (199, 198):
+                tol = 2 * terms[last] / band
+                assert terms[last] < ceil(tol * band) <= terms[last - 1]
+                assert sum_at(s, order, tol) == want, (s, order, last)
 
 
 def test_tight_tol_stops_where_the_floored_terms_vanish():

@@ -25,3 +25,12 @@ class OutOfRangeError(DomainError):
 class ResourceLimitError(CheckerboardError, RuntimeError):
     """An enumeration, an exact lattice evaluation or sweep, or a Dirac
     residual grid exceeded its configured cap."""
+
+
+def check_cap(name: str, value: int, kind: str, cap: int) -> None:
+    """Refuse value above cap: the enumeration, lattice and spectrum caps'
+    one ResourceLimitError text."""
+    if value > cap:
+        raise ResourceLimitError(
+            f"{name} = {value} exceeds {kind} cap {cap}; "
+            "raise the cap explicitly if the wait is acceptable")

@@ -7,13 +7,13 @@ right (left) run endpoint sits at j^2 * eps0, which is what makes the
 lattice quadratic. Each direction reversal before the last contributes a
 factor i * (2j - 1) * eps0 to the amplitude, where j indexes the segment
 the path just completed; the final bend is fixed by the endpoint and is
-not counted. With eps0 left symbolic the amplitude of a path is a monomial
-in (i * eps0), and a sector sum is a polynomial. This module enumerates
-paths, counts them in closed form, and evaluates those polynomials exactly.
-A path is the plain tuple of its segment directions and a bend the plain
-(side, coord) pair of bend_records; neither has a record type. The
-brute-force sector sum builds neither: it walks the path tree run by run,
-multiplying each path's bend weights along the way.
+not counted. With eps0 left symbolic a path's amplitude is a monomial in
+(i * eps0) and a sector sum a one-parity polynomial, a dense row of
+coefficients; this module enumerates paths, counts them in closed form,
+and evaluates those rows exactly. A path is the plain tuple of its segment
+directions and a bend the (side, coord) pair of bend_records; neither has
+a record type. The brute-force sector sum builds neither: it walks the
+path tree run by run, adding each path's bend-weight product to the row.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import enum
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, check_cap
 
 DEFAULT_ENUMERATION_CAP = 24
 _ZERO = Fraction(0)
@@ -64,32 +64,42 @@ def bend_records(path: tuple[Direction, ...]) -> list[tuple[Direction, int]]:
 class AmplitudePolynomial:
     """Polynomial in the symbol (i * eps0) with integer coefficients.
 
-    Coefficients live in a dict keyed by the order in (i * eps0). The i is
-    kept inside the symbol so path products stay integer; evaluation
-    substitutes a rational eps0 and splits the powers of i into exact real
-    and imaginary parts.
+    Coefficients live in two dense tuples, even[k] at order 2k and odd[k]
+    at 2k + 1; a sector sum fills one. A zero is no term wherever it sits:
+    coeff, orders, ==, str and to_json_dict skip it. The i is kept inside
+    the symbol so path products stay integer; evaluation substitutes a
+    rational eps0 and splits the powers of i into exact real and imaginary
+    parts.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_even", "_odd")
 
-    def __init__(self, coeffs: Optional[dict[int, int]] = None):
-        self._coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
+    def __init__(self, even: Iterable[int] = (), odd: Iterable[int] = ()):
+        self._even = tuple(even)
+        self._odd = tuple(odd)
+
+    def _terms(self) -> list[tuple[int, int]]:
+        """The nonzero (order, coeff) pairs in increasing order."""
+        pairs = zip_longest(self._even, self._odd, fillvalue=0)
+        return [(order, c) for k, pair in enumerate(pairs)
+                for order, c in enumerate(pair, 2 * k) if c]
 
     def coeff(self, order: int) -> int:
-        return self._coeffs.get(order, 0)
+        row, k = (self._odd if order & 1 else self._even), order >> 1
+        return row[k] if 0 <= k < len(row) else 0
 
     def orders(self) -> list[int]:
-        return sorted(self._coeffs)
+        return [order for order, _ in self._terms()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AmplitudePolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._terms() == other._terms()
 
     def __str__(self) -> str:
         """Human-readable form in the bend symbol, e.g. 1 + 3*(i*eps0)^2."""
         parts = []
-        for k, c in sorted(self._coeffs.items()):
+        for k, c in self._terms():
             if k == 0:
                 parts.append(str(c))
                 continue
@@ -101,22 +111,12 @@ class AmplitudePolynomial:
         return f"AmplitudePolynomial({self})"
 
     def evaluate_exact(self, eps0: Fraction) -> tuple[Fraction, Fraction]:
-        """Substitute a rational eps0; return exact (real, imag) parts.
-
-        Gathers each parity's orders densely, gaps as 0, for parity_parts;
-        a parity with no order (as in every sector sum) is an empty row.
-        """
-        coeffs = self._coeffs
-
-        def row(parity: int) -> list[int]:
-            top = max((k for k in coeffs if k % 2 == parity), default=-1)
-            return [coeffs.get(k, 0) for k in range(parity, top + 1, 2)]
-
-        return parity_parts(row(0), row(1), Fraction(eps0))
+        """Substitute a rational eps0; return exact (real, imag) parts."""
+        return parity_parts(self._even, self._odd, Fraction(eps0))
 
     def to_json_dict(self) -> dict[str, int]:
         """Coefficients keyed by stringified order for JSON output."""
-        return {str(k): self._coeffs[k] for k in sorted(self._coeffs)}
+        return {str(k): c for k, c in self._terms()}
 
 
 def parity_parts(even: Iterable[int], odd: Iterable[int], eps0: Fraction
@@ -164,16 +164,16 @@ def path_amplitude(path: tuple[Direction, ...]) -> AmplitudePolynomial:
     coeff = 1
     for _, coord in pairs[:-1]:
         coeff *= 2 * coord - 1
-    return AmplitudePolynomial({max(len(pairs) - 1, 0): coeff})
+    order = max(len(pairs) - 1, 0)
+    row = (0,) * (order >> 1) + (coeff,)
+    return (AmplitudePolynomial((), row) if order & 1
+            else AmplitudePolynomial(row))
 
 
 def _check_sector(P: int, Q: int, cap: int) -> None:
     if P < 0 or Q < 0:
         raise InvalidParameterError("segment counts P, Q must be >= 0")
-    if P + Q > cap:
-        raise ResourceLimitError(
-            f"P + Q = {P + Q} exceeds enumeration cap {cap}; "
-            "raise the cap explicitly if the wait is acceptable")
+    check_cap("P + Q", P + Q, "enumeration", cap)
 
 
 def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
@@ -266,10 +266,10 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
         # nothing for the last segment, or the prefix cannot start on
         # `start`; an empty prefix is fine when the path is just (end,)
         return AmplitudePolynomial()
-    if not other:  # one straight prefix; a bend after it is the last
-        return AmplitudePolynomial({0: 1})
-    coeffs: dict[int, int] = {}
-    get = coeffs.get
+    if not other:  # one straight prefix; a bend after it is the last, so
+        # order 0, even where start is end: the straight path, as (3, 0, R, R)
+        return AmplitudePolynomial((1,))
+    row = [0] * ((P + Q) >> 1)  # order k <= P + Q - 2 at k >> 1, one parity
     stack = [(on_right, 0, 0, 0, 1, 1)]
     push, pop = stack.append, stack.pop
     while stack:
@@ -290,7 +290,8 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
         # closes the prefix and either bends into the last segment (that
         # bend is the last) or runs on into it (the bend at `last` is)
         if on_right is to_right:
-            coeffs[bends] = get(bends, 0) + prod * (2 * last - 1)
+            row[bends >> 1] += prod * (2 * last - 1)
         else:
-            coeffs[bends - 1] = get(bends - 1, 0) + prod
-    return AmplitudePolynomial(coeffs)
+            row[(bends - 1) >> 1] += prod
+    return (AmplitudePolynomial((), row) if start is end
+            else AmplitudePolynomial(row))

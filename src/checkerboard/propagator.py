@@ -49,7 +49,7 @@ from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .bessel import bessel_j0_j1
-from .errors import DomainError, InvalidParameterError, ResourceLimitError
+from .errors import DomainError, InvalidParameterError, check_cap
 from .paths import AmplitudePolynomial, Direction, parity_parts
 from .spacetime import (RationalLike, rational_square_root,
                         spectrum_membership, to_fraction)
@@ -180,7 +180,7 @@ class LinearSpec(_Endpoint):
 def _sector_row(e_right: Sequence[int], e_left: Sequence[int],
                 start: Direction, end: Direction) -> Iterator[int]:
     """A sector sum's coefficients c_k in (i * step), from per-axis e_k rows,
-    as a lazy row: Estrin's first pass or _component's zip reads it once.
+    as a lazy row that Estrin's first pass or _component's tuple reads once.
 
     e_right[k] is e_k of the weights of the first P - 1 right segments and
     e_left[k] the same for the first Q - 1 left segments; a counted reversal
@@ -204,9 +204,8 @@ def _component(row: Callable[[int], Sequence[int]], P: int, Q: int,
                start: Direction, end: Direction) -> AmplitudePolynomial:
     if P < 1 or Q < 1:
         raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
-    orders = range(start is end, P + Q, 2)  # c_k at 2k + 1 on the diagonal
-    return AmplitudePolynomial(
-        dict(zip(orders, _sector_row(row(P - 1), row(Q - 1), start, end))))
+    c = _sector_row(row(P - 1), row(Q - 1), start, end)
+    return AmplitudePolynomial((), c) if start is end else AmplitudePolynomial(c)
 
 
 def exact_component(P: int, Q: int, start: Direction, end: Direction) -> AmplitudePolynomial:
@@ -226,13 +225,6 @@ def linear_component(P: int, Q: int, start: Direction,
     all counted reversals weigh the same here.
     """
     return _component(LinearSpec.row, P, Q, start, end)
-
-
-def _check_lattice_size(P: int, Q: int, cap: int) -> None:
-    if P + Q > cap:
-        raise ResourceLimitError(
-            f"P + Q = {P + Q} exceeds lattice cap {cap}; "
-            "raise the cap explicitly if the wait is acceptable")
 
 
 def split_counts(N: int, v: RationalLike) -> Optional[tuple[int, int]]:
@@ -281,7 +273,7 @@ def exact_parts(spec: LatticeSpec | LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     step's denominator, divided once, so cancellation costs nothing.
     P + Q above cap raises ResourceLimitError before any work.
     """
-    _check_lattice_size(spec.P, spec.Q, cap)
+    check_cap("P + Q", spec.P + spec.Q, "lattice", cap)
     e_right = spec.row(spec.P - 1)
     e_left = e_right if spec.Q == spec.P else spec.row(spec.Q - 1)
     step = spec.step
@@ -411,7 +403,7 @@ def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
     specs = [spec_of(size) for size in sizes]
     for spec in specs:
         if spec is not None:
-            _check_lattice_size(spec.P, spec.Q, cap)
+            check_cap("P + Q", spec.P + spec.Q, "lattice", cap)
     rows: list[ConvergenceRow] = []
     for size, spec in zip(sizes, specs):
         if spec is None:

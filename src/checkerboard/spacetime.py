@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, check_cap
 
 RationalLike = Union[int, Fraction]
 
@@ -219,10 +219,7 @@ def velocity_spectrum(max_pq: int,
     """
     if max_pq < 1:
         raise InvalidParameterError("max_pq must be >= 1")
-    if max_pq > cap:
-        raise ResourceLimitError(
-            f"max_pq = {max_pq} exceeds spectrum cap {cap}; "
-            "raise the cap explicitly if the wait is acceptable")
+    check_cap("max_pq", max_pq, "spectrum", cap)
     values = set()
     for p in range(1, max_pq + 1):
         for q in range(1, max_pq + 1):

@@ -11,6 +11,7 @@ from checkerboard import cli
 from checkerboard.bessel import bessel_j0, bessel_j1
 from checkerboard.cli import CSV_HEADER, main
 from checkerboard.paths import AmplitudePolynomial
+from test_paths import poly_of
 
 U = 2.0 ** -53  # float64 unit roundoff
 
@@ -435,6 +436,6 @@ def test_propagator_output_file_round_trip(tmp_path, capsys):
 
 def test_format_amplitude():
     # the amplitude column of `enumerate --format text`
-    assert str(AmplitudePolynomial({0: 1, 2: 3})) == "1 + 3*(i*eps0)^2"
-    assert str(AmplitudePolynomial({1: 1})) == "(i*eps0)"
+    assert str(poly_of({0: 1, 2: 3})) == "1 + 3*(i*eps0)^2"
+    assert str(poly_of({1: 1})) == "(i*eps0)"
     assert str(AmplitudePolynomial()) == "0"

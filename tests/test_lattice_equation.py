@@ -23,9 +23,10 @@ from checkerboard import propagator
 from checkerboard.paths import AmplitudePolynomial, Direction
 from checkerboard.propagator import (LatticeSpec, LinearSpec,
                                      exact_component, linear_component)
+from test_paths import poly_of
 
 R, L = Direction.R, Direction.L
-ZERO, ONE = AmplitudePolynomial(), AmplitudePolynomial({0: 1})
+ZERO, ONE = AmplitudePolynomial(), poly_of({0: 1})
 
 LATTICES = [(LatticeSpec, exact_component), (LinearSpec, linear_component)]
 
@@ -39,7 +40,7 @@ def step_on(same, other, w):
     coeffs = {k: same.coeff(k) for k in same.orders()}
     for k in other.orders():
         coeffs[k + 1] = coeffs.get(k + 1, 0) + w * other.coeff(k)
-    return AmplitudePolynomial(coeffs)
+    return poly_of(coeffs)
 
 
 def equation_checks(component, w, n):

@@ -8,12 +8,13 @@ import pytest
 
 from checkerboard.cli import main
 from checkerboard.errors import InvalidParameterError
-from checkerboard.paths import (AmplitudePolynomial, Direction, bend_records,
-                                count_paths, enumerate_paths)
+from checkerboard.paths import (Direction, bend_records, count_paths,
+                                enumerate_paths)
 from checkerboard.propagator import (COMPONENT_ORDER, WARNING_COMPONENT,
                                      LinearSpec, linear_component,
                                      linear_converge, linear_parts,
                                      split_counts)
+from test_paths import poly_of
 from test_propagator import PARTS_SIZES
 
 R, L = Direction.R, Direction.L
@@ -57,7 +58,7 @@ def test_linear_component_matches_count_paths():
     # the path-count oracle, at sizes enumeration cannot reach
     for P, Q in itertools.product(range(1, 41), repeat=2):
         for start, end in itertools.product((R, L), repeat=2):
-            expected = AmplitudePolynomial(
+            expected = poly_of(
                 {R_ - 1: count_paths(P, Q, start, end, R_)
                  for R_ in range(1, P + Q)})
             assert linear_component(P, Q, start, end) == expected, \

@@ -20,6 +20,17 @@ from checkerboard.paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial,
 R, L = Direction.R, Direction.L
 
 
+def poly_of(coeffs):
+    """The polynomial with coefficient c at order k for each k: c in
+    coeffs, built from its even and odd rows with every gap as 0."""
+    rows = ([], [])
+    for k, c in coeffs.items():
+        row = rows[k % 2]
+        row.extend([0] * (k // 2 + 1 - len(row)))
+        row[k // 2] = c
+    return AmplitudePolynomial(*rows)
+
+
 def fraction_per_term(poly, eps0):
     """Evaluation oracle: one Fraction per term c_k (i eps0)^k, with i^k
     sorted into the real or imaginary part by k mod 4."""
@@ -205,10 +216,10 @@ def test_counted_coords_are_a_bijection():
 
 
 def test_path_amplitude_examples():
-    assert path_amplitude(P_of("RRL")) == AmplitudePolynomial({0: 1})
-    assert path_amplitude(P_of("RLRL")) == AmplitudePolynomial({2: 1})
-    assert path_amplitude(P_of("RRLRLL")) == AmplitudePolynomial({2: 3})
-    assert path_amplitude(P_of("RLR")) == AmplitudePolynomial({1: 1})
+    assert path_amplitude(P_of("RRL")) == poly_of({0: 1})
+    assert path_amplitude(P_of("RLRL")) == poly_of({2: 1})
+    assert path_amplitude(P_of("RRLRLL")) == poly_of({2: 3})
+    assert path_amplitude(P_of("RLR")) == poly_of({1: 1})
 
 
 def test_path_amplitude_is_the_product_over_counted_records():
@@ -224,24 +235,74 @@ def test_path_amplitude_is_the_product_over_counted_records():
         coeff = 1
         for _, coord in counted:
             coeff *= 2 * coord - 1
-        assert path_amplitude(path) == AmplitudePolynomial(
-            {len(counted): coeff}), text_of(path)
+        assert path_amplitude(path) == poly_of({len(counted): coeff}), \
+            text_of(path)
 
 
 def test_amplitude_polynomial_algebra():
-    s = AmplitudePolynomial({0: 1, 1: 0, 2: 3})
+    s = poly_of({0: 1, 1: 0, 2: 3})
     assert s.coeff(0) == 1 and s.coeff(2) == 3 and s.coeff(1) == 0
     assert s.orders() == [0, 2]
-    assert AmplitudePolynomial({1: 0}) == AmplitudePolynomial()
+    assert poly_of({1: 0}) == AmplitudePolynomial()
     assert repr(s) == "AmplitudePolynomial(1 + 3*(i*eps0)^2)"
     assert s.to_json_dict() == {"0": 1, "2": 3}
 
 
+def test_row_zeros_are_no_terms():
+    # zeros in a gap, at the end of a row, or filling a row change none
+    # of the outputs the CLI and the checks read
+    plain = AmplitudePolynomial((1, 0, 3), (0, -2))
+    for poly in (AmplitudePolynomial((1, 0, 3, 0, 0), (0, -2)),
+                 AmplitudePolynomial((1, 0, 3), (0, -2, 0)),
+                 AmplitudePolynomial([1, 0, 3, 0], [0, -2, 0, 0])):
+        assert poly == plain and plain == poly
+        assert poly.orders() == plain.orders() == [0, 3, 4]
+        assert [poly.coeff(k) for k in range(-4, 12)] == \
+            [plain.coeff(k) for k in range(-4, 12)]
+        assert str(poly) == str(plain) == "1 + -2*(i*eps0)^3 + 3*(i*eps0)^4"
+        assert poly.to_json_dict() == plain.to_json_dict() == \
+            {"0": 1, "3": -2, "4": 3}
+    for zero in (AmplitudePolynomial((0,)), AmplitudePolynomial((), (0, 0)),
+                 AmplitudePolynomial((0, 0), (0,))):
+        assert zero == AmplitudePolynomial() and zero != plain
+        assert zero.orders() == [] and str(zero) == "0"
+        assert zero.to_json_dict() == {}
+        assert zero.coeff(0) == zero.coeff(1) == 0
+
+
+def test_coeff_outside_the_rows_is_zero():
+    poly = AmplitudePolynomial((5, 6), (7, 8))
+    assert [poly.coeff(k) for k in range(4)] == [5, 7, 6, 8]
+    # a negative order must not wrap round to the end of a row
+    assert [poly.coeff(k) for k in (-1, -2, -3, -4, -5)] == [0] * 5
+    assert [poly.coeff(k) for k in (4, 5, 6, 99)] == [0] * 4
+
+
+def test_both_rows_filled_evaluate_to_the_oracle():
+    even, odd = (3, -1, 0, 7, 2**90), (-4, 0, 5, 11)
+    poly = AmplitudePolynomial(even, odd)
+    assert poly.orders() == [0, 1, 2, 5, 6, 7, 8]
+    padded = AmplitudePolynomial(even + (0, 0), odd + (0,))
+    for eps0 in (Fraction(0), Fraction(1, 3), Fraction(-7, 2), 5):
+        assert poly.evaluate_exact(eps0) == fraction_per_term(poly, eps0)
+        assert padded.evaluate_exact(eps0) == poly.evaluate_exact(eps0)
+
+
+def test_straight_path_is_the_one_even_start_is_end_sector():
+    # a start-is-end sector has odd orders, but for the straight path,
+    # whose amplitude 1 sits at order 0
+    straight = sector_sum_bruteforce(3, 0, R, R)
+    assert straight == AmplitudePolynomial((1,))
+    assert straight.orders() == [0] and straight.coeff(0) == 1
+    assert straight == path_amplitude(P_of("RRR"))
+    assert sector_sum_bruteforce(3, 1, R, R).orders() == [1]
+
+
 def test_amplitude_evaluation_exact():
-    poly = AmplitudePolynomial({0: 1, 2: 1})
+    poly = poly_of({0: 1, 2: 1})
     re, im = poly.evaluate_exact(Fraction(1, 8))
     assert (re, im) == (Fraction(63, 64), Fraction(0))
-    poly_odd = AmplitudePolynomial({1: 1, 3: 15})
+    poly_odd = poly_of({1: 1, 3: 15})
     re, im = poly_odd.evaluate_exact(Fraction(1, 2))
     # i/2 + 15 (i/2)^3 = i/2 - 15 i/8
     assert (re, im) == (Fraction(0), Fraction(1, 2) - Fraction(15, 8))
@@ -260,7 +321,7 @@ def test_amplitude_evaluation_exact():
     3, -2, 0.1, -1.75,
 ])
 def test_evaluation_edge_cases_match_oracle(coeffs, eps0):
-    poly = AmplitudePolynomial(coeffs)
+    poly = poly_of(coeffs)
     re, im = poly.evaluate_exact(eps0)
     assert type(re) is Fraction and type(im) is Fraction
     assert (re, im) == fraction_per_term(poly, eps0)
@@ -275,7 +336,7 @@ def test_evaluation_edge_cases_match_oracle(coeffs, eps0):
                        max_size=12),
        st.fractions(max_denominator=10**12))
 def test_evaluation_equals_oracle(coeffs, eps0):
-    poly = AmplitudePolynomial(coeffs)
+    poly = poly_of(coeffs)
     assert poly.evaluate_exact(eps0) == fraction_per_term(poly, eps0)
 
 
@@ -300,7 +361,7 @@ def test_evaluation_at_every_estrin_padding_matches_oracle(count, layout):
     else:
         first = 0 if layout == "even" else 1
         coeffs = {first + 2 * j: c for j, c in enumerate(cs)}
-    poly = AmplitudePolynomial(coeffs)
+    poly = poly_of(coeffs)
     assert len(poly.orders()) == len(coeffs)
     for eps0 in (Fraction(2, 131073), Fraction(-5, 3), Fraction(0)):
         assert poly.evaluate_exact(eps0) == fraction_per_term(poly, eps0), \
@@ -312,17 +373,17 @@ def test_evaluation_at_every_estrin_padding_matches_oracle(count, layout):
                        max_size=8),
        st.fractions(min_value=-2, max_value=2, max_denominator=100))
 def test_amplitude_evaluation_matches_complex(coeffs, eps0):
-    poly = AmplitudePolynomial(coeffs)
+    poly = poly_of(coeffs)
     re, im = poly.evaluate_exact(eps0)
     direct = sum(c * (1j * complex(eps0)) ** k for k, c in coeffs.items())
     assert complex(float(re), float(im)) == pytest.approx(direct, abs=1e-6)
 
 
 def test_sector_sum_examples():
-    one = AmplitudePolynomial({0: 1})
+    one = poly_of({0: 1})
     assert sector_sum_bruteforce(2, 1, R, L) == one
-    assert sector_sum_bruteforce(2, 2, R, L) == AmplitudePolynomial({0: 1, 2: 1})
-    assert sector_sum_bruteforce(2, 1, R, R) == AmplitudePolynomial({1: 1})
+    assert sector_sum_bruteforce(2, 2, R, L) == poly_of({0: 1, 2: 1})
+    assert sector_sum_bruteforce(2, 1, R, R) == poly_of({1: 1})
 
 
 def test_sector_sum_equals_the_per_path_sum():
@@ -342,7 +403,7 @@ def test_sector_sum_equals_the_per_path_sum():
                 for k in amp.orders():
                     total[k] = total.get(k, 0) + amp.coeff(k)
             assert sector_sum_bruteforce(P, Q, start, end) == \
-                AmplitudePolynomial(total), (P, Q, start, end)
+                poly_of(total), (P, Q, start, end)
 
 
 def test_evaluation_of_gapped_bruteforce_sums_matches_oracle():
@@ -353,8 +414,7 @@ def test_evaluation_of_gapped_bruteforce_sums_matches_oracle():
         for start, end in ((R, L), (R, R)):
             brute = sector_sum_bruteforce(P, Q, start, end)
             coeffs.update((k, brute.coeff(k)) for k in brute.orders())
-        gapped = AmplitudePolynomial(
-            {k: c for k, c in coeffs.items() if k % 3 != 2})
+        gapped = poly_of({k: c for k, c in coeffs.items() if k % 3 != 2})
         assert 1 in gapped.orders() and 5 not in gapped.orders()
         assert 4 in gapped.orders() and 8 not in gapped.orders()
         for eps0 in (Fraction(1, 85), Fraction(-7, 3), Fraction(0)):
@@ -371,7 +431,7 @@ def test_sector_sum_deep_sectors():
              (2999, 1, R, R): {1: 2998 ** 2}}
     for (P, Q, start, end), coeffs in cases.items():
         assert sector_sum_bruteforce(P, Q, start, end, cap=3000) == \
-            AmplitudePolynomial(coeffs), (P, Q, start, end)
+            poly_of(coeffs), (P, Q, start, end)
 
 
 def test_sector_sum_refusals():

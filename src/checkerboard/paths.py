@@ -75,6 +75,8 @@ class AmplitudePolynomial:
     __slots__ = ("_even", "_odd")
 
     def __init__(self, even: Iterable[int] = (), odd: Iterable[int] = ()):
+        if hasattr(even, "keys") or hasattr(odd, "keys"):  # a mapping
+            raise TypeError("rows of coefficients, not a mapping of orders")
         self._even = tuple(even)
         self._odd = tuple(odd)
 
@@ -269,7 +271,9 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
     if not other:  # one straight prefix; a bend after it is the last, so
         # order 0, even where start is end: the straight path, as (3, 0, R, R)
         return AmplitudePolynomial((1,))
-    row = [0] * ((P + Q) >> 1)  # order k <= P + Q - 2 at k >> 1, one parity
+    # order k at k >> 1 up to the top: 2m - 2 with m runs on each axis, or
+    # 2m - 1 with m + 1 on start's if start is end; m <= this row length
+    row = [0] * min(first, other + (start is not end))
     stack = [(on_right, 0, 0, 0, 1, 1)]
     push, pop = stack.append, stack.pop
     while stack:

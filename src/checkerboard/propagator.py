@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import frexp, isfinite, ldexp, sqrt
 from operator import mul
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bessel import bessel_j0_j1
 from .errors import DomainError, InvalidParameterError, check_cap
@@ -177,10 +177,10 @@ class LinearSpec(_Endpoint):
     epsilon = _Endpoint.step
 
 
-def _sector_row(e_right: Sequence[int], e_left: Sequence[int],
-                start: Direction, end: Direction) -> Iterator[int]:
+def _sector_rows(e_right: Sequence[int], e_left: Sequence[int], start: Direction,
+                 end: Direction) -> tuple[Iterable[int], Iterable[int]]:
     """A sector sum's coefficients c_k in (i * step), from per-axis e_k rows,
-    as a lazy row that Estrin's first pass or _component's tuple reads once.
+    as (even, odd) rows: one a lazy row, read once, and the other ().
 
     e_right[k] is e_k of the weights of the first P - 1 right segments and
     e_left[k] the same for the first Q - 1 left segments; a counted reversal
@@ -195,24 +195,24 @@ def _sector_row(e_right: Sequence[int], e_left: Sequence[int],
     brute-force enumeration oracle pins these bounds down.
     """
     if start is not end:
-        return map(mul, e_right, e_left)
+        return map(mul, e_right, e_left), ()
     own, other = (e_right, e_left) if start is Direction.R else (e_left, e_right)
-    return map(mul, own[1:], other)
+    return (), map(mul, own[1:], other)
 
 
 def _component(row: Callable[[int], Sequence[int]], P: int, Q: int,
                start: Direction, end: Direction) -> AmplitudePolynomial:
     if P < 1 or Q < 1:
         raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
-    c = _sector_row(row(P - 1), row(Q - 1), start, end)
-    return AmplitudePolynomial((), c) if start is end else AmplitudePolynomial(c)
+    rows = _sector_rows(row(P - 1), row(Q - 1), start, end)
+    return AmplitudePolynomial(*rows)
 
 
 def exact_component(P: int, Q: int, start: Direction, end: Direction) -> AmplitudePolynomial:
     """Exact sector sum as a polynomial in (i * eps0), no enumeration.
 
     With O_n the first n odd weights, the mixed sectors carry
-    e_k(O_{P-1}) * e_k(O_{Q-1}) at order 2k (see _sector_row).
+    e_k(O_{P-1}) * e_k(O_{Q-1}) at order 2k (see _sector_rows).
     """
     return _component(LatticeSpec.row, P, Q, start, end)
 
@@ -266,8 +266,8 @@ def exact_parts(spec: LatticeSpec | LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     """All four components of either spec at its step, as exact (real,
     imag) pairs: the exact Gaussian rational value of each path sum.
 
-    Each sector's row (see _sector_row) goes to paths.parity_parts as is,
-    with () for the parity it lacks; the mixed sectors are one even row,
+    Each sector's rows (see _sector_rows) go to paths.parity_parts as they
+    are, () for the parity it lacks; the mixed sectors are one even row,
     evaluated once and reported twice, the diagonal ones odd rows, one for
     both when P == Q. Each part is an integer sum over one power of the
     step's denominator, divided once, so cancellation costs nothing.
@@ -278,10 +278,10 @@ def exact_parts(spec: LatticeSpec | LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     e_left = e_right if spec.Q == spec.P else spec.row(spec.Q - 1)
     step = spec.step
     R, L = Direction.R, Direction.L
-    mixed = parity_parts(_sector_row(e_right, e_left, R, L), (), step)
-    pp = parity_parts((), _sector_row(e_right, e_left, R, R), step)
+    mixed = parity_parts(*_sector_rows(e_right, e_left, R, L), step)
+    pp = parity_parts(*_sector_rows(e_right, e_left, R, R), step)
     mm = pp if e_left is e_right else parity_parts(
-        (), _sector_row(e_right, e_left, L, L), step)
+        *_sector_rows(e_right, e_left, L, L), step)
     return {"psi_pp": pp, "psi_pm": mixed, "psi_mp": mixed, "psi_mm": mm}
 
 

@@ -3,8 +3,10 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -268,6 +270,15 @@ def test_row_zeros_are_no_terms():
         assert zero.orders() == [] and str(zero) == "0"
         assert zero.to_json_dict() == {}
         assert zero.coeff(0) == zero.coeff(1) == 0
+
+
+def test_a_mapping_of_orders_is_refused():
+    # tuple() of a dict keeps its keys, so a dict would silently become
+    # the row of its orders
+    for even, odd in (({0: 1, 2: 3}, ()), ((), {1: 5}), ({}, {}),
+                      (MappingProxyType({0: 1}), ()), ((), Counter([1]))):
+        with pytest.raises(TypeError, match="not a mapping of orders"):
+            AmplitudePolynomial(even, odd)
 
 
 def test_coeff_outside_the_rows_is_zero():

@@ -29,7 +29,7 @@ bounded ones, and the exact test adds a median of 1 (mean 2.8, at most
 check, p/q, p^2, sh, F) once for both orders and builds no SeriesResult
 and no bound; the two term chains stay separate, since one chain would
 floor different integers. The field benchmark's median operation, a
-closed_matrix call, takes 15.7 us (BENCH_21.json, 2-CPU x86-64).
+closed_matrix call, takes 14.5 us (BENCH_23.json, 2-CPU x86-64).
 An error made at term j reaches term j + m scaled by at most
 (s/2)^(2m) / (m!)^2, so K computed terms carry at most K I0(s) <= K e^s
 units of 2^-F of rounding, that is K 2^-(63 + extra) (one bit spare for

@@ -20,15 +20,22 @@ h and h/2; a genuinely non-solving field (the deliberately rescaled-J0
 control) leaves an h-independent floor instead.
 
 Inside the cone psi_pp = i a, psi_pm = b and psi_mm = i c with a, b, c
-real, so the fields are held as real arrays and the rows are formed in
-real arithmetic: b - a_t - a_x, i (b_t - b_x + a), i (b_t + b_x + c) and
-b - c_t + c_x. That is exact: the factor i only moves values between the
-real and imaginary parts, and each row is purely real or purely
-imaginary. The complex residual_rows is the oracle the tests hold it to.
+real, so the rows are formed from real arrays: b - a_t - a_x,
+i (b_t - b_x + a), i (b_t + b_x + c) and b - c_t + c_x. That is exact, as
+each row is purely real or purely imaginary; the complex residual_rows is
+the oracle the tests hold it to.
 
-A fine grid (spacing h/2) of more than cap nodes (DEFAULT_GRID_CAP = 2^22,
-near 0.55 GB at about 130 bytes a node) is refused with ResourceLimitError
-before any array is built.
+Only the x >= 0 half of a grid is built, plus a ghost column at x = -h.
+Node x values are h m for integer m, so s and b are even in x and a at -x
+is c at x, bit for bit; an x difference changes sign under the mirror and
+a t difference does not. So rows 1 and 2 at -x are rows 4 and 3 at x,
+and as the mask is symmetric, each whole-grid maximum is the larger of a
+pair over the half: psi1_row1 = psi2_row2 and psi1_row2 = psi2_row1. The
+half holds the grid's min and max of s, which with each element fix all
+that j0_j1_values does, so the Bessel values are the whole grid's too.
+
+A fine grid (spacing h/2) of over cap nodes (DEFAULT_GRID_CAP = 2^22,
+about 0.1 GB at 25 bytes a node) raises ResourceLimitError up front.
 """
 
 from __future__ import annotations
@@ -75,10 +82,18 @@ class ResidualReport:
     observed_order: dict[str, float]
 
 
-def _central(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences (f_t, f_x) on the interior of an [t, x] grid."""
-    return ((f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * h),
-            (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * h))
+def _central(f: np.ndarray, h: float, out=(None, None)):
+    """Central differences (f_t, f_x) on f's interior, into out if given."""
+    f_t = np.subtract(f[2:, 1:-1], f[:-2, 1:-1], out=out[0])
+    f_x = np.subtract(f[1:-1, 2:], f[1:-1, :-2], out=out[1])
+    f_t /= 2.0 * h
+    f_x /= 2.0 * h
+    return f_t, f_x
+
+
+def _times_i(f: np.ndarray) -> np.ndarray:
+    """1j * f, in f's own buffer when f is complex."""
+    return np.multiply(f, 1j, out=f if np.iscomplexobj(f) else None)
 
 
 def residual_rows(u: np.ndarray, w: np.ndarray,
@@ -94,50 +109,38 @@ def residual_rows(u: np.ndarray, w: np.ndarray,
         raise InvalidParameterError("need at least 3 nodes per axis")
     du_dt, du_dx = _central(u, h)
     dw_dt, dw_dx = _central(w, h)
-    row1 = 1j * du_dt + 1j * du_dx + w[1:-1, 1:-1]
-    row2 = 1j * dw_dt - 1j * dw_dx + u[1:-1, 1:-1]
-    return row1, row2
+    row1 = _times_i(np.add(du_dt, du_dx, out=du_dt))
+    row2 = _times_i(np.subtract(dw_dt, dw_dx, out=dw_dt))
+    return (np.add(row1, w[1:-1, 1:-1], out=row1),
+            np.add(row2, u[1:-1, 1:-1], out=row2))
 
 
-def _mirrored_j0_j1(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """j0_j1_values(s), from the right half of a [t, x] array s whose
-    columns mirror about the middle, as s does on _grid's nodes: x is h m
-    for m = -n_x-1..n_x+1, so s is exactly symmetric in x.
-
-    j0_j1_values' start order, rescale and tiny handling depend only on
-    the array's min and max, which the right half shares, and on each
-    element itself, so the mirrored half is the whole result bit for bit.
-    Any other array goes to j0_j1_values whole.
-    """
-    mid = s.shape[1] // 2 if s.ndim == 2 else 0
-    if not (mid and np.array_equal(s[:, :mid], s[:, :-mid - 1:-1])):
-        return j0_j1_values(s)
-    j0, j1 = j0_j1_values(s[:, mid:])
-    return (np.concatenate((j0[:, :-mid - 1:-1], j0), axis=1),
-            np.concatenate((j1[:, :-mid - 1:-1], j1), axis=1))
-
-
-def _component_fields(tt: np.ndarray, xx: np.ndarray, j0_scale: float):
-    """Real arrays (a, b, c) with psi_pp = i a, psi_pm = b, psi_mm = i c.
+def _component_fields(t: np.ndarray, x: np.ndarray, j0_scale: float):
+    """Real arrays (a, b, c), psi_pp = i a, psi_pm = b, psi_mm = i c, at
+    the nodes t and x broadcast to.
 
     a = (t + x) J1(s) / s, b = J0(s) and c = (t - x) J1(s) / s are real
     inside the cone, so dropping the factor i loses nothing. Nodes outside
     get 0; the caller's mask must keep measured points far enough inside
     that their difference stencils never read that fill.
     """
-    s_sq = tt * tt - xx * xx
-    inside = s_sq > 0.0
-    s = np.sqrt(np.where(inside, s_sq, 1.0))
-    j0, j1 = _mirrored_j0_j1(s)
+    s = t * t - x * x
+    outside = s <= 0.0
+    np.copyto(s, 1.0, where=outside)
+    j0, j1 = j0_j1_values(np.sqrt(s, out=s))
     j1 /= s
-    a = np.where(inside, (tt + xx) * j1, 0.0)
-    b = np.where(inside, j0 * j0_scale, 0.0)
-    c = np.where(inside, (tt - xx) * j1, 0.0)
+    a = np.multiply(np.add(t, x, out=s), j1, out=s)
+    c = np.multiply(t - x, j1, out=j1)
+    b = np.multiply(j0, j0_scale, out=j0)
+    for f in (a, b, c):
+        np.copyto(f, 0.0, where=outside)
     return a, b, c
 
 
-def _masked_max(arr: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.max(np.abs(arr)[mask]))
+def _masked_max(mask: np.ndarray, *rows: np.ndarray) -> float:
+    """Largest |value| over mask in any of rows, which are overwritten."""
+    return max(float(np.max(np.abs(row, out=row), where=mask, initial=0.0))
+               for row in rows)
 
 
 def _steps(region: Region, h: float, cap: int) -> tuple[int, int]:
@@ -158,30 +161,34 @@ def _steps(region: Region, h: float, cap: int) -> tuple[int, int]:
 
 
 def _grid(region: Region, h: float, margin: float, cap: int):
-    """Node coordinates (tt, xx) at spacing h and the mask of interior
-    nodes measured. The mask always holds (t0, 0), since dirac_residual
-    requires t0 >= t0 (1 - xfrac) > 2h = margin."""
+    """Half grid at spacing h: t as a column, x >= -h as a row, and the
+    mask of measured nodes at x >= 0. The mask always holds (t0, 0), since
+    dirac_residual requires t0 >= t0 (1 - xfrac) > 2h = margin."""
     n_t, n_x = _steps(region, h, cap)
-    t_vals = region.t0 + h * np.arange(-1, n_t + 2)
-    x_vals = h * np.arange(-n_x - 1, n_x + 2)
-    tt, xx = np.meshgrid(t_vals, x_vals, indexing="ij")
-    t_in = tt[1:-1, 1:-1]
-    x_in = np.abs(xx[1:-1, 1:-1])
-    mask = (t_in - x_in > margin) & (x_in <= region.xfrac * t_in)
-    return tt, xx, mask
+    t = region.t0 + h * np.arange(-1, n_t + 2)[:, None]
+    x = h * np.arange(-1, n_x + 2)[None, :]
+    t_in, x_in = t[1:-1], x[:, 1:-1]
+    return t, x, (t_in - x_in > margin) & (x_in <= region.xfrac * t_in)
 
 
-def _residuals_at(h: float, j0_scale: float, tt: np.ndarray, xx: np.ndarray,
+def _residuals_at(h: float, j0_scale: float, t: np.ndarray, x: np.ndarray,
                   mask: np.ndarray) -> tuple[dict[str, float], int]:
-    a, b, c = _component_fields(tt, xx, j0_scale)
-    a_t, a_x = _central(a, h)
-    b_t, b_x = _central(b, h)
-    c_t, c_x = _central(c, h)
+    """Row maxima and measured points of the whole grid, from its half."""
+    a, b, c = _component_fields(t, x, j0_scale)
+    f_t, f_x = np.empty(mask.shape), np.empty(mask.shape)
     b_in = b[1:-1, 1:-1]
-    rows = (b_in - (a_t + a_x), b_t - b_x + a[1:-1, 1:-1],
-            b_t + b_x + c[1:-1, 1:-1], c_x - c_t + b_in)
-    values = {key: _masked_max(row, mask) for key, row in zip(ROW_KEYS, rows)}
-    return values, int(mask.sum())
+    _central(a, h, (f_t, f_x))
+    row1 = np.subtract(b_in, np.add(f_t, f_x, out=f_t), out=f_t)
+    rows_14 = _masked_max(mask, row1)
+    _central(c, h, (f_t, f_x))
+    row4 = np.add(np.subtract(f_x, f_t, out=f_x), b_in, out=f_x)
+    rows_14 = max(rows_14, _masked_max(mask, row4))
+    _central(b, h, (f_t, f_x))  # b_in is not read again: row 2 goes there
+    row2 = np.add(np.subtract(f_t, f_x, out=b_in), a[1:-1, 1:-1], out=b_in)
+    row3 = np.add(np.add(f_t, f_x, out=f_t), c[1:-1, 1:-1], out=f_t)
+    rows_23 = _masked_max(mask, row2, row3)
+    points = 2 * int(mask.sum()) - int(mask[:, 0].sum())  # x = 0 once
+    return dict(zip(ROW_KEYS, (rows_14, rows_23, rows_23, rows_14))), points
 
 
 def dirac_residual(region: Region, h: float, j0_scale: float = 1.0,
@@ -213,17 +220,10 @@ def dirac_residual(region: Region, h: float, j0_scale: float = 1.0,
     coarse, n_coarse = _residuals_at(h, j0_scale,
                                      *_grid(region, h, margin, cap))
     fine, n_fine = _residuals_at(h / 2.0, j0_scale, *fine_grid)
-    ratio = {}
-    order = {}
-    for key in ROW_KEYS:
-        if fine[key] == 0.0:
-            ratio[key] = float("inf") if coarse[key] > 0.0 else 1.0
-        else:
-            ratio[key] = coarse[key] / fine[key]
-        if ratio[key] > 0 and isfinite(ratio[key]):
-            order[key] = log2(ratio[key])
-        else:
-            order[key] = float("nan")
+    ratio = {key: coarse[key] / fine[key] if fine[key] != 0.0
+             else inf if coarse[key] > 0.0 else 1.0 for key in ROW_KEYS}
+    order = {key: log2(r) if 0.0 < r < inf else float("nan")
+             for key, r in ratio.items()}
     return ResidualReport(
         h=h, margin=margin, j0_scale=j0_scale,
         points_coarse=n_coarse, points_fine=n_fine,

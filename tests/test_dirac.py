@@ -1,5 +1,6 @@
 """Finite-difference verification that the closed forms solve the equation."""
 
+import tracemalloc
 from math import inf, log2, nextafter
 
 import numpy as np
@@ -21,6 +22,46 @@ def component_fields(t, x):
     """The real fields (a, b, c) that dirac_residual assembles, with
     psi_pp = i a, psi_pm = b and psi_mm = i c, at the given points."""
     return dirac._component_fields(np.array(t), np.array(x), 1.0)
+
+
+def full_grid(region, h, margin):
+    """The whole grid, x from -(n_x + 1) h to (n_x + 1) h, as node arrays
+    (tt, xx) and the mask of measured interior nodes."""
+    n_t, n_x = dirac._steps(region, h, DEFAULT_GRID_CAP)
+    tt, xx = np.meshgrid(region.t0 + h * np.arange(-1, n_t + 2),
+                         h * np.arange(-n_x - 1, n_x + 2), indexing="ij")
+    t_in, x_in = tt[1:-1, 1:-1], np.abs(xx[1:-1, 1:-1])
+    return tt, xx, (t_in - x_in > margin) & (x_in <= region.xfrac * t_in)
+
+
+def full_fields(tt, xx, j0_scale):
+    """(a, b, c) over the whole grid, with j0_j1_values on all of it."""
+    s_sq = tt * tt - xx * xx
+    inside = s_sq > 0.0
+    s = np.sqrt(np.where(inside, s_sq, 1.0))
+    j0, j1 = j0_j1_values(s)
+    j1 /= s
+    return (np.where(inside, (tt + xx) * j1, 0.0),
+            np.where(inside, j0 * j0_scale, 0.0),
+            np.where(inside, (tt - xx) * j1, 0.0))
+
+
+def full_residuals(region, h, margin, j0_scale):
+    """Row maxima and measured points from all four rows over the whole
+    grid: the reference that dirac_residual's x >= 0 half is held to."""
+    tt, xx, mask = full_grid(region, h, margin)
+    a, b, c = full_fields(tt, xx, j0_scale)
+
+    def central(f):
+        return ((f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * h),
+                (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * h))
+
+    (a_t, a_x), (b_t, b_x), (c_t, c_x) = map(central, (a, b, c))
+    b_in = b[1:-1, 1:-1]
+    rows = (b_in - (a_t + a_x), b_t - b_x + a[1:-1, 1:-1],
+            b_t + b_x + c[1:-1, 1:-1], c_x - c_t + b_in)
+    return ({key: float(np.max(np.abs(row)[mask]))
+             for key, row in zip(ROW_KEYS, rows)}, int(mask.sum()))
 
 
 def test_assemble_at_origin_axis():
@@ -106,8 +147,8 @@ def test_smallest_admitted_t0_measures_the_axis_node():
         dirac_residual(Region(t0=nextafter(t0, 0), t1=1.0, xfrac=xfrac), h)
     region = Region(t0=t0, t1=1.0, xfrac=xfrac)
     for spacing in (h, h / 2):
-        tt, xx, mask = dirac._grid(region, spacing, 2 * h, DEFAULT_GRID_CAP)
-        axis = (tt[1:-1, 1:-1] == t0) & (xx[1:-1, 1:-1] == 0.0)
+        t, x, mask = dirac._grid(region, spacing, 2 * h, DEFAULT_GRID_CAP)
+        axis = (t[1:-1] == t0) & (x[:, 1:-1] == 0.0)
         assert axis.sum() == 1 and mask[axis].all(), spacing
     report = dirac_residual(region, h)
     assert report.points_coarse >= 1 and report.points_fine >= 1
@@ -147,10 +188,10 @@ def test_independence_determinant():
 
 def complex_oracle(region, h, margin, j0_scale):
     """Residual maxima from the complex fields (i a, b, i c) through the
-    public residual_rows, on the grid and mask the real path uses; also
-    returns M, the largest |field| on the grid."""
-    tt, xx, mask = dirac._grid(region, h, margin, DEFAULT_GRID_CAP)
-    a, b, c = dirac._component_fields(tt, xx, j0_scale)
+    public residual_rows, all four rows over the whole grid and its mask;
+    also returns M, the largest |field| on the grid."""
+    tt, xx, mask = full_grid(region, h, margin)
+    a, b, c = full_fields(tt, xx, j0_scale)
     rows = (residual_rows(1j * a, b + 0j, h)
             + residual_rows(b + 0j, 1j * c, h))
     maxima = {key: float(np.max(np.abs(row)[mask]))
@@ -211,8 +252,8 @@ def test_grid_cap_refuses_before_any_field(monkeypatch, h):
                                        (Region(1.0, 1.4, 0.3), 0.04),
                                        (Region(1.0, 2.0, 0.0), 0.05)])
 def test_grid_cap_counts_the_fine_grid(monkeypatch, region, h):
-    nodes = dirac._grid(region, h / 2.0, 2.0 * h, DEFAULT_GRID_CAP)[0].size
-    assert dirac._grid(region, h, 2.0 * h, DEFAULT_GRID_CAP)[0].size < nodes
+    nodes = full_grid(region, h / 2.0, 2.0 * h)[0].size
+    assert full_grid(region, h, 2.0 * h)[0].size < nodes
     assert dirac_residual(region, h, cap=nodes) == dirac_residual(region, h)
     # the coarse grid fits under nodes - 1; the refusal still comes first
     forbid_fields(monkeypatch)
@@ -228,19 +269,27 @@ def test_default_grid_cap_admits_h_0_0025():
     assert 2003 * 1923 <= DEFAULT_GRID_CAP
 
 
+def bessel_on(t, x):
+    """j0_j1_values over the nodes t and x broadcast to, as the fields
+    take it: s = sqrt(t^2 - x^2), with 1 outside the cone."""
+    s_sq = t * t - x * x
+    return j0_j1_values(np.sqrt(np.where(s_sq > 0.0, s_sq, 1.0)))
+
+
 @pytest.mark.parametrize("region, h", [(README_REGION, 0.04),
                                        (README_REGION, 0.01),
                                        (Region(0.3, 2.0, 0.0), 0.02),
                                        (Region(1.0, 5.0, 0.9), 0.05)])
 def test_mirrored_bessel_equals_the_whole_grid(region, h):
-    # the right half of a grid from _grid, mirrored, gives J0 and J1 of
-    # the whole grid bit for bit; xfrac = 0 leaves one column each side
+    # J0 and J1 on the x >= -h half of a grid from _grid are those of the
+    # whole grid there, bit for bit; xfrac = 0 leaves one column each side
     for spacing in (h, h / 2.0):
-        tt, xx, _ = dirac._grid(region, spacing, 2.0 * h, DEFAULT_GRID_CAP)
-        s_sq = tt * tt - xx * xx
-        s = np.sqrt(np.where(s_sq > 0.0, s_sq, 1.0))
-        for got, want in zip(dirac._mirrored_j0_j1(s), j0_j1_values(s)):
-            assert got.tobytes() == want.tobytes()
+        t, x, _ = dirac._grid(region, spacing, 2.0 * h, DEFAULT_GRID_CAP)
+        tt, xx, _ = full_grid(region, spacing, 2.0 * h)
+        half = np.s_[:, -x.shape[1]:]
+        assert (tt[half] == t).all() and (xx[half] == x).all()
+        for got, want in zip(bessel_on(t, x), bessel_on(tt, xx)):
+            assert got.tobytes() == want[half].tobytes()
 
 
 def test_dirac_residual_evaluates_half_of_each_grid(monkeypatch):
@@ -254,9 +303,41 @@ def test_dirac_residual_evaluates_half_of_each_grid(monkeypatch):
     for h in (0.04, 0.02):
         n_x = dirac._steps(README_REGION, h, DEFAULT_GRID_CAP)[1]
         dirac_residual(README_REGION, 2.0 * h)
-        # the coarse grid (spacing 2h) and then the fine one (spacing h)
-        assert widths[-1] == n_x + 2
-    # arrays that are not symmetric in x go whole
-    tt = np.array([[1.0, 2.0, 3.0]])
-    dirac._component_fields(tt, np.array([[0.0, 0.5, 0.5]]), 1.0)
-    assert widths[-1] == 3
+        # the coarse grid (spacing 2h) and then the fine one (spacing h):
+        # the ghost column x = -h and x = 0 .. (n_x + 1) h
+        assert widths[-1] == n_x + 3
+
+
+HALF_CASES = [(README_REGION, 0.04), (README_REGION, 0.02),
+              (README_REGION, 0.01), (Region(0.3, 2.0, 0.0), 0.04),
+              (Region(1.0, 5.0, 0.9), 0.04), (Region(0.5, 1.0, 0.2), 0.1)]
+
+
+@pytest.mark.parametrize("j0_scale", [1.0, 1.01])
+@pytest.mark.parametrize("region, h", HALF_CASES)
+def test_half_grid_report_equals_the_whole_grid(region, h, j0_scale):
+    # every maximum and point count from the x >= 0 half is the whole-grid
+    # kernel's exactly; xfrac = 0 leaves one column each side, and
+    # (0.5, 1.0, 0.2) at h = 0.1 is the benchmark's warm-up call
+    report = dirac_residual(region, h, j0_scale)
+    for spacing, maxima, points in (
+            (h, report.max_residual_h, report.points_coarse),
+            (h / 2.0, report.max_residual_h2, report.points_fine)):
+        assert (maxima, points) == full_residuals(region, spacing, 2.0 * h,
+                                                  j0_scale), spacing
+
+
+def test_dirac_residual_peak_memory_per_fine_node():
+    # the peak is the fine grid's Bessel pass: s and five work arrays over
+    # the x >= 0 half, about 25 bytes per node of the whole fine grid
+    n_t, n_x = dirac._steps(README_REGION, 0.01 / 2.0, DEFAULT_GRID_CAP)
+    nodes = (n_t + 3) * (2 * n_x + 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dirac_residual(README_REGION, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * nodes, peak / nodes

@@ -15,21 +15,7 @@ power of two, so (s/2)^2 = p^2 / 2^sh with sh = 2 bitlength(q), and each
 term is floored once, as (term p^2 >> sh) // d_k: a shift and a small
 divisor (d_k <= 40,200 up to the cap) give the integer one division by
 4 q^2 d_k gives, since floor(floor(a / 2^sh) / d) = floor(a / (2^sh d)).
-The terms grow while (s/2)^2 > d_k: the peak index, the first k >= 1
-with p^2 <= d_k 2^sh, is a bisection of the divisors for
-ceil(p^2 / 2^sh), and the head up to it is summed in pairs with no test
-and no sign branch. From the peak on the terms alternate and do not
-grow, so the stop test cannot hold while a term is at least the bound
-tol (|sum at the peak| + peak term + floor), rounded up to an integer;
-the tail is summed in pairs against it, one int comparison per term,
-and only then does the exact test run (see _sum). At the field
-benchmark's 2,000 points a sum has a median of 3 head terms and 17
-bounded ones, and the exact test adds a median of 1 (mean 2.8, at most
-22). bessel_j0_j1, which closed_matrix calls, does the setup (the window
-check, p/q, p^2, sh, F) once for both orders and builds no SeriesResult
-and no bound; the two term chains stay separate, since one chain would
-floor different integers. The field benchmark's median operation, a
-closed_matrix call, takes 14.5 us (BENCH_23.json, 2-CPU x86-64).
+_sum states how the terms are summed and where the sum stops.
 An error made at term j reaches term j + m scaled by at most
 (s/2)^(2m) / (m!)^2, so K computed terms carry at most K I0(s) <= K e^s
 units of 2^-F of rounding, that is K 2^-(63 + extra) (one bit spare for
@@ -109,17 +95,21 @@ def _sum(p: int, q: int, num: int, sh: int, bits: int, order: int,
     tol * (|partial sum| + 1), or at MAX_SERIES_TERMS terms; for J1 below
     s = 1 the stop is tol * |partial sum|, relative to the value's size.
 
-    The head runs to the peak index, the first k >= 1 with
+    The terms grow up to the peak index, the first k >= 1 with
     num <= div[k] << sh, that is div[k] >= ceil(num / 2^sh): a bisection
-    finds it, and the head is summed in pairs with no test. From the peak
-    on the magnitudes do not increase and the signs alternate, so every
-    later partial sum lies within term_peak of the sum S_peak there. As
-    fl(tol * fl(x)) is monotone in x, while term >= tol * (|S_peak| +
-    term_peak + floor) the exact test term >= tol * (|total| + floor)
-    cannot fail: that one comparison runs first, then the exact loop. An
-    int term meets h exactly when it meets ceil(h), so h is taken as
-    ceil(h) (ceil(inf) raises: an infinite h stays), and the bounded loop
-    adds at even k and subtracts at odd k in pairs, testing every term.
+    finds it, and the head before it is summed in pairs with no test and
+    no sign branch. From the peak on the magnitudes do not increase and
+    the signs alternate, so every later partial sum lies within term_peak
+    of the sum S_peak there. As fl(tol * fl(x)) is monotone in x, a term
+    at least hoisted = tol * (|S_peak| + term_peak + floor) passes the
+    exact test term >= tol * (|total| + floor). The tail therefore tests
+    term >= hoisted or the exact test: the int comparison decides most
+    terms, and the float one runs only where it fails, so the sum stops
+    at the same k as the exact test alone. An int term meets h exactly
+    when it meets ceil(h), so hoisted is rounded up once (ceil(inf)
+    raises: an infinite bound stays). The tail adds at even k and
+    subtracts at odd k in pairs, testing every term; an odd peak first
+    takes one subtracting step.
     """
     # J1(s) is about s/2: below s = 1, about log2(1/s) more bits keep its
     # 64 significant bits, and the stop test scales with it
@@ -143,24 +133,21 @@ def _sum(p: int, q: int, num: int, sh: int, bits: int, order: int,
     hoisted = tol * (abs(total) + term + floor)
     if hoisted != inf:
         hoisted = ceil(hoisted)
-    if k & 1 and term >= hoisted:
+    if k & 1 and (term >= hoisted or term >= tol * (abs(total) + floor)):
         total -= term
         term = (term * num >> sh) // div[k]
         k += 1
     # runs from an even k, and MAX_SERIES_TERMS is even: div[k + 1] exists
-    while k < MAX_SERIES_TERMS and term >= hoisted:
+    while k < MAX_SERIES_TERMS and (
+            term >= hoisted or term >= tol * (abs(total) + floor)):
         total += term
         term = (term * num >> sh) // div[k]
-        if term < hoisted:
+        if term < hoisted and term < tol * (abs(total) + floor):
             k += 1
             break
         total -= term
         term = (term * num >> sh) // div[k + 1]
         k += 2
-    while k < MAX_SERIES_TERMS and term >= tol * (abs(total) + floor):
-        total += -term if k & 1 else term
-        term = (term * num >> sh) // div[k]
-        k += 1
     return total, term, k, extra
 
 
@@ -195,7 +182,8 @@ def bessel_j1(s: float, tol: float = _TOL) -> SeriesResult:
 
 def bessel_j0_j1(s: float) -> tuple[float, float]:
     """(bessel_j0(s).value, bessel_j1(s).value), bit for bit, with the
-    setup shared by both orders and no record or bound built."""
+    setup shared by both orders and no record or bound built. The two
+    term chains stay separate: one chain would floor different integers."""
     s = float(s)
     _check_window(s, s)
     p, q = s.as_integer_ratio()

@@ -120,20 +120,18 @@ def _component_fields(t: np.ndarray, x: np.ndarray, j0_scale: float):
     the nodes t and x broadcast to.
 
     a = (t + x) J1(s) / s, b = J0(s) and c = (t - x) J1(s) / s are real
-    inside the cone, so dropping the factor i loses nothing. Nodes outside
-    get 0; the caller's mask must keep measured points far enough inside
-    that their difference stencils never read that fill.
+    inside the cone, so dropping the factor i loses nothing. Nodes on or
+    outside the cone take s = 1 and hold meaningless finite values; the
+    caller's mask must keep measured points far enough inside that their
+    difference stencils never read them.
     """
     s = t * t - x * x
-    outside = s <= 0.0
-    np.copyto(s, 1.0, where=outside)
+    np.copyto(s, 1.0, where=s <= 0.0)
     j0, j1 = j0_j1_values(np.sqrt(s, out=s))
     j1 /= s
     a = np.multiply(np.add(t, x, out=s), j1, out=s)
     c = np.multiply(t - x, j1, out=j1)
     b = np.multiply(j0, j0_scale, out=j0)
-    for f in (a, b, c):
-        np.copyto(f, 0.0, where=outside)
     return a, b, c
 
 

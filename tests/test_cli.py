@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -261,19 +260,6 @@ def test_dirac_check(capsys):
     for key, value in payload["ratio"].items():
         assert 3.5 <= value <= 4.5, (key, value)
     assert payload["margin"] == pytest.approx(0.08)
-
-
-DIRAC_GOLDEN = json.loads(
-    (Path(__file__).parent / "dirac_check_golden.json").read_text())
-
-
-@pytest.mark.parametrize("record", DIRAC_GOLDEN,
-                         ids=[" ".join(r["argv"]) for r in DIRAC_GOLDEN])
-def test_dirac_check_readme_example_replays(capsys, record):
-    # the README example and its j0_scale control, stdout pinned byte for
-    # byte: every maximum, ratio and order of the report is held exactly
-    assert run_cli(capsys, *record["argv"]) == (
-        record["code"], record["stdout"], record["stderr"])
 
 
 def test_dirac_check_past_grid_window(capsys):

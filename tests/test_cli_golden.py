@@ -1,10 +1,12 @@
 """Golden CLI transcript: stdout, stderr and exit code, byte for byte.
 
 `cli_golden.json` holds one record per invocation: the README examples
-(except dirac-check, covered in test_cli), four more enumerations (JSON
-from a right and a left start, a one-segment path, text from a left
-start), an empty sector, a linear sweep with skipped sizes, and one
-refusal per nonzero exit code. A change that claims byte-identical output is held to it here.
+(every line of its CLI block, which is checked here too), the
+dirac-check example's `--j0-scale 1.01` control, four more enumerations
+(JSON from a right and a left start, a one-segment path, text from a
+left start), an empty sector, a linear sweep with skipped sizes, and one
+refusal per nonzero exit code. A change that claims byte-identical
+output is held to it here.
 """
 
 import contextlib
@@ -16,7 +18,8 @@ import pytest
 
 from checkerboard.cli import main
 
-RECORDS = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+TESTS = Path(__file__).parent
+RECORDS = json.loads((TESTS / "cli_golden.json").read_text())
 
 
 @pytest.mark.parametrize("record", RECORDS,
@@ -29,3 +32,15 @@ def test_cli_golden_transcript(record, monkeypatch):
         code = main(list(record["argv"]))
     assert (code, out.getvalue(), err.getvalue()) == (
         record["code"], record["stdout"], record["stderr"])
+
+
+def test_readme_cli_block_is_recorded():
+    # every command of the README's CLI block replays above, so no example
+    # there can drift from what the program prints
+    section = (TESTS.parent / "README.md").read_text().split("\n## CLI\n")[1]
+    block = section.split("```\n")[1]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("checkerboard ")]
+    assert commands
+    recorded = [record["argv"] for record in RECORDS]
+    assert [argv for argv in commands if argv not in recorded] == []

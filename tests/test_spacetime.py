@@ -180,6 +180,18 @@ def test_velocity_spectrum_cap():
     assert velocity_spectrum(3, cap=3) == velocity_spectrum(3)
 
 
+def test_velocity_spectrum_equals_the_set_of_all_pairs():
+    # the definition: every pair (p, q), one set, sorted; velocity_spectrum
+    # keeps only the coprime pairs and no set
+    values = set()
+    for n in range(1, 65):
+        # the pairs with max(p, q) = n join those of max_pq = n - 1
+        for m in range(1, n + 1):
+            for p, q in ((m, n), (n, m)):
+                values.add(Fraction(p * p - q * q, p * p + q * q))
+        assert velocity_spectrum(n) == sorted(values), n
+
+
 @pytest.mark.parametrize("max_pq", [1, 2, 3, 5, 8])
 def test_velocity_spectrum_properties(max_pq):
     spec = velocity_spectrum(max_pq)

@@ -50,6 +50,10 @@ SCHEMA_VERSION = 1
 
 CSV_HEADER = ["schema_version", *(f.name for f in fields(ConvergenceRow))]
 
+# converge --model: (the size flag it requires, that flag's field, sweep)
+MODELS = {"quadratic": ("--p", "p_list", convergence_sweep),
+          "linear": ("--n", "n_list", linear_converge)}
+
 
 def _cell(value) -> object:
     """One CSV cell: a rational as num/den, a real with 17 digits."""
@@ -183,17 +187,15 @@ def _cmd_propagator(args: argparse.Namespace) -> dict:
 
 
 def _cmd_converge(args: argparse.Namespace) -> str:
-    t, v = args.t, args.v
-    if args.model == "quadratic":
-        rows = convergence_sweep(t, v, args.p_list, cap=args.cap)
-    else:
-        rows = linear_converge(t, v, args.n_list, cap=args.cap)
+    _, field, sweep = MODELS[args.model]
+    rows = sweep(args.t, args.v, getattr(args, field), cap=args.cap)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
         if row.component == WARNING_COMPONENT:
-            print(f"warning: N={row.P} cannot realize v={format_rational(v)} "
+            print(f"warning: N={row.P} cannot realize "
+                  f"v={format_rational(args.v)} "
                   "with integer segment counts; emitting marker row",
                   file=sys.stderr)
         writer.writerow([SCHEMA_VERSION, *(_cell(getattr(row, f.name))
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", parents=[common, lattice_cap],
                        help="CSV table of exact-versus-closed deviations")
     p.set_defaults(handler=_cmd_converge)
-    p.add_argument("--model", choices=("quadratic", "linear"), required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--v", type=_rational, required=True,
                    help="velocity, rational in the spectrum (e.g. 0, 3/5; "
                         "negative: --v=-3/5)")
@@ -350,9 +352,8 @@ def _check_paired_flags(parser: argparse.ArgumentParser,
     if args.command == "boost" and (args.apply_t is None) != (args.apply_x is None):
         parser.error("boost: --apply-t and --apply-x go together")
     if args.command == "converge":
-        sizes = {"quadratic": ("--p", args.p_list),
-                 "linear": ("--n", args.n_list)}
-        for model, (flag, given) in sizes.items():
+        for model, (flag, field, _) in MODELS.items():
+            given = getattr(args, field)
             if model == args.model and given is None:
                 parser.error(f"converge: --model {args.model} requires {flag}")
             if model != args.model and given is not None:
@@ -373,6 +374,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, ResourceLimitError) else 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -91,26 +91,23 @@ def _central(f: np.ndarray, h: float, out=(None, None)):
     return f_t, f_x
 
 
-def _times_i(f: np.ndarray) -> np.ndarray:
-    """1j * f, in f's own buffer when f is complex."""
-    return np.multiply(f, 1j, out=f if np.iscomplexobj(f) else None)
-
-
 def residual_rows(u: np.ndarray, w: np.ndarray,
                   h: float) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference Dirac residual of the spinor field (u, w).
 
     Arrays are indexed [t, x] with uniform spacing h on both axes; the
     result covers the interior (both arrays trimmed by one node per edge).
+    Any numeric field is taken; the rows are computed in complex128.
     """
+    u, w = np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
     if u.shape != w.shape:
         raise InvalidParameterError("component grids must have equal shapes")
     if u.shape[0] < 3 or u.shape[1] < 3:
         raise InvalidParameterError("need at least 3 nodes per axis")
     du_dt, du_dx = _central(u, h)
     dw_dt, dw_dx = _central(w, h)
-    row1 = _times_i(np.add(du_dt, du_dx, out=du_dt))
-    row2 = _times_i(np.subtract(dw_dt, dw_dx, out=dw_dt))
+    row1 = np.multiply(np.add(du_dt, du_dx, out=du_dt), 1j, out=du_dt)
+    row2 = np.multiply(np.subtract(dw_dt, dw_dx, out=dw_dt), 1j, out=dw_dt)
     return (np.add(row1, w[1:-1, 1:-1], out=row1),
             np.add(row2, u[1:-1, 1:-1], out=row2))
 

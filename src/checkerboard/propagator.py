@@ -233,8 +233,6 @@ def split_counts(N: int, v: RationalLike) -> Optional[tuple[int, int]]:
     Needs N (1 + v) even in the exact sense; returns None when no valid
     split exists (that N is then skipped by the sweep).
     """
-    if N < 2:
-        return None
     v = to_fraction(v, "v")
     p = Fraction(N) * (1 + v) / 2
     if p.denominator != 1:
@@ -354,22 +352,22 @@ class ConvergenceRow:
     rel_err: float
 
 
-def _deviation_rows(P: int, Q: int, t: Fraction, v: Fraction,
+def _deviation_rows(spec: LatticeSpec | LinearSpec,
                     parts: dict[str, tuple[Fraction, Fraction]],
                     closed: PropagatorMatrix) -> list[ConvergenceRow]:
+    """One row per component of spec: its exact parts against closed."""
     rows = []
     for name in COMPONENT_ORDER:
-        ex_re, ex_im = parts[name]
+        ex_re, ex_im = map(float, parts[name])
         cl = getattr(closed, name)
-        exf = complex(float(ex_re), float(ex_im))
-        abs_err = abs(exf - cl)
+        abs_err = abs(complex(ex_re, ex_im) - cl)
         if cl == 0:
             rel_err = 0.0 if abs_err == 0.0 else float("inf")
         else:
             rel_err = abs_err / abs(cl)
         rows.append(ConvergenceRow(
-            P=P, Q=Q, t=t, v=v, component=name,
-            exact_re=float(ex_re), exact_im=float(ex_im),
+            P=spec.P, Q=spec.Q, t=spec.t, v=spec.v, component=name,
+            exact_re=ex_re, exact_im=ex_im,
             closed_re=cl.real, closed_im=cl.imag,
             abs_err=abs_err, rel_err=rel_err))
     return rows
@@ -412,8 +410,7 @@ def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
                 exact_re=0.0, exact_im=0.0, closed_re=0.0, closed_im=0.0,
                 abs_err=0.0, rel_err=0.0))
             continue
-        rows.extend(_deviation_rows(spec.P, spec.Q, t, v,
-                                    exact_parts(spec, cap), closed))
+        rows.extend(_deviation_rows(spec, exact_parts(spec, cap), closed))
     return rows
 
 

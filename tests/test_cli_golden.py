@@ -6,12 +6,16 @@ dirac-check example's `--j0-scale 1.01` control, four more enumerations
 (JSON from a right and a left start, a one-segment path, text from a
 left start), an empty sector, a linear sweep with skipped sizes, and one
 refusal per nonzero exit code. A change that claims byte-identical
-output is held to it here.
+output is held to it here. The first record of each exit code also
+replays through `python -m checkerboard` in a fresh process.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +36,22 @@ def test_cli_golden_transcript(record, monkeypatch):
         code = main(list(record["argv"]))
     assert (code, out.getvalue(), err.getvalue()) == (
         record["code"], record["stdout"], record["stderr"])
+
+
+FIRST_PER_CODE = sorted({r["code"]: r for r in reversed(RECORDS)}.values(),
+                        key=lambda r: r["code"])
+
+
+@pytest.mark.parametrize("record", FIRST_PER_CODE,
+                         ids=[str(r["code"]) for r in FIRST_PER_CODE])
+def test_cli_golden_transcript_in_a_process(record):
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str((TESTS.parent / "src").resolve()))
+    done = subprocess.run([sys.executable, "-m", "checkerboard",
+                           *record["argv"]], env=env, capture_output=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        record["code"], record["stdout"].encode(), record["stderr"].encode())
 
 
 def test_readme_cli_block_is_recorded():

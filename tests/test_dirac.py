@@ -112,6 +112,16 @@ def test_residual_rows_constant_field():
     assert np.allclose(r2, 2.0)
 
 
+def test_residual_rows_takes_any_numeric_field():
+    # the differences are divided in place, so an int field must be converted
+    u = np.arange(20).reshape(4, 5) ** 2
+    w = np.arange(20).reshape(4, 5) % 3 - 1
+    int_rows = residual_rows(u, w, 0.5)
+    for kind in (float, complex):
+        rows = residual_rows(u.astype(kind), w.astype(kind), 0.5)
+        assert all(map(np.array_equal, rows, int_rows))
+
+
 def test_dirac_residual_second_order():
     report = dirac_residual(Region(t0=1.0, t1=2.0, xfrac=0.4), h=0.02)
     for key in ROW_KEYS:

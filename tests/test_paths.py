@@ -246,6 +246,9 @@ def test_amplitude_polynomial_algebra():
     assert s.coeff(0) == 1 and s.coeff(2) == 3 and s.coeff(1) == 0
     assert s.orders() == [0, 2]
     assert poly_of({1: 0}) == AmplitudePolynomial()
+    # a non-polynomial is unequal, even the constant that one stands for
+    one = AmplitudePolynomial((1,))
+    assert (one == 1) is False and (one != 1) is True
     assert repr(s) == "AmplitudePolynomial(1 + 3*(i*eps0)^2)"
     assert s.to_json_dict() == {"0": 1, "2": 3}
 

@@ -321,6 +321,21 @@ def test_sweep_velocity_scaling():
             convergence_sweep(t, v, [4])
 
 
+def test_deviation_rows_against_a_zero_reference():
+    # P = 1 leaves the right axis no counted bend, so psi_pp is exactly 0;
+    # against a zero reference rel_err is 0 for a zero deviation, else inf
+    spec = LatticeSpec(1, 2, Fraction(1))
+    parts = exact_parts(spec)
+    assert parts["psi_pp"] == (0, 0) and parts["psi_mm"] != (0, 0)
+    zero = propagator.PropagatorMatrix(psi_pp=0j, psi_pm=1 + 0j,
+                                       psi_mp=1 + 0j, psi_mm=0j)
+    rows = {row.component: row
+            for row in propagator._deviation_rows(spec, parts, zero)}
+    assert rows["psi_pp"].abs_err == 0.0 and rows["psi_pp"].rel_err == 0.0
+    assert rows["psi_mm"].abs_err > 0.0
+    assert rows["psi_mm"].rel_err == float("inf")
+
+
 # P = 1 or Q = 1 (an empty diagonal row), P = Q (one row for both axes),
 # P != Q both ways, and the refine benchmark's largest sizes
 PARTS_SIZES = [(1, 1), (1, 6), (5, 1), (7, 2), (3, 11), (9, 9), (64, 32),

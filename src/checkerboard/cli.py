@@ -10,10 +10,13 @@ Conventions: rational-valued flags take "a/b" or plain integer strings,
 real-valued flags take decimal literals; which is which is stated in each
 flag's help text. A negative rational is joined to its flag with "=",
 as in --v=-3/5: after a space argparse reads "-3/5" as an option.
-Rationals are printed as "num/den" in lowest terms, reals with 17
-significant digits so files round-trip bit-exactly. Every JSON
-output starts with schema_version = 1, and the converge CSV has it as
-its first column; the default text of enumerate carries none. Exit
+Every JSON value goes through one encoder, which prints a rational as
+"num/den" in lowest terms and an amplitude polynomial as its mapping of
+orders; the CSV prints rationals the same way. Reals round-trip
+bit-exactly: JSON writes Python's shortest repr, the CSV 17 significant
+digits. Every JSON output starts with schema_version = 1, and the
+converge CSV has it as its first column; the default text of enumerate
+carries none. Exit
 codes: 0 success, 2 usage error (including an --output file that cannot
 be written and a flag given without the flag it goes with), 3 domain
 error, 4 resource cap exceeded (the generator cap on spectrum's
@@ -36,8 +39,8 @@ from typing import Optional
 from .dirac import DEFAULT_GRID_CAP, Region, dirac_residual
 from .errors import (CheckerboardError, InvalidParameterError,
                      ResourceLimitError)
-from .paths import (DEFAULT_ENUMERATION_CAP, Direction, bend_records,
-                    enumerate_paths, path_amplitude)
+from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, Direction,
+                    bend_records, enumerate_paths, path_amplitude)
 from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                          WARNING_COMPONENT, ConvergenceRow, LatticeSpec,
                          closed_matrix, convergence_sweep, exact_parts,
@@ -62,6 +65,16 @@ def _cell(value) -> object:
     if isinstance(value, float):
         return format(value, ".17g")
     return value
+
+
+def _json(value) -> object:
+    """The one JSON encoding of an exact value: a rational as num/den, an
+    amplitude polynomial as its mapping of orders."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, AmplitudePolynomial):
+        return value.to_json_dict()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _integer(text: str) -> int:
@@ -92,11 +105,9 @@ def _direction(text: str) -> Direction:
 
 
 def _cmd_member(args: argparse.Namespace) -> dict:
-    t, x = args.t, args.x
-    witness = is_member(SpacetimePoint(t=t, x=x))
+    witness = is_member(SpacetimePoint(t=args.t, x=args.x))
     return {
-        "t": format_rational(t),
-        "x": format_rational(x),
+        "t": args.t, "x": args.x,
         "member": witness is not None,
         "witness": None if witness is None else {
             "n": witness.n, "m": witness.m, "p": witness.p, "q": witness.q},
@@ -107,25 +118,20 @@ def _cmd_boost(args: argparse.Namespace) -> dict:
     b = boost(args.p, args.q)
     payload = {
         "generator": {"p": b.p, "q": b.q},
-        "matrix": {"a11": format_rational(b.a11), "a12": format_rational(b.a12),
-                   "a21": format_rational(b.a21), "a22": format_rational(b.a22)},
-        "velocity": format_rational(b.velocity),
-        "determinant": format_rational(b.determinant),
+        "matrix": {"a11": b.a11, "a12": b.a12, "a21": b.a21, "a22": b.a22},
+        "velocity": b.velocity,
+        "determinant": b.determinant,
     }
     if args.apply_t is not None:
         moved = apply_boost(b, SpacetimePoint(t=args.apply_t, x=args.apply_x))
-        payload["applied"] = {"t": format_rational(moved.t),
-                              "x": format_rational(moved.x)}
+        payload["applied"] = {"t": moved.t, "x": moved.x}
     return payload
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> dict:
     values = velocity_spectrum(args.max_pq, cap=args.cap)
-    return {
-        "max_pq": args.max_pq,
-        "count": len(values),
-        "velocities": [format_rational(v) for v in values],
-    }
+    return {"max_pq": args.max_pq, "count": len(values),
+            "velocities": values}
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> dict | str:
@@ -148,8 +154,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> dict | str:
             f"to_left={e['to_left']} "
             f"amplitude={e['amplitude']}\n"
             for e in entries)
-    for e in entries:
-        e["amplitude"] = e["amplitude"].to_json_dict()
     return {"P": args.P, "Q": args.Q, "start": str(args.start),
             "end": str(args.end), "count": len(entries), "paths": entries}
 
@@ -160,18 +164,10 @@ def _cmd_exact(args: argparse.Namespace) -> dict:
     components = {}
     for name in COMPONENT_ORDER:
         re, im = parts[name]
-        components[name] = {
-            "re": format_rational(re), "im": format_rational(im),
-            "re_float": float(re), "im_float": float(im),
-        }
-    return {
-        "P": spec.P, "Q": spec.Q,
-        "t": format_rational(spec.t),
-        "v": format_rational(spec.v),
-        "x": format_rational(spec.x),
-        "eps0": format_rational(spec.eps0),
-        "components": components,
-    }
+        components[name] = {"re": re, "im": im,
+                            "re_float": float(re), "im_float": float(im)}
+    return {"P": spec.P, "Q": spec.Q, "t": spec.t, "v": spec.v, "x": spec.x,
+            "eps0": spec.eps0, "components": components}
 
 
 def _cmd_propagator(args: argparse.Namespace) -> dict:
@@ -223,13 +219,15 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code.
 
     A handler returns its JSON payload as a dict or its CSV as text. A
-    payload is written with schema_version first, indented by 2 and
-    ended by a newline; text is written as it is. Either goes to stdout,
-    or to --output.
+    payload holds the library's own values, which _json encodes; it is
+    written with schema_version first, indented by 2 and ended by a
+    newline. Text is written as it is. Either goes to stdout, or to
+    --output.
     """
     out = args.handler(args)
     text = out if isinstance(out, str) else json.dumps(
-        {"schema_version": SCHEMA_VERSION, **out}, indent=2) + "\n"
+        {"schema_version": SCHEMA_VERSION, **out}, indent=2,
+        default=_json) + "\n"
     if args.output:
         try:
             with open(args.output, "w", newline="") as fh:

@@ -90,18 +90,25 @@ class MembershipWitness:
 
 @dataclass(frozen=True)
 class BoostMatrix:
-    """Element of the rational boost subgroup, with its canonical generator.
+    """Element of the rational boost subgroup, held as its canonical
+    generator (p, q): gcd 1 and p > 0, as boost() reduces it.
 
-    Entries satisfy a11 = a22 = (p^2+q^2)/(2pq) and
+    Entries are computed from it: a11 = a22 = (p^2+q^2)/(2pq) and
     a12 = a21 = -(p^2-q^2)/(2pq); the determinant is exactly 1.
     """
 
-    a11: Fraction
-    a12: Fraction
-    a21: Fraction
-    a22: Fraction
     p: int
     q: int
+
+    @property
+    def a11(self) -> Fraction:
+        return Fraction(self.p * self.p + self.q * self.q, 2 * self.p * self.q)
+
+    @property
+    def a12(self) -> Fraction:
+        return Fraction(self.q * self.q - self.p * self.p, 2 * self.p * self.q)
+
+    a21, a22 = a12, a11
 
     @property
     def velocity(self) -> Fraction:
@@ -163,15 +170,6 @@ def is_member(pt: SpacetimePoint) -> Optional[MembershipWitness]:
     return MembershipWitness(n=scale.numerator, m=scale.denominator, p=p, q=q)
 
 
-def _canonical_generator(p: int, q: int) -> tuple[int, int]:
-    # (p, q) and (-p, -q) give the same matrix; common factors cancel in p/q.
-    g = gcd(p, q)
-    p, q = p // g, q // g
-    if p < 0:
-        p, q = -p, -q
-    return p, q
-
-
 def boost(p: int, q: int) -> BoostMatrix:
     """Boost with velocity (p^2-q^2)/(p^2+q^2), entries exact rationals.
 
@@ -180,11 +178,9 @@ def boost(p: int, q: int) -> BoostMatrix:
     """
     if p == 0 or q == 0:
         raise InvalidParameterError("boost generators p, q must be nonzero")
-    p, q = _canonical_generator(p, q)
-    pp, qq = p * p, q * q
-    diag = Fraction(pp + qq, 2 * p * q)
-    off = Fraction(-(pp - qq), 2 * p * q)
-    return BoostMatrix(a11=diag, a12=off, a21=off, a22=diag, p=p, q=q)
+    # (p, q) and (-p, -q) give the same matrix; common factors cancel in p/q
+    g = gcd(p, q) if p > 0 else -gcd(p, q)
+    return BoostMatrix(p=p // g, q=q // g)
 
 
 def apply_boost(b: BoostMatrix, pt: SpacetimePoint) -> SpacetimePoint:

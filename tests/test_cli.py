@@ -103,6 +103,9 @@ def test_enumerate_json(capsys):
     assert rrll["bends"] == 1
     assert rrll["counted_bends"] == 0
     assert rrll["amplitude"] == {"0": 1}
+    # the one JSON encoder writes rationals and polynomials, nothing else
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli._json(object())
 
 
 def test_enumerate_cap(capsys):

@@ -1,5 +1,6 @@
 """Exact-rational spacetime: membership, boosts, velocity spectrum."""
 
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -82,6 +83,8 @@ def test_witness_soundness(n, m, p, q):
 
 
 def test_boost_examples():
+    # the generator is all a boost stores; its entries follow from it
+    assert [f.name for f in fields(BoostMatrix)] == ["p", "q"]
     b = boost(2, 1)
     assert (b.a11, b.a12, b.a21, b.a22) == \
         (Fraction(5, 4), Fraction(-3, 4), Fraction(-3, 4), Fraction(5, 4))

@@ -97,13 +97,16 @@ def residual_rows(u: np.ndarray, w: np.ndarray,
 
     Arrays are indexed [t, x] with uniform spacing h on both axes; the
     result covers the interior (both arrays trimmed by one node per edge).
-    Any numeric field is taken; the rows are computed in complex128.
+    Any numeric 2-d field and finite h > 0 are taken; the rows are
+    computed in complex128.
     """
+    if not (isfinite(h) and h > 0):
+        raise InvalidParameterError("spacing h must be finite and > 0")
     u, w = np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
     if u.shape != w.shape:
         raise InvalidParameterError("component grids must have equal shapes")
-    if u.shape[0] < 3 or u.shape[1] < 3:
-        raise InvalidParameterError("need at least 3 nodes per axis")
+    if u.ndim != 2 or min(u.shape) < 3:
+        raise InvalidParameterError("need a 2-d grid of >= 3 nodes per axis")
     du_dt, du_dx = _central(u, h)
     dw_dt, dw_dx = _central(w, h)
     row1 = np.multiply(np.add(du_dt, du_dx, out=du_dt), 1j, out=du_dt)

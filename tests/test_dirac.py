@@ -101,6 +101,20 @@ def test_residual_rows_validation():
         residual_rows(a, b, 0.1)
     with pytest.raises(InvalidParameterError):
         residual_rows(a[:2], a[:2], 0.1)
+    # a field that is not 2-d: a 1-d one, and one that would run with its
+    # last axis carried along
+    for shape in ((5,), (4, 4, 2)):
+        z = np.zeros(shape, dtype=complex)
+        with pytest.raises(InvalidParameterError, match="2-d grid"):
+            residual_rows(z, z, 0.1)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, float("nan"), float("inf")])
+def test_residual_rows_refuses_bad_spacing(h):
+    # refused before any array is converted, as dirac_residual refuses it
+    z = np.zeros((5, 5), dtype=complex)
+    with pytest.raises(InvalidParameterError, match="finite and > 0"):
+        residual_rows(z, z, h)
 
 
 def test_residual_rows_constant_field():

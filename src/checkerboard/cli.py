@@ -130,8 +130,7 @@ def _cmd_boost(args: argparse.Namespace) -> dict:
 
 def _cmd_spectrum(args: argparse.Namespace) -> dict:
     values = velocity_spectrum(args.max_pq, cap=args.cap)
-    return {"max_pq": args.max_pq, "count": len(values),
-            "velocities": values}
+    return {"max_pq": args.max_pq, "count": len(values), "velocities": values}
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> dict | str:

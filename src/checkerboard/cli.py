@@ -11,12 +11,10 @@ real-valued flags take decimal literals; which is which is stated in each
 flag's help text. A negative rational is joined to its flag with "=",
 as in --v=-3/5: after a space argparse reads "-3/5" as an option.
 Every JSON value goes through one encoder, which prints a rational as
-"num/den" in lowest terms and an amplitude polynomial as its mapping of
-orders; the CSV prints rationals the same way. Reals round-trip
-bit-exactly: JSON writes Python's shortest repr, the CSV 17 significant
-digits. Every JSON output starts with schema_version = 1, and the
-converge CSV has it as its first column; the default text of enumerate
-carries none. Exit
+"num/den" in lowest terms, as the CSV does, and an amplitude polynomial
+as its mapping of orders; reals round-trip bit-exactly. Every JSON
+output starts with schema_version = 1, and the converge CSV has it as
+its first column; the default text of enumerate carries none. Exit
 codes: 0 success, 2 usage error (including an --output file that cannot
 be written and a flag given without the flag it goes with), 3 domain
 error, 4 resource cap exceeded (the generator cap on spectrum's

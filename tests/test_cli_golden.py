@@ -6,9 +6,9 @@ dirac-check example's `--j0-scale 1.01` control, four more enumerations
 (JSON from a right and a left start, a one-segment path, text from a
 left start), an empty sector, a linear sweep with skipped sizes, one
 refusal per nonzero exit code, and a boost from a negative generator
-with a common factor, which boost() reduces to its canonical form. A change that claims byte-identical
-output is held to it here. The first record of each exit code also
-replays through `python -m checkerboard` in a fresh process.
+with a common factor, which boost() reduces. A change that claims
+byte-identical output is held to it here. The first record of each exit
+code also replays through `python -m checkerboard` in a fresh process.
 """
 
 import contextlib

@@ -41,8 +41,10 @@ the worst error is 0.061x of 16u(1 + s) for J0 and 0.032x for J1
 A step grows |J| by at most 2N/s + 1; where the smallest s could
 overflow, values past 2^500 are scaled by 2^-500 (exact) with their
 neighbour and the sum. Below 2^-27, where 2/s can overflow, float64 has
-J0 = 1 and J1 = s/2 (the next terms are under half an ulp): such s take
-those values.
+J0 = 1 and J1 = s/2 (the next terms are under half an ulp): such s are
+found by index, run the recurrence as s = 1 (their 2/s is set to 2,
+with no copy of the array) and take those values. numpy is imported on
+the grid route's first call, so the scalar route loads none.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, inf, isfinite, log2, nextafter, ulp
-
-import numpy as np
 
 from .errors import InvalidParameterError, OutOfRangeError
 
@@ -196,19 +196,22 @@ def bessel_j0_j1(s: float) -> tuple[float, float]:
 
 def j0_j1_values(s) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise (J0, J1) over a float64 array of any shape."""
+    import numpy as np
     arr = np.asarray(s, dtype=np.float64)
     flat = arr.reshape(-1)
     if not flat.size:
         return np.empty_like(arr), np.empty_like(arr)
     lo, hi = float(flat.min()), float(flat.max())
     _check_window(lo, hi)
-    tiny = flat < _TINY if lo < _TINY else None
-    if tiny is not None:
-        flat = np.where(tiny, 1.0, flat)
-        lo = float(flat.min())
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 2.0 / flat
+    tiny = None
+    if lo < _TINY:  # such s run the recurrence as s = 1
+        tiny = np.flatnonzero(flat < _TINY)
+        inv[tiny] = 2.0
+        lo = float(flat.min(where=flat >= _TINY, initial=1.0))
     n = ceil(hi + 8.0 * hi ** (1.0 / 3.0) + 8.0)
     n += n & 1  # even: J_n opens the sum of even orders
-    inv = 2.0 / flat
     # bound on log2 of the growth; float64 overflows past 2^1024
     rescale = n * log2(2.0 * n / lo + 1.0) > 1000.0
     after = np.zeros_like(flat)  # J_{k+1}
@@ -231,7 +234,7 @@ def j0_j1_values(s) -> tuple[np.ndarray, np.ndarray]:
     j1 = np.divide(after, even, out=after)
     if tiny is not None:
         j0[tiny] = 1.0
-        j1[tiny] = 0.5 * arr.reshape(-1)[tiny]
+        j1[tiny] = 0.5 * flat[tiny]
     return j0.reshape(arr.shape), j1.reshape(arr.shape)
 
 

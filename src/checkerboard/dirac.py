@@ -36,14 +36,15 @@ that j0_j1_values does, so the Bessel values are the whole grid's too.
 
 A fine grid (spacing h/2) of over cap nodes (DEFAULT_GRID_CAP = 2^22,
 about 0.1 GB at 25 bytes a node) raises ResourceLimitError up front.
+
+Each function that builds arrays imports numpy when it runs, so
+importing this module, and with it the package and its CLI, loads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite, log2
-
-import numpy as np
 
 from .bessel import j0_j1_values
 from .errors import DomainError, InvalidParameterError, ResourceLimitError
@@ -82,8 +83,9 @@ class ResidualReport:
     observed_order: dict[str, float]
 
 
-def _central(f: np.ndarray, h: float, out=(None, None)):
-    """Central differences (f_t, f_x) on f's interior, into out if given."""
+def _central(f: np.ndarray, h: float, out: tuple[np.ndarray, np.ndarray]):
+    """Central differences (f_t, f_x) of the real f's interior, into out."""
+    import numpy as np
     f_t = np.subtract(f[2:, 1:-1], f[:-2, 1:-1], out=out[0])
     f_x = np.subtract(f[1:-1, 2:], f[1:-1, :-2], out=out[1])
     f_t /= 2.0 * h
@@ -99,7 +101,14 @@ def residual_rows(u: np.ndarray, w: np.ndarray,
     result covers the interior (both arrays trimmed by one node per edge).
     Any numeric 2-d field and finite h > 0 are taken; the rows are
     computed in complex128.
+
+    Each difference is multiplied by 1 / (2h) on its float64 view. That
+    gives the bytes of dividing it by 2h for every finite difference with
+    no -0.0 part, as numpy divides a complex by a real as
+    (re + im * 0) * (1 / (2h)) and (im - re * 0) * (1 / (2h)). The rows
+    are formed in the two outputs and one scratch array.
     """
+    import numpy as np
     if not (isfinite(h) and h > 0):
         raise InvalidParameterError("spacing h must be finite and > 0")
     u, w = np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
@@ -107,12 +116,16 @@ def residual_rows(u: np.ndarray, w: np.ndarray,
         raise InvalidParameterError("component grids must have equal shapes")
     if u.ndim != 2 or min(u.shape) < 3:
         raise InvalidParameterError("need a 2-d grid of >= 3 nodes per axis")
-    du_dt, du_dx = _central(u, h)
-    dw_dt, dw_dx = _central(w, h)
-    row1 = np.multiply(np.add(du_dt, du_dx, out=du_dt), 1j, out=du_dt)
-    row2 = np.multiply(np.subtract(dw_dt, dw_dx, out=dw_dt), 1j, out=dw_dt)
-    return (np.add(row1, w[1:-1, 1:-1], out=row1),
-            np.add(row2, u[1:-1, 1:-1], out=row2))
+    scale = 1.0 / (2.0 * h)
+    rows, f_x = [], None
+    for f, sign, other in ((u, np.add, w), (w, np.subtract, u)):
+        f_t = np.subtract(f[2:, 1:-1], f[:-2, 1:-1])
+        f_x = np.subtract(f[1:-1, 2:], f[1:-1, :-2], out=f_x)
+        for diff in (f_t.view(np.float64), f_x.view(np.float64)):
+            np.multiply(diff, scale, out=diff)
+        row = np.multiply(sign(f_t, f_x, out=f_t), 1j, out=f_t)
+        rows.append(np.add(row, other[1:-1, 1:-1], out=row))
+    return rows[0], rows[1]
 
 
 def _component_fields(t: np.ndarray, x: np.ndarray, j0_scale: float):
@@ -125,6 +138,7 @@ def _component_fields(t: np.ndarray, x: np.ndarray, j0_scale: float):
     caller's mask must keep measured points far enough inside that their
     difference stencils never read them.
     """
+    import numpy as np
     s = t * t - x * x
     np.copyto(s, 1.0, where=s <= 0.0)
     j0, j1 = j0_j1_values(np.sqrt(s, out=s))
@@ -137,6 +151,7 @@ def _component_fields(t: np.ndarray, x: np.ndarray, j0_scale: float):
 
 def _masked_max(mask: np.ndarray, *rows: np.ndarray) -> float:
     """Largest |value| over mask in any of rows, which are overwritten."""
+    import numpy as np
     return max(float(np.max(np.abs(row, out=row), where=mask, initial=0.0))
                for row in rows)
 
@@ -162,6 +177,7 @@ def _grid(region: Region, h: float, margin: float, cap: int):
     """Half grid at spacing h: t as a column, x >= -h as a row, and the
     mask of measured nodes at x >= 0. The mask always holds (t0, 0), since
     dirac_residual requires t0 >= t0 (1 - xfrac) > 2h = margin."""
+    import numpy as np
     n_t, n_x = _steps(region, h, cap)
     t = region.t0 + h * np.arange(-1, n_t + 2)[:, None]
     x = h * np.arange(-1, n_x + 2)[None, :]
@@ -172,6 +188,7 @@ def _grid(region: Region, h: float, margin: float, cap: int):
 def _residuals_at(h: float, j0_scale: float, t: np.ndarray, x: np.ndarray,
                   mask: np.ndarray) -> tuple[dict[str, float], int]:
     """Row maxima and measured points of the whole grid, from its half."""
+    import numpy as np
     a, b, c = _component_fields(t, x, j0_scale)
     f_t, f_x = np.empty(mask.shape), np.empty(mask.shape)
     b_in = b[1:-1, 1:-1]

@@ -244,7 +244,7 @@ def split_counts(N: int, v: RationalLike) -> Optional[tuple[int, int]]:
     return P, Q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropagatorMatrix:
     """The four propagator components at one spacetime point.
 
@@ -310,12 +310,9 @@ def closed_matrix(t: float, x: float) -> PropagatorMatrix:
     t, x = float(t), float(x)
     s = proper_time(t, x)
     j0, j1 = bessel_j0_j1(s)
-    return PropagatorMatrix(
-        psi_pp=complex(0.0, (t + x) / s * j1),
-        psi_pm=complex(j0, 0.0),
-        psi_mp=complex(j0, 0.0),
-        psi_mm=complex(0.0, (t - x) / s * j1),
-    )
+    mixed = complex(j0, 0.0)
+    return PropagatorMatrix(complex(0.0, (t + x) / s * j1), mixed, mixed,
+                            complex(0.0, (t - x) / s * j1))
 
 
 def pq_identity_check(P: int, Q: int) -> bool:

@@ -497,6 +497,28 @@ def test_grid_matches_scalar_route():
     assert np.array_equal(j1_values(s), j1)
 
 
+TINY = [0.0, 5e-324, 2.0 ** -28]
+
+
+@pytest.mark.parametrize("base", [
+    np.linspace(2.0 ** -27, 5.0, 4001), np.linspace(1.5, SERIES_WINDOW, 999),
+    np.linspace(2.0 ** -27, 5.0, 240).reshape(12, 20)],
+    ids=["from_the_boundary", "above_one", "2d"])
+def test_grid_tiny_entries_change_no_other_bits(base):
+    # s below 2^-27 skip the recurrence; appended anywhere, they leave every
+    # other entry's bits as they were, and pytest makes any warning an error
+    flat = base.reshape(-1)
+    mixed = np.insert(flat, [0, flat.size // 2, flat.size], TINY)
+    j0, j1 = j0_j1_values(mixed)
+    keep = np.ones(mixed.size, dtype=bool)
+    keep[[0, flat.size // 2 + 1, flat.size + 2]] = False
+    want = j0_j1_values(base)
+    assert j0[keep].tobytes() == want[0].tobytes()
+    assert j1[keep].tobytes() == want[1].tobytes()
+    assert j0[~keep].tolist() == [1.0] * 3
+    assert j1[~keep].tolist() == [0.5 * s for s in TINY]
+
+
 def test_grid_shape_preserved():
     s = np.linspace(0.5, 3.0, 24).reshape(2, 3, 4)
     out = j0_values(s)

@@ -55,6 +55,28 @@ def test_cli_golden_transcript_in_a_process(record):
         record["code"], record["stdout"].encode(), record["stderr"].encode())
 
 
+NUMPY_PROBE = """import sys
+import checkerboard, checkerboard.cli
+print("numpy" in sys.modules)
+checkerboard.cli.main(sys.argv[1:])
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, after", [("member", False),
+                                            ("dirac-check", True)])
+def test_numpy_is_imported_only_where_a_grid_is_built(command, after):
+    # importing the package and its CLI loads no numpy, and nor does a run
+    # that builds no grid
+    argv = next(r["argv"] for r in RECORDS if r["argv"][0] == command)
+    env = dict(os.environ, PYTHONPATH=str((TESTS.parent / "src").resolve()))
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", str(after))
+
+
 def test_readme_cli_block_is_recorded():
     # every command of the README's CLI block replays above, so no example
     # there can drift from what the program prints

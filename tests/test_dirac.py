@@ -127,13 +127,53 @@ def test_residual_rows_constant_field():
 
 
 def test_residual_rows_takes_any_numeric_field():
-    # the differences are divided in place, so an int field must be converted
+    # the differences are scaled in place, so an int field must be converted
     u = np.arange(20).reshape(4, 5) ** 2
     w = np.arange(20).reshape(4, 5) % 3 - 1
     int_rows = residual_rows(u, w, 0.5)
     for kind in (float, complex):
         rows = residual_rows(u.astype(kind), w.astype(kind), 0.5)
         assert all(map(np.array_equal, rows, int_rows))
+
+
+def division_rows(u, w, h):
+    """residual_rows as complex differences divided by 2h, term by term."""
+    u, w = np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
+    c = slice(1, -1)
+    return (1j * ((u[2:, c] - u[:-2, c]) / (2 * h)
+                  + (u[c, 2:] - u[c, :-2]) / (2 * h)) + w[c, c],
+            1j * ((w[2:, c] - w[:-2, c]) / (2 * h)
+                  - (w[c, 2:] - w[c, :-2]) / (2 * h)) + u[c, c])
+
+
+def plane_wave(k, h, shape):
+    omega = np.sqrt(k * k + 1.0)
+    t = h * np.arange(shape[0])[:, None]
+    x = h * (np.arange(shape[1]) - shape[1] // 2)[None, :]
+    u = np.exp(1j * (k * x - omega * t))
+    return u, (k - omega) * u, h
+
+
+def random_field(kind, shape, h):
+    rng = np.random.default_rng(sum(shape))
+    parts = [rng.normal(size=shape) for _ in range(4)]
+    if kind is complex:
+        return parts[0] + 1j * parts[1], parts[2] + 1j * parts[3], h
+    return parts[0].astype(kind) * 50, parts[2].astype(kind) * 50, h
+
+
+@pytest.mark.parametrize("u, w, h", [
+    plane_wave(1.3, 0.02, (253, 243)), plane_wave(-0.4, 0.1, (9, 12)),
+    random_field(complex, (251, 241), 0.37), random_field(complex, (3, 3), 3.0),
+    random_field(float, (40, 33), 0.013), random_field(int, (12, 7), 0.25)],
+    ids=["plane_wave", "small_plane_wave", "complex", "complex_3x3", "real",
+         "int"])
+def test_residual_rows_bytes_equal_division_by_2h(u, w, h):
+    # residual_rows multiplies by 1 / (2h) where dividing by the complex 2h
+    # would run numpy's division loop; the bytes must be those of dividing
+    got = residual_rows(u, w, h)
+    want = division_rows(u, w, h)
+    assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
 
 
 def test_dirac_residual_second_order():

@@ -1,6 +1,8 @@
 """Exact lattice components, closed forms, and the convergence machinery."""
 
+import dataclasses
 import itertools
+import pickle
 import random
 import re
 import sys
@@ -17,7 +19,8 @@ from checkerboard.errors import (DomainError, InvalidParameterError,
                                  ResourceLimitError)
 from checkerboard.paths import Direction, sector_sum_bruteforce
 from checkerboard.propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
-                                     LatticeSpec, LinearSpec, closed_matrix,
+                                     LatticeSpec, LinearSpec,
+                                     PropagatorMatrix, closed_matrix,
                                      convergence_sweep, elem_sym_table,
                                      exact_component, exact_parts,
                                      linear_component,
@@ -209,6 +212,19 @@ def test_closed_matrix_parity():
     assert m_plus.psi_mp == m_minus.psi_mp
     assert m_plus.psi_pp == m_minus.psi_mm
     assert m_plus.psi_mm == m_minus.psi_pp
+
+
+def test_propagator_matrix_is_a_frozen_record():
+    # closed_matrix builds it positionally, sharing one mixed value
+    m = closed_matrix(2.0, 0.7)
+    same = PropagatorMatrix(psi_pp=m.psi_pp, psi_pm=m.psi_pm,
+                            psi_mp=m.psi_mp, psi_mm=m.psi_mm)
+    assert m == same and hash(m) == hash(same)
+    assert m != dataclasses.replace(m, psi_mm=0j)
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert [f.name for f in dataclasses.fields(m)] == list(COMPONENT_ORDER)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.psi_pp = 0j
 
 
 @pytest.mark.skipif(mpmath is None, reason="mpmath not installed")

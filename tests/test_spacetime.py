@@ -105,6 +105,18 @@ def test_boost_rejects_zero():
         boost(1, 0)
 
 
+@pytest.mark.parametrize("p, q", [(4, 2), (0, 1), (1, 0), (-2, 1), (-1, -1)])
+def test_boost_matrix_refuses_a_generator_that_is_not_canonical(p, q):
+    # boost() is the one place that reduces a generator
+    with pytest.raises(InvalidParameterError, match="not canonical"):
+        BoostMatrix(p, q)
+
+
+def test_boost_matrix_equals_the_reduced_boost():
+    assert BoostMatrix(2, 1) == boost(4, 2) == boost(-2, -1)
+    assert BoostMatrix(1, -3) == boost(-1, 3)
+
+
 @given(p=nonzero, q=nonzero)
 def test_boost_determinant_is_one(p, q):
     assert boost(p, q).determinant == 1
@@ -193,6 +205,17 @@ def test_velocity_spectrum_equals_the_set_of_all_pairs():
             for p, q in ((m, n), (n, m)):
                 values.add(Fraction(p * p - q * q, p * p + q * q))
         assert velocity_spectrum(n) == sorted(values), n
+
+
+def test_velocity_spectrum_at_the_cap():
+    # one velocity per coprime pair (p, q) with p, q <= 512, that is
+    # 2 (phi(1) + ... + phi(512)) - 1 of them; strictly ascending and
+    # symmetric about 0
+    assert DEFAULT_SPECTRUM_CAP == 512
+    spec = velocity_spectrum(DEFAULT_SPECTRUM_CAP)
+    assert len(spec) == 159_703
+    assert all(a < b for a, b in zip(spec, spec[1:]))
+    assert spec == [-v for v in reversed(spec)]
 
 
 @pytest.mark.parametrize("max_pq", [1, 2, 3, 5, 8])

@@ -215,7 +215,7 @@ def test_closed_matrix_parity():
 
 
 def test_propagator_matrix_is_a_frozen_record():
-    # closed_matrix builds it positionally, sharing one mixed value
+    # slots=True keeps what a frozen dataclass gives its callers
     m = closed_matrix(2.0, 0.7)
     same = PropagatorMatrix(psi_pp=m.psi_pp, psi_pm=m.psi_pm,
                             psi_mp=m.psi_mp, psi_mm=m.psi_mm)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dirac import DEFAULT_GRID_CAP, Region, dirac_residual
-from .errors import (CheckerboardError, InvalidParameterError,
+from .errors import (CheckerboardError, DomainError, InvalidParameterError,
                      ResourceLimitError)
 from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, Direction,
                     bend_records, enumerate_paths, path_amplitude)
@@ -161,8 +161,11 @@ def _cmd_exact(args: argparse.Namespace) -> dict:
     components = {}
     for name in COMPONENT_ORDER:
         re, im = parts[name]
-        components[name] = {"re": re, "im": im,
-                            "re_float": float(re), "im_float": float(im)}
+        try:
+            components[name] = {"re": re, "im": im,
+                                "re_float": float(re), "im_float": float(im)}
+        except OverflowError:
+            raise DomainError(f"{name} lies past float range") from None
     return {"P": spec.P, "Q": spec.Q, "t": spec.t, "v": spec.v, "x": spec.x,
             "eps0": spec.eps0, "components": components}
 
@@ -363,9 +366,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         _check_paired_flags(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # a value printed in full may pass Python's int-to-str digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return run(args)
     except CheckerboardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, ResourceLimitError) else 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 

@@ -41,7 +41,7 @@ sector of paths that start and end moving right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import frexp, isfinite, ldexp, sqrt
@@ -96,10 +96,15 @@ def elem_sym_table(n: int) -> SymmetricTable:
     return SymmetricTable(values=tuple(row))
 
 
+@dataclass(frozen=True)
 class _Endpoint:
     """What both lattice specs share: P, Q >= 1, t an exact finite
     rational > 0, and the step, velocity and endpoint x = t v that the
     spec's weight schedule W places there."""
+
+    P: int
+    Q: int
+    t: Fraction
 
     def __post_init__(self):
         name = type(self).__name__
@@ -130,10 +135,6 @@ class LatticeSpec(_Endpoint):
     The j-th right (left) segment ends at light-cone coordinate j^2 eps0.
     """
 
-    P: int
-    Q: int
-    t: Fraction
-
     @staticmethod
     def W(n: int) -> int:
         return n * n
@@ -147,17 +148,16 @@ class LatticeSpec(_Endpoint):
 
 @dataclass(frozen=True)
 class LinearSpec(_Endpoint):
-    """Uniform lattice endpoint: N = P + Q segments of length t / N."""
+    """Uniform lattice endpoint: N = P + Q segments of length t / N (N is
+    derived; one passed by keyword is checked)."""
 
-    N: int
-    P: int
-    Q: int
-    t: Fraction
+    N: Optional[int] = field(default=None, kw_only=True)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.N != self.P + self.Q:
+        if self.N not in (None, self.P + self.Q):
             raise InvalidParameterError("LinearSpec requires N = P + Q")
+        object.__setattr__(self, "N", self.P + self.Q)
 
     @staticmethod
     def W(n: int) -> int:
@@ -305,9 +305,13 @@ def closed_matrix(t: float, x: float) -> PropagatorMatrix:
     """Limiting components at a real point strictly inside the light cone.
 
     With s = proper_time(t, x): psi_mp = psi_pm = J0(s), and the diagonal
-    components are i (t +/- x) / s times J1(s).
+    components are i (t +/- x) / s times J1(s). t and x may be exact
+    rationals; one past float range raises DomainError.
     """
-    t, x = float(t), float(x)
+    try:
+        t, x = float(t), float(x)
+    except OverflowError:
+        raise DomainError("point coordinates lie past float range") from None
     s = proper_time(t, x)
     j0, j1 = bessel_j0_j1(s)
     mixed = complex(j0, 0.0)
@@ -394,7 +398,7 @@ def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
     Every size's spec is built and held to the lattice cap before the
     first one is evaluated, so a refused sweep does no work.
     """
-    closed = closed_matrix(float(t), float(t * v))
+    closed = closed_matrix(t, t * v)
     specs = [spec_of(size) for size in sizes]
     for spec in specs:
         if spec is not None:
@@ -455,6 +459,6 @@ def linear_converge(t: RationalLike, v: RationalLike, N_list: Sequence[int],
 
     def spec_of(N: int) -> Optional[LinearSpec]:
         point = split_counts(N, v)
-        return None if point is None else LinearSpec(N, *point, t=t)
+        return None if point is None else LinearSpec(*point, t)
 
     return _sweep(t, v, N_list, spec_of, cap)

@@ -1,16 +1,23 @@
 """CLI surface: outputs, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import re
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from checkerboard import cli
 from checkerboard.bessel import bessel_j0, bessel_j1
 from checkerboard.cli import CSV_HEADER, main
 from checkerboard.paths import AmplitudePolynomial
+from checkerboard.propagator import LatticeSpec, exact_parts
+from checkerboard.spacetime import format_rational
 from test_paths import poly_of
 
 U = 2.0 ** -53  # float64 unit roundoff
@@ -415,6 +422,70 @@ def test_non_finite_input_refused(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "finite" in err
+
+
+def test_exact_prints_values_past_the_int_str_limit(capsys):
+    # the numerators at P = Q = 512 have 5,538 digits, past the 4,300 that
+    # Python converts to str by default; main lifts the limit for the run
+    # and puts it back
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "exact", "--P", "512", "--Q", "512",
+                             "--t", "2")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    parts = exact_parts(LatticeSpec(512, 512, Fraction(2)))
+    sys.set_int_max_str_digits(0)
+    try:
+        want = {name: {"re": format_rational(re), "im": format_rational(im)}
+                for name, (re, im) in parts.items()}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    got = json.loads(out)["components"]
+    assert {name: {"re": c["re"], "im": c["im"]}
+            for name, c in got.items()} == want
+
+
+# a rational whose numerator and denominator reach 10^400, as a flag value
+RATIONALS = st.integers(0, 400).flatmap(lambda d: st.builds(
+    lambda a, b: format_rational(Fraction(a, b)),
+    st.integers(-10 ** d, 10 ** d), st.integers(1, 10 ** d)))
+SIZES = st.integers(0, 40).map(str)
+
+
+def converge_runs(model, size_flag):
+    return st.builds(
+        lambda v, t, sizes: ["converge", "--model", model, f"--v={v}",
+                             f"--t={t}", size_flag, ",".join(sizes)],
+        st.one_of(st.sampled_from(["0/1", "3/5", "-5/13"]), RATIONALS),
+        RATIONALS, st.lists(SIZES, min_size=1, max_size=3))
+
+
+CLI_RUNS = st.one_of(
+    st.builds(lambda t, x: ["member", f"--t={t}", f"--x={x}"],
+              RATIONALS, RATIONALS),
+    st.builds(lambda p, q, t, x: ["boost", f"--p={p}", f"--q={q}",
+                                  f"--apply-t={t}", f"--apply-x={x}"],
+              SIZES, SIZES, RATIONALS, RATIONALS),
+    st.builds(lambda P, Q, t: ["exact", "--P", P, "--Q", Q, f"--t={t}"],
+              SIZES, SIZES, RATIONALS),
+    converge_runs("quadratic", "--p"), converge_runs("linear", "--n"))
+
+
+@given(argv=CLI_RUNS)
+@example(argv=["exact", "--P", "2", "--Q", "2", "--t", f"2{'0' * 155}"])
+@example(argv=["converge", "--model", "quadratic", "--v", "0",
+               "--t", f"1{'0' * 400}", "--p", "4"])
+@settings(max_examples=150, deadline=None)
+def test_extreme_rationals_exit_0_3_or_4(argv):
+    # whatever the values, a run succeeds or refuses; a refusal writes
+    # nothing to stdout, and no exception escapes main
+    limit = sys.get_int_max_str_digits()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3, 4), (code, err.getvalue())
+    assert code == 0 or out.getvalue() == ""
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -44,13 +44,6 @@ STEPS = [(LatticeSpec, Fraction(1, 7)), (LatticeSpec, Fraction(3, 2)),
          (LinearSpec, Fraction(2, 9)), (LinearSpec, Fraction(5, 3))]
 
 
-def node_spec(spec, P, Q, eps):
-    """The spec at node (P, Q) whose step is eps."""
-    t = eps * (spec.W(P) + spec.W(Q))
-    return (LatticeSpec(P, Q, t) if spec is LatticeSpec
-            else LinearSpec(P + Q, P, Q, t))
-
-
 def layer(n):
     return [(P, n - P) for P in range(1, n)]
 
@@ -64,7 +57,7 @@ def moduli_from_parts(spec, eps, start):
     """(|X|^2, |Y|^2) at every node up to LAYERS, from exact_parts."""
     table = {}
     for P, Q in nodes(LAYERS):
-        parts = exact_parts(node_spec(spec, P, Q, eps))
+        parts = exact_parts(spec(P, Q, eps * (spec.W(P) + spec.W(Q))))
         table[P, Q] = tuple(re * re + im * im for re, im in
                             (parts[name] for name in SECTORS[start]))
     return table

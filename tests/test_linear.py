@@ -12,10 +12,8 @@ from checkerboard.paths import (Direction, bend_records, count_paths,
                                 enumerate_paths)
 from checkerboard.propagator import (COMPONENT_ORDER, WARNING_COMPONENT,
                                      LinearSpec, linear_component,
-                                     linear_converge, linear_parts,
-                                     split_counts)
+                                     linear_converge, split_counts)
 from test_paths import poly_of
-from test_propagator import PARTS_SIZES
 
 R, L = Direction.R, Direction.L
 
@@ -65,17 +63,6 @@ def test_linear_component_matches_count_paths():
                 (P, Q, start, end)
 
 
-@pytest.mark.parametrize("P,Q", PARTS_SIZES)
-def test_linear_parts_match_each_sector(P, Q):
-    spec = LinearSpec(N=P + Q, P=P, Q=Q, t=Fraction(5, 3))
-    parts = linear_parts(spec)
-    assert parts["psi_pm"] == parts["psi_mp"]
-    for name, (start, end) in (("psi_pp", (R, R)), ("psi_pm", (L, R)),
-                               ("psi_mp", (R, L)), ("psi_mm", (L, L))):
-        assert parts[name] == \
-            linear_component(P, Q, start, end).evaluate_exact(spec.epsilon)
-
-
 def test_count_paths_consistency():
     # same counts the component builder consumes, checked directly
     assert count_paths(5, 3, R, L, 5) == 6
@@ -84,19 +71,14 @@ def test_count_paths_consistency():
 
 
 def test_linear_spec():
-    spec = LinearSpec(N=8, P=6, Q=2, t=Fraction(2))
-    assert spec.epsilon == Fraction(1, 4)
-    assert spec.v == Fraction(1, 2)
-    assert spec.x == Fraction(1)
-    with pytest.raises(InvalidParameterError):
+    # N is worked out from P + Q; one passed by keyword is checked
+    assert LinearSpec(6, 2, Fraction(2)).N == 8
+    assert LinearSpec(N=8, P=6, Q=2, t=Fraction(2)) == \
+        LinearSpec(6, 2, Fraction(2))
+    with pytest.raises(InvalidParameterError, match="N = P \\+ Q"):
         LinearSpec(N=7, P=6, Q=2, t=Fraction(2))
-    with pytest.raises(InvalidParameterError):
-        LinearSpec(N=2, P=2, Q=0, t=Fraction(1))
-    with pytest.raises(InvalidParameterError):
-        LinearSpec(N=4, P=2, Q=2, t=Fraction(-1))
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(InvalidParameterError, match="finite"):
-            LinearSpec(N=4, P=2, Q=2, t=bad)
+    with pytest.raises(TypeError):
+        LinearSpec(8, 6, 2, Fraction(2))
 
 
 def test_linear_row_is_the_binomial_row():
@@ -108,16 +90,6 @@ def test_linear_row_is_the_binomial_row():
         pascal = [1] + [a + b for a, b in zip(pascal, pascal[1:])] + [1]
     for n in (*range(65), 255, 383, 1023, 1024):
         assert LinearSpec.row(n) == [comb(n, k) for k in range(n + 1)], n
-
-
-def test_linear_parts_realness_pattern():
-    for P, Q in itertools.product(range(1, 6), range(1, 6)):
-        parts = linear_parts(LinearSpec(N=P + Q, P=P, Q=Q, t=Fraction(3, 2)))
-        assert parts["psi_pm"][1] == 0 and parts["psi_mp"][1] == 0
-        assert parts["psi_pp"][0] == 0 and parts["psi_mm"][0] == 0
-        assert parts["psi_pm"] == parts["psi_mp"]
-        if P == Q:
-            assert parts["psi_pp"] == parts["psi_mm"]
 
 
 def test_linear_converge_warning_rows():

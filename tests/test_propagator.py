@@ -23,9 +23,9 @@ from checkerboard.propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                                      PropagatorMatrix, closed_matrix,
                                      convergence_sweep, elem_sym_table,
                                      exact_component, exact_parts,
-                                     linear_component,
                                      linear_converge, linear_parts,
                                      pq_identity_check, proper_time)
+from test_lattice_equation import LATTICES
 from test_paths import fraction_per_term
 
 try:
@@ -37,6 +37,7 @@ R, L = Direction.R, Direction.L
 SECTORS = {"psi_pp": (R, R), "psi_pm": (L, R), "psi_mp": (R, L),
            "psi_mm": (L, L)}
 U = 2.0 ** -53  # float64 unit roundoff
+SPEC_IDS = [spec.__name__ for spec, _ in LATTICES]
 
 # Reference values computed with an independent 40-digit evaluation of the
 # defining series, frozen before this module was written.
@@ -155,18 +156,28 @@ def test_sector_symmetries():
         assert exact_component(P, Q, R, R) == exact_component(Q, P, L, L)
 
 
-def test_lattice_spec():
-    spec = LatticeSpec(P=5, Q=3, t=Fraction(2))
-    assert spec.eps0 == Fraction(2, 34)
-    assert spec.v == Fraction(16, 34)
-    assert spec.x == spec.t * spec.v
-    with pytest.raises(InvalidParameterError):
-        LatticeSpec(P=0, Q=3, t=Fraction(1))
-    with pytest.raises(InvalidParameterError):
-        LatticeSpec(P=1, Q=1, t=Fraction(0))
+# each spec's step by its own name, and (step, v) at (P, Q) and t = 2
+SPEC_VALUES = [
+    (LatticeSpec, "eps0", {(5, 3): (Fraction(2, 34), Fraction(16, 34)),
+                           (6, 2): (Fraction(2, 40), Fraction(32, 40))}),
+    (LinearSpec, "epsilon", {(5, 3): (Fraction(2, 8), Fraction(2, 8)),
+                             (6, 2): (Fraction(2, 8), Fraction(4, 8))}),
+]
+
+
+@pytest.mark.parametrize("spec,step_name,values", SPEC_VALUES,
+                         ids=[spec.__name__ for spec, *_ in SPEC_VALUES])
+def test_spec_places_and_refuses_endpoints(spec, step_name, values):
+    for (P, Q), (step, v) in values.items():
+        lattice = spec(P, Q, Fraction(2))
+        assert (getattr(lattice, step_name), lattice.v) == (step, v)
+        assert lattice.step == step and lattice.x == 2 * v
+    for P, Q, t in ((0, 3, 1), (2, 0, 1), (1, 1, 0), (2, 2, -1)):
+        with pytest.raises(InvalidParameterError):
+            spec(P, Q, Fraction(t))
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidParameterError, match="finite"):
-            LatticeSpec(P=1, Q=1, t=bad)
+            spec(1, 1, bad)
 
 
 def test_exact_parts_examples():
@@ -177,9 +188,11 @@ def test_exact_parts_examples():
     assert parts21["psi_pp"] == (0, Fraction(1, 5))
 
 
-def test_exact_parts_realness_pattern():
+@pytest.mark.parametrize("spec", [spec for spec, _ in LATTICES],
+                         ids=SPEC_IDS)
+def test_parts_realness_pattern(spec):
     for P, Q in itertools.product(range(1, 7), range(1, 7)):
-        parts = exact_parts(LatticeSpec(P=P, Q=Q, t=Fraction(3, 2)))
+        parts = exact_parts(spec(P, Q, Fraction(3, 2)))
         assert parts["psi_pm"][1] == 0 and parts["psi_mp"][1] == 0
         assert parts["psi_pp"][0] == 0 and parts["psi_mm"][0] == 0
         assert parts["psi_pm"] == parts["psi_mp"]
@@ -359,15 +372,16 @@ PARTS_SIZES = [(1, 1), (1, 6), (5, 1), (7, 2), (3, 11), (9, 9), (64, 32),
 
 
 @pytest.mark.parametrize("P,Q", PARTS_SIZES)
-def test_parts_match_each_sector(P, Q):
+@pytest.mark.parametrize("spec,component", LATTICES, ids=SPEC_IDS)
+def test_parts_match_each_sector(spec, component, P, Q):
     # the mixed sum is evaluated once and reported twice; each mixed
     # orientation evaluated on its own must give that same value
-    spec = LatticeSpec(P=P, Q=Q, t=Fraction(5, 3))
-    parts = exact_parts(spec)
+    lattice = spec(P, Q, Fraction(5, 3))
+    parts = exact_parts(lattice)
     assert parts["psi_pm"] == parts["psi_mp"]
     for name, (start, end) in SECTORS.items():
         assert parts[name] == \
-            exact_component(P, Q, start, end).evaluate_exact(spec.eps0)
+            component(P, Q, start, end).evaluate_exact(lattice.step)
     # one segment on an axis leaves that axis's diagonal sector no path
     assert (P > 1, Q > 1) == (parts["psi_pp"] != (0, 0),
                               parts["psi_mm"] != (0, 0))
@@ -377,28 +391,25 @@ def test_parts_build_no_amplitude_polynomial(monkeypatch):
     def refuse(*args):
         raise AssertionError("AmplitudePolynomial built")
 
-    t = Fraction(7, 4)
-    cases = [case for P, Q in ((1, 3), (4, 4), (6, 5)) for case in (
-        (exact_parts, exact_component, LatticeSpec(P=P, Q=Q, t=t)),
-        (linear_parts, linear_component, LinearSpec(N=P + Q, P=P, Q=Q, t=t)))]
+    cases = [(component, spec(P, Q, Fraction(7, 4)))
+             for P, Q in ((1, 3), (4, 4), (6, 5))
+             for spec, component in LATTICES]
     want = [{name: fraction_per_term(component(spec.P, spec.Q, *dirs),
                                      spec.step)
              for name, dirs in SECTORS.items()}
-            for _, component, spec in cases]
+            for component, spec in cases]
     monkeypatch.setattr(propagator, "AmplitudePolynomial", refuse)
     with pytest.raises(AssertionError):
         exact_component(2, 2, R, L)
-    assert [parts(spec) for parts, _, spec in cases] == want
+    assert [exact_parts(spec) for _, spec in cases] == want
 
 
 def assert_parts_equal_oracle(P, Q, t):
-    """exact_parts and linear_parts at (P, Q, t) equal the Fraction-per-term
+    """exact_parts at (P, Q, t) on both lattices equals the Fraction-per-term
     oracle applied to each sector polynomial."""
-    spec = LatticeSpec(P=P, Q=Q, t=t)
-    lin = LinearSpec(N=P + Q, P=P, Q=Q, t=t)
-    for parts, component, step in (
-            (exact_parts(spec), exact_component, spec.eps0),
-            (linear_parts(lin), linear_component, lin.epsilon)):
+    for spec, component in LATTICES:
+        lattice = spec(P, Q, t)
+        parts, step = exact_parts(lattice), lattice.step
         polys = {name: component(P, Q, *dirs) for name, dirs in SECTORS.items()}
         # the two mixed sectors are one polynomial: run the oracle once
         assert polys["psi_pm"] == polys["psi_mp"]
@@ -433,7 +444,7 @@ def test_lattice_cap_refuses_before_any_table():
         exact_parts(LatticeSpec(P=5, Q=3, t=Fraction(1)), cap=7)
     assert elem_sym_table.cache_info().currsize == 0
     with pytest.raises(ResourceLimitError, match="cap 7"):
-        linear_parts(LinearSpec(N=8, P=5, Q=3, t=Fraction(1)), cap=7)
+        linear_parts(LinearSpec(P=5, Q=3, t=Fraction(1)), cap=7)
     # the cap bounds P + Q inclusively, and raising it admits the lattice
     assert exact_parts(LatticeSpec(P=5, Q=3, t=Fraction(1)), cap=8) == \
         exact_parts(LatticeSpec(P=5, Q=3, t=Fraction(1)))

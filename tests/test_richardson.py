@@ -46,11 +46,6 @@ CASES = [
 IDS = [f"{spec.__name__}-t{t}-v{v}" for spec, t, v, *_ in CASES]
 
 
-def make(spec, P, Q, t):
-    return LatticeSpec(P, Q, t) if spec is LatticeSpec else \
-        LinearSpec(P + Q, P, Q, t)
-
-
 @lru_cache(maxsize=None)
 def richardson_tables(spec, t, v, shape, k0, levels, step_scale=1):
     """Every level of the Richardson table of each (component, part), as
@@ -60,7 +55,7 @@ def richardson_tables(spec, t, v, shape, k0, levels, step_scale=1):
     sweep = []
     for j in range(levels):
         k = k0 << j
-        lattice = make(spec, a * k, b * k, Fraction(t) * step_scale)
+        lattice = spec(a * k, b * k, Fraction(t) * step_scale)
         assert lattice.v == v
         sweep.append(exact_parts(lattice))
     tables = {}

@@ -13,7 +13,9 @@ coefficients; this module enumerates paths, counts them in closed form,
 and evaluates those rows exactly. A path is the plain tuple of its segment
 directions and a bend the (side, coord) pair of bend_records; neither has
 a record type. The brute-force sector sum builds neither: it walks the
-path tree run by run, adding each path's bend-weight product to the row.
+path tree run by run, adding each path's bend-weight product to the row;
+a prefix whose next prefixes could only close adds their paths itself,
+and no two prefixes are ever merged.
 """
 
 from __future__ import annotations
@@ -251,13 +253,17 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
     conventions. `end` fixes the last segment, so the walk places the
     first P + Q - 1 run by run, depth first on an explicit stack (no
     recursion limit applies). An entry is a prefix ending at a bend: the
-    next run's axis, the rights and lefts used, the bend count, the
-    product of the counted weights and the weight 2j - 1 of the latest
-    bend, counted once another bend follows. A pop pushes one bend per
-    length of the next run but the longest, which leaves the other axis
-    to close the prefix: a leaf. Every path is its own leaf with its own
-    product. Prefixes that reach the same state are not merged, as that
-    merge is the recurrence behind the closed forms.
+    next run's axis, as whether it is end's, the segments used on that
+    axis and on the other, the bends up to the one that ends that run and
+    the product of the counted weights, its opening bend's 2j - 1 already
+    in (a bend that opens a run is never the last: both axes have
+    segments left). A pop pushes one prefix per length of the next run
+    but the longest, which leaves the other axis to close the prefix: a
+    leaf. Where the other axis has one segment left, those prefixes could
+    only close, so the pop adds each one's leaf to the row itself, one
+    product per path, and pushes nothing. Every path is its own leaf with
+    its own product. Prefixes that reach the same state are not merged,
+    as that merge is the recurrence behind the closed forms.
     """
     _check_sector(P, Q, cap)
     to_right = end is Direction.R
@@ -274,28 +280,42 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
     # order k at k >> 1 up to the top: 2m - 2 with m runs on each axis, or
     # 2m - 1 with m + 1 on start's if start is end; m <= this row length
     row = [0] * min(first, other + (start is not end))
-    stack = [(on_right, 0, 0, 0, 1, 1)]
+    # prefix segments on end's axis and on the other one
+    own, cross = (rights, lefts) if to_right else (lefts, rights)
+    stack = [(start is end, 0, 0, 1, 1)]
     push, pop = stack.append, stack.pop
     while stack:
-        on_right, r, l, bends, prod, pending = pop()
-        # both axes have segments left: the next run ends at a bend, so
-        # the latest one counts
-        prod *= pending
-        bends += 1
-        if on_right:
-            for j in range(r + 1, rights):
-                push((False, j, l, bends, prod, 2 * j - 1))
-            last = rights
+        on_end, used, used_other, bends, prod = pop()
+        last, other_last = (own, cross) if on_end else (cross, own)
+        if used_other + 1 < other_last:
+            # the other axis can bend again: a run that stops at j < last
+            # opens a prefix there, whose opening bend counts
+            for j in range(used + 1, last):
+                push((not on_end, used_other, j, bends + 1,
+                      prod * (2 * j - 1)))
+            # the run through `last` uses up its axis; the other axis
+            # closes the prefix and either bends into the last segment
+            # (that bend is the last) or runs on into it (the bend at
+            # `last` is)
+            if on_end:
+                row[bends >> 1] += prod * (2 * last - 1)
+            else:
+                row[(bends - 1) >> 1] += prod
+        elif on_end:
+            # one segment left on the other axis, so every run is a leaf:
+            # the run through j bends at j onto that segment, and the bend
+            # after it is the path's last
+            k = bends >> 1
+            for odd in range(2 * used + 1, 2 * last, 2):
+                row[k] += prod * odd
         else:
-            for j in range(l + 1, lefts):
-                push((True, r, j, bends, prod, 2 * j - 1))
-            last = lefts
-        # the run through segment `last` uses up its axis; the other axis
-        # closes the prefix and either bends into the last segment (that
-        # bend is the last) or runs on into it (the bend at `last` is)
-        if on_right is to_right:
-            row[bends >> 1] += prod * (2 * last - 1)
-        else:
+            # one segment left on end's axis: the run through `last` bends
+            # onto it for the last time; a run through j < last bends at
+            # j, takes that segment, bends back at other_last (counted),
+            # ends its own axis and bends into the last segment
             row[(bends - 1) >> 1] += prod
+            k, w = (bends + 1) >> 1, 2 * other_last - 1
+            for odd in range(2 * used + 1, 2 * last - 1, 2):
+                row[k] += prod * odd * w
     return (AmplitudePolynomial((), row) if start is end
             else AmplitudePolynomial(row))

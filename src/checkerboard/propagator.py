@@ -73,27 +73,40 @@ class SymmetricTable:
 
 
 @lru_cache(maxsize=32)
-def elem_sym_table(n: int) -> SymmetricTable:
+def elem_sym_table(n: int, cap: int = DEFAULT_LATTICE_CAP) -> SymmetricTable:
     """Build the full e_k table for the odd-number set of size n.
 
     Grows a copy of the cached table (n - 1) // 2 one odd number at a
     time, in place and top-down: e_k(new) = e_k(old) + (2j-1) e_{k-1}(old),
     O(n^2) integer operations. A doubling sweep's table 2m + 1 extends
     the previous size's table m; on a cold cache the chain takes the
-    steps of a build from [1]. e_1 comes out as n^2.
+    steps of a build from [1]. e_1 comes out as n^2. n above cap raises
+    ResourceLimitError before any work; a cache hit was checked against
+    the same cap when it was built, so it pays no check.
     """
     if n < 0:
         raise InvalidParameterError("table size n must be >= 0")
+    check_cap("n", n, "lattice", cap)
     if n == 0:
         return SymmetricTable(values=(1,))
     base = (n - 1) // 2
-    row = list(elem_sym_table(base).values)
+    row = list(_odd_row(base))
     for j in range(base + 1, n + 1):
         odd = 2 * j - 1
         row.append(0)
         for k in range(j, 0, -1):
             row[k] += odd * row[k - 1]
     return SymmetricTable(values=tuple(row))
+
+
+def _odd_row(n: int) -> tuple[int, ...]:
+    """elem_sym_table(n).values for a caller whose own cap already admits
+    n: the base of a chain (n below the table that asked for it) or an
+    axis of a lattice (n below its P + Q). Within the default cap it is
+    the call a default caller makes, so both share one cached table; past
+    it the cap is n itself, as the caller's cap is at least n."""
+    return (elem_sym_table(n) if n <= DEFAULT_LATTICE_CAP
+            else elem_sym_table(n, n)).values
 
 
 @dataclass(frozen=True)
@@ -139,10 +152,7 @@ class LatticeSpec(_Endpoint):
     def W(n: int) -> int:
         return n * n
 
-    @staticmethod
-    def row(n: int) -> Sequence[int]:
-        return elem_sym_table(n).values
-
+    row = staticmethod(_odd_row)
     eps0 = _Endpoint.step
 
 
@@ -201,30 +211,35 @@ def _sector_rows(e_right: Sequence[int], e_left: Sequence[int], start: Direction
 
 
 def _component(row: Callable[[int], Sequence[int]], P: int, Q: int,
-               start: Direction, end: Direction) -> AmplitudePolynomial:
+               start: Direction, end: Direction,
+               cap: int = DEFAULT_LATTICE_CAP) -> AmplitudePolynomial:
     if P < 1 or Q < 1:
         raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
+    check_cap("P + Q", P + Q, "lattice", cap)
     rows = _sector_rows(row(P - 1), row(Q - 1), start, end)
     return AmplitudePolynomial(*rows)
 
 
-def exact_component(P: int, Q: int, start: Direction, end: Direction) -> AmplitudePolynomial:
+def exact_component(P: int, Q: int, start: Direction, end: Direction,
+                    cap: int = DEFAULT_LATTICE_CAP) -> AmplitudePolynomial:
     """Exact sector sum as a polynomial in (i * eps0), no enumeration.
 
     With O_n the first n odd weights, the mixed sectors carry
-    e_k(O_{P-1}) * e_k(O_{Q-1}) at order 2k (see _sector_rows).
+    e_k(O_{P-1}) * e_k(O_{Q-1}) at order 2k (see _sector_rows). P + Q
+    above cap raises ResourceLimitError before any table is built.
     """
-    return _component(LatticeSpec.row, P, Q, start, end)
+    return _component(LatticeSpec.row, P, Q, start, end, cap)
 
 
-def linear_component(P: int, Q: int, start: Direction,
-                     end: Direction) -> AmplitudePolynomial:
+def linear_component(P: int, Q: int, start: Direction, end: Direction,
+                     cap: int = DEFAULT_LATTICE_CAP) -> AmplitudePolynomial:
     """Sector sum on the uniform lattice as a polynomial in (i * eps).
 
     The coefficient at order R - 1 equals count_paths(P, Q, start, end, R):
-    all counted reversals weigh the same here.
+    all counted reversals weigh the same here. P + Q above cap raises
+    ResourceLimitError before any row is built.
     """
-    return _component(LinearSpec.row, P, Q, start, end)
+    return _component(LinearSpec.row, P, Q, start, end, cap)
 
 
 def split_counts(N: int, v: RationalLike) -> Optional[tuple[int, int]]:
@@ -415,6 +430,14 @@ def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
     return rows
 
 
+def _brief(value: RationalLike) -> str:
+    """str(value) for an error text, or its size where that would pass
+    2,000 bits (about 600 digits): the text stays short, and no setting
+    of Python's int-to-str digit limit (640 at least) can refuse it."""
+    bits = max(abs(value.numerator), value.denominator).bit_length()
+    return str(value) if bits <= 2000 else f"<a {bits}-bit number>"
+
+
 def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
                       cap: int = DEFAULT_LATTICE_CAP) -> list[ConvergenceRow]:
     """Deviation of the exact lattice components from the closed forms.
@@ -428,15 +451,15 @@ def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
     t, v = _sweep_inputs(t, v)
     gen = spectrum_membership(v)
     if gen is None:
-        raise DomainError(
-            f"velocity {v} is not in the spectrum (p^2-q^2)/(p^2+q^2)")
+        raise DomainError(f"velocity {_brief(v)} is not in the spectrum "
+                          "(p^2-q^2)/(p^2+q^2)")
     P0, Q0 = gen
 
     def spec_of(P: int) -> LatticeSpec:
         if P < 1 or P % P0 != 0:
             raise DomainError(
-                f"P = {P} cannot realize v = {v}: P must be a positive "
-                f"multiple of {P0}")
+                f"P = {_brief(P)} cannot realize v = {_brief(v)}: P must be "
+                f"a positive multiple of {_brief(P0)}")
         return LatticeSpec(P=P, Q=(P // P0) * Q0, t=t)
 
     return _sweep(t, v, P_list, spec_of, cap)

@@ -438,11 +438,23 @@ def test_evaluation_of_gapped_bruteforce_sums_matches_oracle():
 
 def test_sector_sum_deep_sectors():
     # thousands of segments on one axis: the walk keeps its own stack, so
-    # depth never reaches the interpreter's recursion limit
+    # depth never reaches the interpreter's recursion limit. Where the
+    # other axis has one segment left, the pop closes every path itself
     cases = {(3000, 0, R, R): {0: 1}, (2999, 1, R, L): {0: 1},
              (1, 2999, L, R): {0: 1},
              # R^j L R^(2999 - j) for j = 1..2998, one counted bend 2j - 1
-             (2999, 1, R, R): {1: 2998 ** 2}}
+             (2999, 1, R, R): {1: 2998 ** 2},
+             # L R^j L R^(2998 - j) for j = 1..2997 counts L1 (1) and R_j
+             # (2j - 1), the bend at L2 last; L L R^2998 counts none. The
+             # closing run ends on end's axis
+             (2998, 2, L, R): {0: 1, 2: 2997 ** 2},
+             (2, 2998, R, L): {0: 1, 2: 2997 ** 2},
+             # R L^j R L^(2997 - j) R for j = 1..2996 counts R1 (1), L_j
+             # (2j - 1) and R2 (3), the bend at L2997 last: the closing
+             # run ends on the other axis, whose last bend weighs 3. R R
+             # L^2997 R counts R2 (3) and R L^2997 R R counts R1 (1)
+             (3, 2997, R, R): {1: 3 + 1, 3: 3 * 2996 ** 2},
+             (2997, 3, L, L): {1: 3 + 1, 3: 3 * 2996 ** 2}}
     for (P, Q, start, end), coeffs in cases.items():
         assert sector_sum_bruteforce(P, Q, start, end, cap=3000) == \
             poly_of(coeffs), (P, Q, start, end)

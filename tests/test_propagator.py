@@ -23,7 +23,8 @@ from checkerboard.propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                                      PropagatorMatrix, closed_matrix,
                                      convergence_sweep, elem_sym_table,
                                      exact_component, exact_parts,
-                                     linear_converge, linear_parts,
+                                     linear_component, linear_converge,
+                                     linear_parts,
                                      pq_identity_check, proper_time)
 from test_lattice_equation import LATTICES
 from test_paths import fraction_per_term
@@ -131,6 +132,85 @@ def test_readme_cache_counts_are_current():
                     "Fraction": Fraction})
         info = elem_sym_table.cache_info()
         assert (info.hits, info.misses) == (int(hits), int(misses)), call
+
+
+def test_sector_builders_refuse_past_the_lattice_cap_before_any_table():
+    # (5000, 5000) took 22.6 s to build its n = 4,999 table before the cap
+    elem_sym_table.cache_clear()
+    with pytest.raises(ResourceLimitError,
+                       match=f"P \\+ Q = 10000 exceeds lattice cap {DEFAULT_LATTICE_CAP}"):
+        exact_component(5000, 5000, R, L)
+    with pytest.raises(ResourceLimitError, match="n = 5000 exceeds lattice"):
+        elem_sym_table(5000)
+    assert elem_sym_table.cache_info().currsize == 0
+    # one size over the cap is refused; the cap bounds it inclusively
+    for build in (exact_component, linear_component):
+        with pytest.raises(ResourceLimitError, match="P \\+ Q = 8 exceeds lattice cap 7"):
+            build(5, 3, R, L, cap=7)
+        for start, end in itertools.product((R, L), repeat=2):
+            assert build(5, 3, start, end, cap=8) == build(5, 3, start, end)
+    with pytest.raises(ResourceLimitError, match="n = 9 exceeds lattice cap 8"):
+        elem_sym_table(9, cap=8)
+    assert elem_sym_table(9, cap=9) == elem_sym_table(9)
+
+
+class _Checked(Exception):
+    """Raised by the check_cap spy once the checks under test have run."""
+
+
+@pytest.mark.parametrize("build,sizes", [
+    (lambda: elem_sym_table(9000, cap=10000), [9000, 4499]),
+    (lambda: exact_component(5000, 5000, R, L, cap=10000), [10000, 4999]),
+], ids=["elem_sym_table", "exact_component"])
+def test_a_raised_cap_reaches_the_tables_it_builds(monkeypatch, build, sizes):
+    # a table past the default cap must be checked against a cap that
+    # admits it: table 9000 extends base 4,499, above the default. The
+    # spy runs the real check, then stops the build before its O(n^2)
+    # work, so these sizes cost nothing
+    seen, check = [], propagator.check_cap
+
+    def spy(name, value, kind, cap):
+        check(name, value, kind, cap)
+        seen.append(value)
+        if len(seen) == len(sizes):
+            raise _Checked
+
+    monkeypatch.setattr(propagator, "check_cap", spy)
+    with pytest.raises(_Checked):
+        build()
+    assert seen == sizes
+
+
+def test_long_rationals_stay_out_of_sweep_errors():
+    # a velocity of 5,001 digits, and one from 2,200-digit generators, are
+    # shown by their size: Python's int-to-str limit (640 digits at its
+    # lowest) would turn the DomainError into a bare ValueError
+    wide = Fraction(10**5000 + 1, 10**5000 + 3)
+    p, q = 10**2200 + 1, 10**2199 + 7
+    member = Fraction(p * p - q * q, p * p + q * q)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(DomainError, match=r"^velocity <a 16610-bit "
+                           r"number> is not in the spectrum"):
+            convergence_sweep(2, wide, [4])
+        with pytest.raises(DomainError, match=r"^P = 3 cannot realize "
+                           r"v = <a \d+-bit number>: P must be a positive "
+                           r"multiple of <a \d+-bit number>$"):
+            convergence_sweep(2, member, [3])
+        with pytest.raises(DomainError, match="outside the open forward"):
+            linear_converge(2, wide, [4])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # short values print as they always did
+    for v, P, text in (
+            (Fraction(1, 3), 4, "velocity 1/3 is not in the spectrum "
+             "(p^2-q^2)/(p^2+q^2)"),
+            (Fraction(3, 5), 5, "P = 5 cannot realize v = 3/5: P must be a "
+             "positive multiple of 2")):
+        with pytest.raises(DomainError) as info:
+            convergence_sweep(2, v, [P])
+        assert str(info.value) == text
 
 
 def test_exact_component_examples():

@@ -174,7 +174,17 @@ def path_amplitude(path: tuple[Direction, ...]) -> AmplitudePolynomial:
             else AmplitudePolynomial(row))
 
 
-def _check_sector(P: int, Q: int, cap: int) -> None:
+def check_directions(start: Direction, end: Direction) -> None:
+    """Refuse a start or end that is not a Direction: the sector code
+    tests `is Direction.R`, so a string 'R' would pass for L."""
+    if type(start) is not Direction or type(end) is not Direction:
+        raise InvalidParameterError(
+            "start and end must be Direction.R or Direction.L")
+
+
+def _check_sector(P: int, Q: int, start: Direction, end: Direction,
+                  cap: int) -> None:
+    check_directions(start, end)
     if P < 0 or Q < 0:
         raise InvalidParameterError("segment counts P, Q must be >= 0")
     check_cap("P + Q", P + Q, "enumeration", cap)
@@ -192,7 +202,7 @@ def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
     P + Q; enumeration is exponential and anything beyond ~24 segments is
     better served by count_paths and the closed-form sector sums.
     """
-    _check_sector(P, Q, cap)
+    _check_sector(P, Q, start, end, cap)
     n = P + Q
     if n == 1:
         if start is end and (P if start is Direction.R else Q) == 1:
@@ -225,6 +235,7 @@ def count_paths(P: int, Q: int, start: Direction, end: Direction, R: int) -> int
     Kept as an oracle: enumeration and the uniform-lattice coefficients
     are checked against it at sizes enumeration cannot reach.
     """
+    check_directions(start, end)
     if P < 0 or Q < 0 or R < 0:
         raise InvalidParameterError("P, Q, R must be >= 0")
 
@@ -265,7 +276,7 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
     its own product. Prefixes that reach the same state are not merged,
     as that merge is the recurrence behind the closed forms.
     """
-    _check_sector(P, Q, cap)
+    _check_sector(P, Q, start, end, cap)
     to_right = end is Direction.R
     rights, lefts = P - to_right, Q - (not to_right)  # the walked prefix
     on_right = start is Direction.R

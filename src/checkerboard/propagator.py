@@ -45,12 +45,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import frexp, isfinite, ldexp, sqrt
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bessel import bessel_j0_j1
 from .errors import DomainError, InvalidParameterError, check_cap
-from .paths import AmplitudePolynomial, Direction, parity_parts
+from .paths import (AmplitudePolynomial, Direction, check_directions,
+                    parity_parts)
 from .spacetime import (RationalLike, rational_square_root,
                         spectrum_membership, to_fraction)
 
@@ -73,22 +74,15 @@ class SymmetricTable:
 
 
 @lru_cache(maxsize=32)
-def elem_sym_table(n: int, cap: int = DEFAULT_LATTICE_CAP) -> SymmetricTable:
-    """Build the full e_k table for the odd-number set of size n.
-
-    Grows a copy of the cached table (n - 1) // 2 one odd number at a
-    time, in place and top-down: e_k(new) = e_k(old) + (2j-1) e_{k-1}(old),
-    O(n^2) integer operations. A doubling sweep's table 2m + 1 extends
-    the previous size's table m; on a cold cache the chain takes the
-    steps of a build from [1]. e_1 comes out as n^2. n above cap raises
-    ResourceLimitError before any work; a cache hit was checked against
-    the same cap when it was built, so it pays no check.
-    """
-    if n < 0:
-        raise InvalidParameterError("table size n must be >= 0")
-    check_cap("n", n, "lattice", cap)
+def _odd_row(n: int) -> tuple[int, ...]:
+    """e_k of the first n odd numbers, k = 0..n, cached on n alone and
+    held to no cap: every caller holds n to its own cap first. Grows a
+    copy of the cached row (n - 1) // 2 in place and top-down,
+    e_k(new) = e_k(old) + (2j-1) e_{k-1}(old), O(n^2) integer operations:
+    a doubling sweep's row 2m + 1 extends the previous size's row m, and
+    a cold chain takes the steps of one build from [1]."""
     if n == 0:
-        return SymmetricTable(values=(1,))
+        return (1,)
     base = (n - 1) // 2
     row = list(_odd_row(base))
     for j in range(base + 1, n + 1):
@@ -96,24 +90,29 @@ def elem_sym_table(n: int, cap: int = DEFAULT_LATTICE_CAP) -> SymmetricTable:
         row.append(0)
         for k in range(j, 0, -1):
             row[k] += odd * row[k - 1]
-    return SymmetricTable(values=tuple(row))
+    return tuple(row)
 
 
-def _odd_row(n: int) -> tuple[int, ...]:
-    """elem_sym_table(n).values for a caller whose own cap already admits
-    n: the base of a chain (n below the table that asked for it) or an
-    axis of a lattice (n below its P + Q). Within the default cap it is
-    the call a default caller makes, so both share one cached table; past
-    it the cap is n itself, as the caller's cap is at least n."""
-    return (elem_sym_table(n) if n <= DEFAULT_LATTICE_CAP
-            else elem_sym_table(n, n)).values
+def elem_sym_table(n: int, cap: int = DEFAULT_LATTICE_CAP) -> SymmetricTable:
+    """The e_k table of the first n odd numbers (e_1 = n^2), a checked
+    view of the _odd_row cache: n above cap raises ResourceLimitError on
+    every call, hit or miss, before any work. cache_clear and cache_info
+    are the cache's."""
+    if n < 0:
+        raise InvalidParameterError("table size n must be >= 0")
+    check_cap("n", n, "lattice", cap)
+    return SymmetricTable(values=_odd_row(n))
+
+
+elem_sym_table.cache_clear = _odd_row.cache_clear
+elem_sym_table.cache_info = _odd_row.cache_info
 
 
 @dataclass(frozen=True)
 class _Endpoint:
-    """What both lattice specs share: P, Q >= 1, t an exact finite
-    rational > 0, and the step, velocity and endpoint x = t v that the
-    spec's weight schedule W places there."""
+    """What both lattice specs share: integers P, Q >= 1 (numpy integers
+    become ints), t an exact finite rational > 0, and the step, velocity
+    and endpoint x = t v that the spec's weight schedule W places there."""
 
     P: int
     Q: int
@@ -121,8 +120,15 @@ class _Endpoint:
 
     def __post_init__(self):
         name = type(self).__name__
-        if self.P < 1 or self.Q < 1:
+        try:
+            P, Q = index(self.P), index(self.Q)
+        except TypeError:
+            raise InvalidParameterError(
+                f"{name} requires integer P and Q") from None
+        if P < 1 or Q < 1:
             raise InvalidParameterError(f"{name} requires P >= 1 and Q >= 1")
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "t", to_fraction(self.t, "t"))
         if self.t <= 0:
             raise InvalidParameterError(f"{name} requires t > 0")
@@ -213,6 +219,7 @@ def _sector_rows(e_right: Sequence[int], e_left: Sequence[int], start: Direction
 def _component(row: Callable[[int], Sequence[int]], P: int, Q: int,
                start: Direction, end: Direction,
                cap: int = DEFAULT_LATTICE_CAP) -> AmplitudePolynomial:
+    check_directions(start, end)
     if P < 1 or Q < 1:
         raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
     check_cap("P + Q", P + Q, "lattice", cap)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import prod, sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from checkerboard import propagator
 from checkerboard.errors import (DomainError, InvalidParameterError,
                                  ResourceLimitError)
-from checkerboard.paths import Direction, sector_sum_bruteforce
+from checkerboard.paths import (Direction, count_paths, enumerate_paths,
+                               sector_sum_bruteforce)
 from checkerboard.propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
                                      LatticeSpec, LinearSpec,
                                      PropagatorMatrix, closed_matrix,
@@ -134,6 +136,27 @@ def test_readme_cache_counts_are_current():
         assert (info.hits, info.misses) == (int(hits), int(misses)), call
 
 
+SECTOR_CALLS = {
+    "exact_component": lambda s, e: exact_component(4, 2, s, e),
+    "linear_component": lambda s, e: linear_component(4, 2, s, e),
+    "sector_sum_bruteforce": lambda s, e: sector_sum_bruteforce(4, 2, s, e),
+    "enumerate_paths": lambda s, e: list(enumerate_paths(4, 2, s, e)),
+    "count_paths": lambda s, e: count_paths(4, 2, s, e, 1),
+}
+
+
+@pytest.mark.parametrize("call", SECTOR_CALLS.values(), ids=SECTOR_CALLS)
+def test_sector_functions_refuse_a_direction_that_is_not_a_direction(call):
+    # a string passed every `is Direction.R` test as L: ('R', 'R') gave
+    # the L, L sector, and the brute-force walk agreed, so no cross-check
+    # could see it
+    for start, end in (("R", "R"), ("L", R), (R, "L"), (0, L), (R, None)):
+        with pytest.raises(InvalidParameterError, match="Direction"):
+            call(start, end)
+    call(R, L)
+    assert str(exact_component(4, 2, R, R)) == "9*(i*eps0) + 23*(i*eps0)^3"
+
+
 def test_sector_builders_refuse_past_the_lattice_cap_before_any_table():
     # (5000, 5000) took 22.6 s to build its n = 4,999 table before the cap
     elem_sym_table.cache_clear()
@@ -155,30 +178,61 @@ def test_sector_builders_refuse_past_the_lattice_cap_before_any_table():
 
 
 class _Checked(Exception):
-    """Raised by the check_cap spy once the checks under test have run."""
+    """Raised by the check_cap spy once the caller's check has run."""
 
 
-@pytest.mark.parametrize("build,sizes", [
-    (lambda: elem_sym_table(9000, cap=10000), [9000, 4499]),
-    (lambda: exact_component(5000, 5000, R, L, cap=10000), [10000, 4999]),
+@pytest.mark.parametrize("build,size", [
+    (lambda: elem_sym_table(9000, cap=10000), 9000),
+    (lambda: exact_component(5000, 5000, R, L, cap=10000), 10000),
 ], ids=["elem_sym_table", "exact_component"])
-def test_a_raised_cap_reaches_the_tables_it_builds(monkeypatch, build, sizes):
-    # a table past the default cap must be checked against a cap that
-    # admits it: table 9000 extends base 4,499, above the default. The
-    # spy runs the real check, then stops the build before its O(n^2)
-    # work, so these sizes cost nothing
+def test_a_raised_cap_reaches_the_tables_it_builds(monkeypatch, build, size):
+    # a size past the default cap is checked once, against the caller's
+    # raised cap, on the caller's own size. The spy runs the real check,
+    # then stops the call before its O(n^2) work, so these sizes cost
+    # nothing; the chain's own lack of checks is the next test's
     seen, check = [], propagator.check_cap
 
     def spy(name, value, kind, cap):
         check(name, value, kind, cap)
         seen.append(value)
-        if len(seen) == len(sizes):
-            raise _Checked
+        raise _Checked
 
     monkeypatch.setattr(propagator, "check_cap", spy)
     with pytest.raises(_Checked):
         build()
-    assert seen == sizes
+    assert seen == [size]
+
+
+def test_a_table_chain_runs_no_check_of_its_own(monkeypatch):
+    # on a cold cache table 9 extends 4, 4 extends 1 and 1 extends 0:
+    # four misses under the caller's one check, whose cap admits 9 and
+    # nothing above it
+    seen, check = [], propagator.check_cap
+
+    def spy(name, value, kind, cap):
+        check(name, value, kind, cap)
+        seen.append((value, cap))
+
+    monkeypatch.setattr(propagator, "check_cap", spy)
+    elem_sym_table.cache_clear()
+    assert elem_sym_table(9, cap=9).values == PLAIN_ROWS[9]
+    assert seen == [(9, 9)]
+    info = elem_sym_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
+    for n in (4, 1, 0):  # the chain's tables, each now a hit
+        assert elem_sym_table(n, cap=n).values == PLAIN_ROWS[n]
+    assert elem_sym_table.cache_info()[:2] == (3, 4)
+
+
+def test_the_cap_is_no_part_of_the_cache_key():
+    # the three ways to ask for table 300 share one entry: the first
+    # builds the chain 300, 149, 74, 36, 17, 8, 3, 1, 0 and the others hit
+    elem_sym_table.cache_clear()
+    tables = [elem_sym_table(300), elem_sym_table(300, 4096),
+              elem_sym_table(300, cap=5000)]
+    assert tables[0] == tables[1] == tables[2]
+    assert tables[0].values == PLAIN_ROWS[300]
+    assert elem_sym_table.cache_info()[:2] == (2, 9)
 
 
 def test_long_rationals_stay_out_of_sweep_errors():
@@ -258,6 +312,22 @@ def test_spec_places_and_refuses_endpoints(spec, step_name, values):
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidParameterError, match="finite"):
             spec(1, 1, bad)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in LATTICES],
+                         ids=SPEC_IDS)
+def test_spec_refuses_a_P_or_Q_that_is_not_an_integer(spec):
+    # 2.0 once gave LatticeSpec an eps0 of 0.125, a float, and
+    # LinearSpec(2.5, 2, 1) a step for a lattice that cannot exist
+    for P, Q in ((2.0, 2), (2, 2.5), (Fraction(2), 2), (2, Fraction(5, 2)),
+                 ("2", 2)):
+        with pytest.raises(InvalidParameterError, match="integer P and Q"):
+            spec(P, Q, Fraction(1))
+    # a numpy integer is an integer, and the spec keeps it as an int
+    lattice = spec(np.int64(5), np.int32(3), Fraction(2))
+    assert (type(lattice.P), type(lattice.Q)) == (int, int)
+    assert lattice == spec(5, 3, Fraction(2))
+    assert exact_parts(lattice) == exact_parts(spec(5, 3, Fraction(2)))
 
 
 def test_exact_parts_examples():

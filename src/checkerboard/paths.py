@@ -26,7 +26,7 @@ from itertools import combinations, zip_longest
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import InvalidParameterError, check_cap
+from .errors import InvalidParameterError, check_cap, check_size
 
 DEFAULT_ENUMERATION_CAP = 24
 _ZERO = Fraction(0)
@@ -183,11 +183,13 @@ def check_directions(start: Direction, end: Direction) -> None:
 
 
 def _check_sector(P: int, Q: int, start: Direction, end: Direction,
-                  cap: int) -> None:
+                  cap: int) -> tuple[int, int]:
+    """P and Q as ints, once the directions, sizes and cap are checked."""
     check_directions(start, end)
-    if P < 0 or Q < 0:
-        raise InvalidParameterError("segment counts P, Q must be >= 0")
+    P = check_size("segment counts P, Q", P, 0)
+    Q = check_size("segment counts P, Q", Q, 0)
     check_cap("P + Q", P + Q, "enumeration", cap)
+    return P, Q
 
 
 def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
@@ -202,7 +204,7 @@ def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
     P + Q; enumeration is exponential and anything beyond ~24 segments is
     better served by count_paths and the closed-form sector sums.
     """
-    _check_sector(P, Q, start, end, cap)
+    P, Q = _check_sector(P, Q, start, end, cap)
     n = P + Q
     if n == 1:
         if start is end and (P if start is Direction.R else Q) == 1:
@@ -236,8 +238,7 @@ def count_paths(P: int, Q: int, start: Direction, end: Direction, R: int) -> int
     are checked against it at sizes enumeration cannot reach.
     """
     check_directions(start, end)
-    if P < 0 or Q < 0 or R < 0:
-        raise InvalidParameterError("P, Q, R must be >= 0")
+    P, Q, R = (check_size("P, Q, R", n, 0) for n in (P, Q, R))
 
     def runs(total: int, parts: int) -> int:
         # compositions of `total` into exactly `parts` positive parts
@@ -276,7 +277,7 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
     its own product. Prefixes that reach the same state are not merged,
     as that merge is the recurrence behind the closed forms.
     """
-    _check_sector(P, Q, start, end, cap)
+    P, Q = _check_sector(P, Q, start, end, cap)
     to_right = end is Direction.R
     rights, lefts = P - to_right, Q - (not to_right)  # the walked prefix
     on_right = start is Direction.R

@@ -43,13 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import frexp, isfinite, ldexp, sqrt
-from operator import index, mul
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bessel import bessel_j0_j1
-from .errors import DomainError, InvalidParameterError, check_cap
+from .errors import (DomainError, InvalidParameterError, check_cap,
+                     check_size)
 from .paths import (AmplitudePolynomial, Direction, check_directions,
                     parity_parts)
 from .spacetime import (RationalLike, rational_square_root,
@@ -73,39 +73,50 @@ class SymmetricTable:
     values: tuple[int, ...]
 
 
-@lru_cache(maxsize=32)
-def _odd_row(n: int) -> tuple[int, ...]:
-    """e_k of the first n odd numbers, k = 0..n, cached on n alone and
-    held to no cap: every caller holds n to its own cap first. Grows a
-    copy of the cached row (n - 1) // 2 in place and top-down,
-    e_k(new) = e_k(old) + (2j-1) e_{k-1}(old), O(n^2) integer operations:
-    a doubling sweep's row 2m + 1 extends the previous size's row m, and
-    a cold chain takes the steps of one build from [1]."""
-    if n == 0:
-        return (1,)
-    base = (n - 1) // 2
-    row = list(_odd_row(base))
-    for j in range(base + 1, n + 1):
-        odd = 2 * j - 1
-        row.append(0)
-        for k in range(j, 0, -1):
-            row[k] += odd * row[k - 1]
-    return tuple(row)
+class _OddRows(dict):
+    """e_k of the first n odd numbers, k = 0..n, as _odd_row[n]: a dict
+    of the 32 newest tables, keyed on n alone and held to no cap (every
+    caller checks n first, so no float or bool key reaches it). A missing
+    table n grows a copy of the longest table held below n in place and
+    top-down, e_k(new) = e_k(old) + (2j-1) e_{k-1}(old), O(n^2) integer
+    operations; holding none, it builds table (n - 1) // 2 through the
+    store first. So a doubling sweep's table 2m + 1 extends the previous
+    size's table m, the longer axis's table extends the shorter one's
+    (see _axis_rows), and a cold chain takes the steps of one build from
+    [1]. The 33rd table drops the oldest one inserted."""
+
+    def __missing__(self, n: int) -> tuple[int, ...]:
+        if n == 0:
+            base, row = 0, [1]
+        else:
+            base = max((m for m in self if m < n), default=(n - 1) // 2)
+            row = list(self[base])
+        for j in range(base + 1, n + 1):
+            odd = 2 * j - 1
+            row.append(0)
+            for k in range(j, 0, -1):
+                row[k] += odd * row[k - 1]
+        if len(self) >= 32:
+            del self[next(iter(self))]
+        self[n] = row = tuple(row)
+        return row
+
+
+_odd_row = _OddRows()
 
 
 def elem_sym_table(n: int, cap: int = DEFAULT_LATTICE_CAP) -> SymmetricTable:
     """The e_k table of the first n odd numbers (e_1 = n^2), a checked
-    view of the _odd_row cache: n above cap raises ResourceLimitError on
-    every call, hit or miss, before any work. cache_clear and cache_info
-    are the cache's."""
-    if n < 0:
-        raise InvalidParameterError("table size n must be >= 0")
+    view of the _odd_row store: n that is not an integer >= 0 raises
+    InvalidParameterError, and n above cap ResourceLimitError, on every
+    call, held table or not, before any lookup. cache_clear empties the
+    store."""
+    n = check_size("table size n", n, 0)
     check_cap("n", n, "lattice", cap)
-    return SymmetricTable(values=_odd_row(n))
+    return SymmetricTable(values=_odd_row[n])
 
 
-elem_sym_table.cache_clear = _odd_row.cache_clear
-elem_sym_table.cache_info = _odd_row.cache_info
+elem_sym_table.cache_clear = _odd_row.clear
 
 
 @dataclass(frozen=True)
@@ -119,19 +130,12 @@ class _Endpoint:
     t: Fraction
 
     def __post_init__(self):
-        name = type(self).__name__
-        try:
-            P, Q = index(self.P), index(self.Q)
-        except TypeError:
-            raise InvalidParameterError(
-                f"{name} requires integer P and Q") from None
-        if P < 1 or Q < 1:
-            raise InvalidParameterError(f"{name} requires P >= 1 and Q >= 1")
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "P", check_size("P and Q", self.P, 1))
+        object.__setattr__(self, "Q", check_size("P and Q", self.Q, 1))
         object.__setattr__(self, "t", to_fraction(self.t, "t"))
         if self.t <= 0:
-            raise InvalidParameterError(f"{name} requires t > 0")
+            raise InvalidParameterError(
+                f"{type(self).__name__} requires t > 0")
 
     @property
     def step(self) -> Fraction:
@@ -158,7 +162,7 @@ class LatticeSpec(_Endpoint):
     def W(n: int) -> int:
         return n * n
 
-    row = staticmethod(_odd_row)
+    row = staticmethod(_odd_row.__getitem__)
     eps0 = _Endpoint.step
 
 
@@ -216,15 +220,27 @@ def _sector_rows(e_right: Sequence[int], e_left: Sequence[int], start: Direction
     return (), map(mul, own[1:], other)
 
 
+def _axis_rows(row: Callable[[int], Sequence[int]], P: int, Q: int
+               ) -> tuple[Sequence[int], Sequence[int]]:
+    """row(P - 1) and row(Q - 1), the shorter axis's looked up first, so
+    that on the quadratic lattice the longer one's table extends it; one
+    lookup, the same row twice, when P == Q."""
+    if P < Q:
+        e_right = row(P - 1)
+        return e_right, row(Q - 1)
+    e_left = row(Q - 1)
+    return e_left if P == Q else row(P - 1), e_left
+
+
 def _component(row: Callable[[int], Sequence[int]], P: int, Q: int,
                start: Direction, end: Direction,
                cap: int = DEFAULT_LATTICE_CAP) -> AmplitudePolynomial:
     check_directions(start, end)
-    if P < 1 or Q < 1:
-        raise InvalidParameterError("sector sums need P >= 1 and Q >= 1")
+    P = check_size("P and Q", P, 1)
+    Q = check_size("P and Q", Q, 1)
     check_cap("P + Q", P + Q, "lattice", cap)
-    rows = _sector_rows(row(P - 1), row(Q - 1), start, end)
-    return AmplitudePolynomial(*rows)
+    e_right, e_left = _axis_rows(row, P, Q)
+    return AmplitudePolynomial(*_sector_rows(e_right, e_left, start, end))
 
 
 def exact_component(P: int, Q: int, start: Direction, end: Direction,
@@ -294,8 +310,7 @@ def exact_parts(spec: LatticeSpec | LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     P + Q above cap raises ResourceLimitError before any work.
     """
     check_cap("P + Q", spec.P + spec.Q, "lattice", cap)
-    e_right = spec.row(spec.P - 1)
-    e_left = e_right if spec.Q == spec.P else spec.row(spec.Q - 1)
+    e_right, e_left = _axis_rows(spec.row, spec.P, spec.Q)
     step = spec.step
     R, L = Direction.R, Direction.L
     mixed = parity_parts(*_sector_rows(e_right, e_left, R, L), step)

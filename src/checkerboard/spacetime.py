@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from numbers import Rational
 from typing import Optional, Union
 
 from .errors import InvalidParameterError, check_cap
@@ -38,8 +39,11 @@ def to_fraction(value: RationalLike, name: str = "value") -> Fraction:
 
     The one place where a caller's value becomes an exact Fraction; the
     bare ValueError or OverflowError of Fraction(nan) and Fraction(inf)
-    never reaches a library caller.
+    never reaches a library caller. Any Rational comes back over Python
+    ints: Fraction(np.int64(7)) keeps int64 parts, whose products wrap.
     """
+    if isinstance(value, Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
     try:
         return Fraction(value)
     except (ValueError, OverflowError):

@@ -120,20 +120,83 @@ def test_elem_sym_table_equals_plain_recurrence_in_any_order(calls):
 
 
 def test_readme_cache_counts_are_current():
-    """README "Exact evaluation" states the cache_info() counts of two
-    sweeps; each stated call is run after cache_clear() and must give
-    its stated hits and misses."""
+    """README "Exact evaluation" states the tables two sweeps leave held;
+    each stated call is run after cache_clear() and must leave exactly
+    its stated tables."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     stated = re.findall(
-        r"`(convergence_sweep\([^`]*\))`\s+gets\s+(\d+)\s+hits\s+and"
-        r"\s+(\d+)\s+misses", readme)
+        r"`(convergence_sweep\([^`]*\))`\s+holds\s+tables\s+"
+        r"\[([\d,\s]*)\]", readme)
     assert len(stated) == 2
-    for call, hits, misses in stated:
+    for call, tables in stated:
         elem_sym_table.cache_clear()
         eval(call, {"convergence_sweep": convergence_sweep,
                     "Fraction": Fraction})
-        info = elem_sym_table.cache_info()
-        assert (info.hits, info.misses) == (int(hits), int(misses)), call
+        assert sorted(propagator._odd_row) == \
+            [int(n) for n in tables.split(",")], call
+
+
+def test_a_descending_sweep_hits_the_chain_tables():
+    # the largest size's cold chain 63, 31, 15, 7, 3, 1, 0 holds every
+    # table the smaller sizes read, and its table 127 extends 63; the
+    # sizes after it build nothing
+    elem_sym_table.cache_clear()
+    first = convergence_sweep(2, Fraction(3, 5), [128])
+    held = dict(propagator._odd_row)
+    assert sorted(held) == [0, 1, 3, 7, 15, 31, 63, 127]
+    rest = convergence_sweep(2, Fraction(3, 5), [64, 32, 16, 8])
+    assert propagator._odd_row == held
+    assert all(propagator._odd_row[n] is held[n] for n in held)
+    elem_sym_table.cache_clear()
+    assert convergence_sweep(2, Fraction(3, 5), [128, 64, 32, 16, 8]) == \
+        first + rest
+
+
+def test_a_missing_table_extends_the_longest_one_held_below_it():
+    # a fresh store logs every table read, its own reads included
+    reads = []
+
+    class Logged(type(propagator._odd_row)):
+        def __getitem__(self, n):
+            reads.append(n)
+            return super().__getitem__(n)
+
+    store = Logged()
+    for n, read in ((9, [9, 4, 1, 0]),  # none held: the halving chain
+                    (7, [7, 4]), (3, [3, 1]), (2, [2, 1]),
+                    (30, [30, 9]), (9, [9])):
+        reads.clear()
+        assert store[n] == PLAIN_ROWS[n]
+        assert reads == read, n
+
+
+def test_the_shorter_axis_is_looked_up_first():
+    for (P, Q), read in {(3, 2): [1, 2], (2, 3): [1, 2], (7, 1): [0, 6],
+                         (4, 4): [3]}.items():
+        reads = []
+
+        def row(n):
+            reads.append(n)
+            return PLAIN_ROWS[n]
+
+        e_right, e_left = propagator._axis_rows(row, P, Q)
+        assert (e_right, e_left) == (PLAIN_ROWS[P - 1], PLAIN_ROWS[Q - 1])
+        assert reads == read, (P, Q)
+    assert e_right is e_left  # P == Q: one row, read once
+
+
+def test_the_33rd_table_drops_the_oldest():
+    elem_sym_table.cache_clear()
+    for n in range(33):
+        assert elem_sym_table(n).values == PLAIN_ROWS[n]
+    assert sorted(propagator._odd_row) == list(range(1, 33))
+    # a held table read again is not renewed: the oldest one inserted
+    # goes first, and a table dropped is built again when asked for
+    assert elem_sym_table(1).values == PLAIN_ROWS[1]
+    assert elem_sym_table(0).values == (1,)
+    assert sorted(propagator._odd_row) == [0] + list(range(2, 33))
+    assert elem_sym_table(40).values == PLAIN_ROWS[40]
+    assert sorted(propagator._odd_row) == [0] + list(range(3, 33)) + [40]
 
 
 SECTOR_CALLS = {
@@ -165,7 +228,7 @@ def test_sector_builders_refuse_past_the_lattice_cap_before_any_table():
         exact_component(5000, 5000, R, L)
     with pytest.raises(ResourceLimitError, match="n = 5000 exceeds lattice"):
         elem_sym_table(5000)
-    assert elem_sym_table.cache_info().currsize == 0
+    assert sorted(propagator._odd_row) == []
     # one size over the cap is refused; the cap bounds it inclusively
     for build in (exact_component, linear_component):
         with pytest.raises(ResourceLimitError, match="P \\+ Q = 8 exceeds lattice cap 7"):
@@ -204,9 +267,9 @@ def test_a_raised_cap_reaches_the_tables_it_builds(monkeypatch, build, size):
 
 
 def test_a_table_chain_runs_no_check_of_its_own(monkeypatch):
-    # on a cold cache table 9 extends 4, 4 extends 1 and 1 extends 0:
-    # four misses under the caller's one check, whose cap admits 9 and
-    # nothing above it
+    # on an empty store table 9 extends 4, 4 extends 1 and 1 extends 0:
+    # four tables built under the caller's one check, whose cap admits 9
+    # and nothing above it
     seen, check = [], propagator.check_cap
 
     def spy(name, value, kind, cap):
@@ -217,22 +280,24 @@ def test_a_table_chain_runs_no_check_of_its_own(monkeypatch):
     elem_sym_table.cache_clear()
     assert elem_sym_table(9, cap=9).values == PLAIN_ROWS[9]
     assert seen == [(9, 9)]
-    info = elem_sym_table.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
-    for n in (4, 1, 0):  # the chain's tables, each now a hit
+    assert sorted(propagator._odd_row) == [0, 1, 4, 9]
+    for n in (4, 1, 0):  # the chain's tables, each now held
         assert elem_sym_table(n, cap=n).values == PLAIN_ROWS[n]
-    assert elem_sym_table.cache_info()[:2] == (3, 4)
+    assert seen == [(9, 9), (4, 4), (1, 1), (0, 0)]
+    assert sorted(propagator._odd_row) == [0, 1, 4, 9]
 
 
 def test_the_cap_is_no_part_of_the_cache_key():
     # the three ways to ask for table 300 share one entry: the first
-    # builds the chain 300, 149, 74, 36, 17, 8, 3, 1, 0 and the others hit
+    # builds the chain 300, 149, 74, 36, 17, 8, 3, 1, 0 and the others
+    # read it
     elem_sym_table.cache_clear()
     tables = [elem_sym_table(300), elem_sym_table(300, 4096),
               elem_sym_table(300, cap=5000)]
     assert tables[0] == tables[1] == tables[2]
     assert tables[0].values == PLAIN_ROWS[300]
-    assert elem_sym_table.cache_info()[:2] == (2, 9)
+    assert tables[0].values is tables[1].values is tables[2].values
+    assert sorted(propagator._odd_row) == [0, 1, 3, 8, 17, 36, 74, 149, 300]
 
 
 def test_long_rationals_stay_out_of_sweep_errors():
@@ -328,6 +393,52 @@ def test_spec_refuses_a_P_or_Q_that_is_not_an_integer(spec):
     assert (type(lattice.P), type(lattice.Q)) == (int, int)
     assert lattice == spec(5, 3, Fraction(2))
     assert exact_parts(lattice) == exact_parts(spec(5, 3, Fraction(2)))
+
+
+SIZE_DOORS = {
+    "elem_sym_table": lambda n: elem_sym_table(n).values,
+    "exact_component": lambda n: exact_component(n, 2, R, L),
+    "exact_component Q": lambda n: exact_component(2, n, L, L),
+    "linear_component": lambda n: linear_component(n, 2, R, L),
+    "sector_sum_bruteforce": lambda n: sector_sum_bruteforce(n, 2, R, L),
+    "enumerate_paths": lambda n: list(enumerate_paths(2, n, R, L)),
+    "count_paths": lambda n: count_paths(n, 2, R, L, 1),
+    "count_paths R": lambda n: count_paths(4, 3, R, R, n),
+    "LatticeSpec": lambda n: exact_parts(LatticeSpec(n, 2, 1)),
+    "LinearSpec": lambda n: linear_parts(LinearSpec(2, n, 1)),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_DOORS.values(), ids=SIZE_DOORS)
+def test_sizes_are_checked_at_the_door(call):
+    # 3.0 once gave a bare TypeError from a range deep inside, nan a
+    # RecursionError and True the size 1; a float must never reach the
+    # table store, where 2.0 == 2 would read table 2
+    bad = (2.0, 2.5, 3.0, True, False, float("nan"), np.bool_(True))
+    elem_sym_table.cache_clear()
+    for size in bad:
+        with pytest.raises(InvalidParameterError, match="integer"):
+            call(size)
+    assert sorted(propagator._odd_row) == []
+    assert call(np.int64(3)) == call(3)
+    for size in bad:  # with tables 1, 2 and 3 held, still refused
+        with pytest.raises(InvalidParameterError, match="integer"):
+            call(size)
+
+
+def test_numpy_integer_endpoints_give_the_int_values():
+    # t = np.int64(7) once ran the exact sums in wrapping int64: psi_pp
+    # came out near 1.3e-13 i, against -1.137 i
+    parts = exact_parts(LatticeSpec(8, 8, np.int64(7)))
+    assert parts == exact_parts(LatticeSpec(8, 8, 7))
+    assert all(type(part.numerator) is int
+               for pair in parts.values() for part in pair)
+    assert convergence_sweep(np.int64(7), 0, [8]) == \
+        convergence_sweep(7, 0, [8])
+    # v = 3 is no velocity; the refusal was an AttributeError
+    for v in (np.int64(3), 3):
+        with pytest.raises(DomainError, match="^velocity 3 is not in"):
+            convergence_sweep(2, v, [2])
 
 
 def test_exact_parts_examples():
@@ -592,7 +703,7 @@ def test_lattice_cap_refuses_before_any_table():
         exact_parts(LatticeSpec(P=DEFAULT_LATTICE_CAP, Q=1, t=Fraction(1)))
     with pytest.raises(ResourceLimitError, match="P \\+ Q = 8 exceeds lattice cap 7"):
         exact_parts(LatticeSpec(P=5, Q=3, t=Fraction(1)), cap=7)
-    assert elem_sym_table.cache_info().currsize == 0
+    assert sorted(propagator._odd_row) == []
     with pytest.raises(ResourceLimitError, match="cap 7"):
         linear_parts(LinearSpec(P=5, Q=3, t=Fraction(1)), cap=7)
     # the cap bounds P + Q inclusively, and raising it admits the lattice

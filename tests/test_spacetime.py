@@ -4,6 +4,7 @@ from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from checkerboard.spacetime import (DEFAULT_SPECTRUM_CAP, BoostMatrix,
                                     format_rational, is_member, make_point,
                                     matrix_product, parse_rational,
                                     rational_square_root, spectrum_membership,
-                                    velocity_spectrum)
+                                    to_fraction, velocity_spectrum)
 
 nonzero = st.integers(min_value=-1000, max_value=1000).filter(lambda n: n != 0)
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
@@ -268,6 +269,18 @@ def test_rational_serialization():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InvalidParameterError, match="finite"):
             format_rational(bad)
+
+
+def test_to_fraction_gives_python_int_parts():
+    # Fraction(np.int64(7)) keeps int64 parts, whose products wrap
+    for value, exact in ((np.int64(7), Fraction(7)),
+                         (np.int32(-3), Fraction(-3)),
+                         (Fraction(np.int64(6), np.int64(4)), Fraction(3, 2)),
+                         (Fraction(5, 3), Fraction(5, 3)), (2, Fraction(2)),
+                         (0.5, Fraction(1, 2))):
+        got = to_fraction(value)
+        assert got == exact
+        assert (type(got.numerator), type(got.denominator)) == (int, int)
 
 
 @given(r=rationals)

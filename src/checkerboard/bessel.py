@@ -51,9 +51,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import ceil, inf, isfinite, log2, nextafter, ulp
+from math import ceil, inf, log2, nextafter, ulp
 
-from .errors import InvalidParameterError, OutOfRangeError
+from .errors import InvalidParameterError, OutOfRangeError, check_real
 
 MAX_SERIES_TERMS = 200
 SERIES_WINDOW = 50.0
@@ -151,16 +151,22 @@ def _sum(p: int, q: int, num: int, sh: int, bits: int, order: int,
     return total, term, k, extra
 
 
-def _series(s: float, order: int, tol: float) -> SeriesResult:
-    """_sum at s with its error bound (see the module docstring)."""
-    if not (isfinite(tol) and tol > 0):
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
-    s = float(s)
+def _setup(s: float) -> tuple[int, int, int, int, int]:
+    """_sum's (p, q, num, sh, bits) at the float s, which is refused past
+    float range and outside [0, SERIES_WINDOW] with OutOfRangeError."""
+    if type(s) is not float:  # a float's NaN or inf fails the window
+        s = check_real("Bessel argument s", s, OutOfRangeError)
     _check_window(s, s)
     p, q = s.as_integer_ratio()
-    bits = ceil(s * _LOG2_E) + 64
-    total, term, k, extra = _sum(p, q, p * p, 2 * q.bit_length(), bits,
-                                 order, tol)
+    return p, q, p * p, 2 * q.bit_length(), ceil(s * _LOG2_E) + 64
+
+
+def _series(s: float, order: int, tol: float) -> SeriesResult:
+    """_sum at s with its error bound (see the module docstring)."""
+    if (tol := check_real("tol", tol, InvalidParameterError)) <= 0:
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+    p, q, num, sh, bits = _setup(s)
+    total, term, k, extra = _sum(p, q, num, sh, bits, order, tol)
     one = 1 << (bits + extra)
     # The terms decrease from here on (at the cap too, since s <= 402), so
     # the first omitted term bounds the tail.
@@ -184,11 +190,7 @@ def bessel_j0_j1(s: float) -> tuple[float, float]:
     """(bessel_j0(s).value, bessel_j1(s).value), bit for bit, with the
     setup shared by both orders and no record or bound built. The two
     term chains stay separate: one chain would floor different integers."""
-    s = float(s)
-    _check_window(s, s)
-    p, q = s.as_integer_ratio()
-    num, sh = p * p, 2 * q.bit_length()
-    bits = ceil(s * _LOG2_E) + 64
+    p, q, num, sh, bits = _setup(s)
     j0 = _sum(p, q, num, sh, bits, 0, _TOL)[0] / (1 << bits)
     total, _, _, extra = _sum(p, q, num, sh, bits, 1, _TOL)
     return j0, total / (1 << (bits + extra))
@@ -197,7 +199,10 @@ def bessel_j0_j1(s: float) -> tuple[float, float]:
 def j0_j1_values(s) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise (J0, J1) over a float64 array of any shape."""
     import numpy as np
-    arr = np.asarray(s, dtype=np.float64)
+    try:
+        arr = np.asarray(s, dtype=np.float64)
+    except OverflowError:
+        raise OutOfRangeError("Bessel arguments past float range") from None
     flat = arr.reshape(-1)
     if not flat.size:
         return np.empty_like(arr), np.empty_like(arr)

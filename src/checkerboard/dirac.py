@@ -44,10 +44,11 @@ importing this module, and with it the package and its CLI, loads none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, log2
+from math import inf, log2
 
 from .bessel import j0_j1_values
-from .errors import DomainError, InvalidParameterError, ResourceLimitError
+from .errors import (DomainError, InvalidParameterError, ResourceLimitError,
+                     check_real, check_size)
 
 ROW_KEYS = ("psi1_row1", "psi1_row2", "psi2_row1", "psi2_row2")
 DEFAULT_GRID_CAP = 1 << 22  # nodes of the fine grid
@@ -109,7 +110,7 @@ def residual_rows(u: np.ndarray, w: np.ndarray,
     are formed in the two outputs and one scratch array.
     """
     import numpy as np
-    if not (isfinite(h) and h > 0):
+    if (h := check_real("spacing h", h, InvalidParameterError)) <= 0:
         raise InvalidParameterError("spacing h must be finite and > 0")
     u, w = np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
     if u.shape != w.shape:
@@ -216,10 +217,10 @@ def dirac_residual(region: Region, h: float, j0_scale: float = 1.0,
     A fine grid of more than cap nodes raises ResourceLimitError before
     any work.
     """
-    if not all(map(isfinite, (region.t0, region.t1, region.xfrac, h,
-                              j0_scale))):
-        raise InvalidParameterError(
-            "region bounds, spacing h and j0_scale must be finite")
+    t0, t1, xfrac, h, j0_scale = (check_real(
+        "region bounds, spacing h and j0_scale", value, InvalidParameterError)
+        for value in (region.t0, region.t1, region.xfrac, h, j0_scale))
+    region, cap = Region(t0, t1, xfrac), check_size("grid cap", cap, 0)
     if h <= 0:
         raise InvalidParameterError("spacing h must be > 0")
     if region.t1 <= region.t0 or region.t0 <= 0:

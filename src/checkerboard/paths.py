@@ -198,13 +198,17 @@ def enumerate_paths(P: int, Q: int, start: Direction, end: Direction,
     """Yield every path with P right and Q left segments in the given
     sector, as its tuple of segment directions.
 
-    Paths come out in lexicographic order with R before L. Sectors with a
-    forced direction that is absent (e.g. start R with P = 0) are empty,
-    which is returned as no paths rather than an error. The cap bounds
-    P + Q; enumeration is exponential and anything beyond ~24 segments is
-    better served by count_paths and the closed-form sector sums.
+    Paths come out in lexicographic order with R before L. A sector with
+    a forced direction that is absent (start R with P = 0) has no paths,
+    not an error. The cap bounds P + Q: enumeration is exponential, and
+    past ~24 segments count_paths and the sector sums serve better. The
+    arguments are checked at the call, not at the first next().
     """
-    P, Q = _check_sector(P, Q, start, end, cap)
+    return _paths(*_check_sector(P, Q, start, end, cap), start, end)
+
+
+def _paths(P: int, Q: int, start: Direction, end: Direction) -> Iterator:
+    """enumerate_paths' generator, on checked arguments."""
     n = P + Q
     if n == 1:
         if start is end and (P if start is Direction.R else Q) == 1:

@@ -43,13 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import frexp, isfinite, ldexp, sqrt
+from math import frexp, ldexp, sqrt
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bessel import bessel_j0_j1
 from .errors import (DomainError, InvalidParameterError, check_cap,
-                     check_size)
+                     check_real, check_size)
 from .paths import (AmplitudePolynomial, Direction, check_directions,
                     parity_parts)
 from .spacetime import (RationalLike, rational_square_root,
@@ -175,7 +175,7 @@ class LinearSpec(_Endpoint):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.N not in (None, self.P + self.Q):
+        if self.N is not None and check_size("N", self.N) != self.P + self.Q:
             raise InvalidParameterError("LinearSpec requires N = P + Q")
         object.__setattr__(self, "N", self.P + self.Q)
 
@@ -268,18 +268,13 @@ def linear_component(P: int, Q: int, start: Direction, end: Direction,
 def split_counts(N: int, v: RationalLike) -> Optional[tuple[int, int]]:
     """Split N segments into (P, Q) realizing velocity v = (P - Q) / N.
 
-    Needs N (1 + v) even in the exact sense; returns None when no valid
-    split exists (that N is then skipped by the sweep).
+    Needs N (1 + v) even in the exact sense and |v| < 1, so that P and Q
+    are >= 1; returns None when no valid split exists (that N is then
+    skipped by the sweep).
     """
-    v = to_fraction(v, "v")
+    N, v = check_size("N", N, 1), to_fraction(v, "v")
     p = Fraction(N) * (1 + v) / 2
-    if p.denominator != 1:
-        return None
-    P = int(p)
-    Q = N - P
-    if P < 1 or Q < 1:
-        return None
-    return P, Q
+    return None if p.denominator != 1 or abs(v) >= 1 else (int(p), N - int(p))
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,12 +319,12 @@ linear_parts = exact_parts
 
 
 def proper_time(t: float, x: float) -> float:
-    """s = sqrt(t^2 - x^2) at a finite point strictly inside the forward
-    light cone (DomainError elsewhere). t and x are scaled by 2^-k,
-    k = frexp(t)[1], so (t - x)(t + x) neither underflows nor overflows;
-    where it is a normal float, s is bit-identical to the unscaled form."""
-    if not (isfinite(t) and isfinite(x)):
-        raise DomainError(f"point (t={t}, x={x}) must have finite coordinates")
+    """s = sqrt(t^2 - x^2) at a point strictly inside the forward light
+    cone; DomainError elsewhere, and for NaN, inf or a coordinate past
+    float range. t and x are scaled by 2^-k, k = frexp(t)[1], so
+    (t - x)(t + x) neither underflows nor overflows; where it is a normal
+    float, s is bit-identical to the unscaled form."""
+    t, x = check_real("t", t, DomainError), check_real("x", x, DomainError)
     if t <= abs(x):
         raise DomainError(
             f"point (t={t}, x={x}) is outside the open forward light cone")
@@ -343,13 +338,10 @@ def closed_matrix(t: float, x: float) -> PropagatorMatrix:
 
     With s = proper_time(t, x): psi_mp = psi_pm = J0(s), and the diagonal
     components are i (t +/- x) / s times J1(s). t and x may be exact
-    rationals; one past float range raises DomainError.
+    rationals; proper_time refuses one past float range with DomainError.
     """
-    try:
-        t, x = float(t), float(x)
-    except OverflowError:
-        raise DomainError("point coordinates lie past float range") from None
     s = proper_time(t, x)
+    t, x = float(t), float(x)
     j0, j1 = bessel_j0_j1(s)
     mixed = complex(j0, 0.0)
     return PropagatorMatrix(complex(0.0, (t + x) / s * j1), mixed, mixed,
@@ -364,8 +356,7 @@ def pq_identity_check(P: int, Q: int) -> bool:
     paper's identity: it turns the series over lattice reversals into the
     J0 series in s = t / gamma.
     """
-    if P < 1 or Q < 1:
-        raise InvalidParameterError("identity check needs P, Q >= 1")
+    P, Q = check_size("P, Q", P, 1), check_size("P, Q", Q, 1)
     ss = P * P + Q * Q
     v = Fraction(P * P - Q * Q, ss)
     gamma = 1 / rational_square_root(1 - v * v)
@@ -478,7 +469,7 @@ def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
     P0, Q0 = gen
 
     def spec_of(P: int) -> LatticeSpec:
-        if P < 1 or P % P0 != 0:
+        if (P := check_size("P", P, 1)) % P0:
             raise DomainError(
                 f"P = {_brief(P)} cannot realize v = {_brief(v)}: P must be "
                 f"a positive multiple of {_brief(P0)}")
@@ -499,8 +490,7 @@ def linear_converge(t: RationalLike, v: RationalLike, N_list: Sequence[int],
     t, v = _sweep_inputs(t, v)
     if abs(v) >= 1:
         raise InvalidParameterError("sweep requires |v| < 1")
-    if any(N < 1 for N in N_list):
-        raise InvalidParameterError("sweep requires every N >= 1")
+    N_list = [check_size("N", N, 1) for N in N_list]
 
     def spec_of(N: int) -> Optional[LinearSpec]:
         point = split_counts(N, v)

@@ -23,7 +23,7 @@ from math import gcd, isqrt
 from numbers import Rational
 from typing import Optional, Union
 
-from .errors import InvalidParameterError, check_cap
+from .errors import InvalidParameterError, check_cap, check_size
 
 RationalLike = Union[int, Fraction]
 
@@ -104,6 +104,8 @@ class BoostMatrix:
     q: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", check_size("generator p", self.p))
+        object.__setattr__(self, "q", check_size("generator q", self.q))
         if not (self.q != 0 and self.p > 0 and gcd(self.p, self.q) == 1):
             raise InvalidParameterError(
                 f"boost generator ({self.p}, {self.q}) is not canonical: "
@@ -136,6 +138,7 @@ def make_point(n: int, m: int, p: int, q: int) -> SpacetimePoint:
     |x| < |t| since p^2 + q^2 > |p^2 - q^2| for nonzero p, q. Kept as the
     paper's definition of the event set, which is_member inverts.
     """
+    n, m, p, q = map(check_size, "nmpq", (n, m, p, q))
     if n == 0 or m == 0 or p == 0 or q == 0:
         raise InvalidParameterError("all of n, m, p, q must be nonzero")
     scale = Fraction(n, m)
@@ -185,6 +188,7 @@ def boost(p: int, q: int) -> BoostMatrix:
     The generator is stored in canonical form (gcd 1, p > 0), so equal
     matrices always carry equal generators.
     """
+    p, q = check_size("generator p", p), check_size("generator q", q)
     if p == 0 or q == 0:
         raise InvalidParameterError("boost generators p, q must be nonzero")
     # (p, q) and (-p, -q) give the same matrix; common factors cancel in p/q
@@ -194,8 +198,8 @@ def boost(p: int, q: int) -> BoostMatrix:
 
 def apply_boost(b: BoostMatrix, pt: SpacetimePoint) -> SpacetimePoint:
     """Exact matrix-vector product; maps lattice members to lattice members."""
-    return SpacetimePoint(t=b.a11 * pt.t + b.a12 * pt.x,
-                          x=b.a21 * pt.t + b.a22 * pt.x)
+    t, x = to_fraction(pt.t, "t"), to_fraction(pt.x, "x")
+    return SpacetimePoint(t=b.a11 * t + b.a12 * x, x=b.a21 * t + b.a22 * x)
 
 
 def compose(b1: BoostMatrix, b2: BoostMatrix) -> BoostMatrix:
@@ -223,8 +227,7 @@ def velocity_spectrum(max_pq: int,
     The list is ascending, symmetric about 0, and contained in (-1, 1).
     max_pq above cap raises ResourceLimitError before any work.
     """
-    if max_pq < 1:
-        raise InvalidParameterError("max_pq must be >= 1")
+    max_pq = check_size("max_pq", max_pq, 1)
     check_cap("max_pq", max_pq, "spectrum", cap)
     # v is increasing in p/q and v(q/p) = -v(p/q): walk the Farey sequence
     # of order max_pq, the ascending coprime p/q in (0, 1), then mirror it

@@ -134,7 +134,7 @@ def test_converge_cli_refuses_non_positive_n(capsys):
                  "--n", "0,-4"])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.out == "" and "N >= 1" in captured.err
+    assert captured.out == "" and "N must be >= 1" in captured.err
 
 
 def test_linear_converge_velocity():

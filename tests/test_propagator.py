@@ -573,7 +573,7 @@ def test_pq_identity(P, Q):
 
 
 def test_pq_identity_refuses_an_empty_axis():
-    with pytest.raises(InvalidParameterError, match="P, Q >= 1"):
+    with pytest.raises(InvalidParameterError, match="P, Q must be >= 1"):
         pq_identity_check(0, 1)
 
 

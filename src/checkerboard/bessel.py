@@ -163,8 +163,7 @@ def _setup(s: float) -> tuple[int, int, int, int, int]:
 
 def _series(s: float, order: int, tol: float) -> SeriesResult:
     """_sum at s with its error bound (see the module docstring)."""
-    if (tol := check_real("tol", tol, InvalidParameterError)) <= 0:
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+    tol = check_real("tol", tol, InvalidParameterError, positive=True)
     p, q, num, sh, bits = _setup(s)
     total, term, k, extra = _sum(p, q, num, sh, bits, order, tol)
     one = 1 << (bits + extra)

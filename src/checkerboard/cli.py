@@ -361,16 +361,15 @@ def _check_paired_flags(parser: argparse.ArgumentParser,
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        _check_paired_flags(parser, args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    # a value printed in full may pass Python's int-to-str digit limit
+    # a flag read or a value printed may pass Python's int-to-str digit limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
+        _check_paired_flags(parser, args)
         return run(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     except CheckerboardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, ResourceLimitError) else 3

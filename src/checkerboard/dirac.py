@@ -110,8 +110,7 @@ def residual_rows(u: np.ndarray, w: np.ndarray,
     are formed in the two outputs and one scratch array.
     """
     import numpy as np
-    if (h := check_real("spacing h", h, InvalidParameterError)) <= 0:
-        raise InvalidParameterError("spacing h must be finite and > 0")
+    h = check_real("spacing h", h, InvalidParameterError, positive=True)
     u, w = np.asarray(u, dtype=complex), np.asarray(w, dtype=complex)
     if u.shape != w.shape:
         raise InvalidParameterError("component grids must have equal shapes")
@@ -217,13 +216,13 @@ def dirac_residual(region: Region, h: float, j0_scale: float = 1.0,
     A fine grid of more than cap nodes raises ResourceLimitError before
     any work.
     """
-    t0, t1, xfrac, h, j0_scale = (check_real(
-        "region bounds, spacing h and j0_scale", value, InvalidParameterError)
-        for value in (region.t0, region.t1, region.xfrac, h, j0_scale))
+    t1, xfrac, j0_scale = (check_real(
+        "region bounds and j0_scale", value, InvalidParameterError)
+        for value in (region.t1, region.xfrac, j0_scale))
+    t0 = check_real("region t0", region.t0, InvalidParameterError, positive=True)
+    h = check_real("spacing h", h, InvalidParameterError, positive=True)
     region, cap = Region(t0, t1, xfrac), check_size("grid cap", cap, 0)
-    if h <= 0:
-        raise InvalidParameterError("spacing h must be > 0")
-    if region.t1 <= region.t0 or region.t0 <= 0:
+    if region.t1 <= region.t0:
         raise InvalidParameterError("region needs 0 < t0 < t1")
     if not (0.0 <= region.xfrac < 1.0):
         raise InvalidParameterError("xfrac must lie in [0, 1)")

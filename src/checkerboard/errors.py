@@ -1,11 +1,15 @@
-"""Exception hierarchy shared by all checkerboard modules.
+"""Exception hierarchy and argument rules shared by all checkerboard modules.
 
 The CLI maps these onto exit codes: domain violations (including invalid
 parameters) exit 3, resource caps exit 4. Usage errors are argparse's
-business and exit 2.
+business and exit 2. Four rules read an argument: check_size, check_cap,
+check_real and to_fraction, the last two with one bound, > 0; brief writes
+a refused value into the refusal's text, at any size.
 """
 
+from fractions import Fraction
 from math import inf, isfinite
+from numbers import Rational
 from operator import index
 
 
@@ -26,8 +30,17 @@ class OutOfRangeError(DomainError):
 
 
 class ResourceLimitError(CheckerboardError, RuntimeError):
-    """An enumeration, an exact lattice evaluation or sweep, or a Dirac
-    residual grid exceeded its configured cap."""
+    """An enumeration, an exact lattice evaluation or sweep, a Dirac grid or
+    a written rational (Python's int-to-str digit limit) exceeded its cap."""
+
+
+def brief(value: object) -> str:
+    """value for a refusal text: a rational as str, anything else as repr, and
+    one past 2,000 bits as its size, which no digit limit (>= 640) refuses."""
+    if not isinstance(value, Rational):
+        return repr(value)
+    bits = max(abs(int(value.numerator)), int(value.denominator)).bit_length()
+    return str(value) if bits <= 2000 else f"<a {bits}-bit number>"
 
 
 def check_size(name: str, value: int, minimum: float = -inf) -> int:
@@ -40,7 +53,7 @@ def check_size(name: str, value: int, minimum: float = -inf) -> int:
             size = index(None if isinstance(value, bool) else value)
         except TypeError:
             raise InvalidParameterError(
-                f"integer {name} expected, got {value!r}") from None
+                f"integer {name} expected, got {brief(value)}") from None
     if size < minimum:
         raise InvalidParameterError(f"{name} must be >= {minimum}")
     return size
@@ -53,16 +66,39 @@ def check_cap(name: str, value: int, kind: str, cap: int) -> None:
         cap = check_size(f"{kind} cap", cap, 0)
     if value > cap:
         raise ResourceLimitError(
-            f"{name} = {value} exceeds {kind} cap {cap}; "
+            f"{name} = {brief(value)} exceeds {kind} cap {brief(cap)}; "
             "raise the cap explicitly if the wait is acceptable")
 
 
-def check_real(name: str, value: float, error: type) -> float:
-    """value as a float (numpy reals and exact rationals pass); NaN, inf and
-    a value past float range raise error, a str or None a TypeError."""
+def check_real(name: str, value: float, error: type,
+               positive: bool = False) -> float:
+    """value as a float (numpy reals and exact rationals pass); NaN, inf, past
+    float range and, if positive, <= 0 raise error, a str or None TypeError."""
     try:
         if isfinite(value):
-            return float(value)
+            value = float(value)
+            if not positive or value > 0:
+                return value
+            raise error(f"{name} must be > 0")
     except OverflowError:
         pass
     raise error(f"{name} must be finite and within float range")
+
+
+def to_fraction(value: Rational | float | str, name: str = "value",
+                positive: bool = False) -> Fraction:
+    """value as a Fraction over Python ints (Fraction(np.int64(7)) keeps int64
+    parts, whose products wrap), a float of any width by its exact ratio, a str
+    as Fraction reads it; refused: NaN, inf, other types, <= 0 if positive."""
+    if isinstance(value, Rational):
+        fraction = Fraction(int(value.numerator), int(value.denominator))
+    else:
+        try:
+            fraction = Fraction(value) if isinstance(value, str) else Fraction(
+                *value.as_integer_ratio())
+        except (ValueError, OverflowError, AttributeError):
+            raise InvalidParameterError(f"{name} must be a finite rational, "
+                                        f"got {brief(value)}") from None
+    if positive and fraction <= 0:
+        raise InvalidParameterError(f"{name} must be > 0")
+    return fraction

@@ -26,7 +26,7 @@ from itertools import combinations, zip_longest
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import InvalidParameterError, check_cap, check_size
+from .errors import InvalidParameterError, check_cap, check_size, to_fraction
 
 DEFAULT_ENUMERATION_CAP = 24
 _ZERO = Fraction(0)
@@ -116,7 +116,7 @@ class AmplitudePolynomial:
 
     def evaluate_exact(self, eps0: Fraction) -> tuple[Fraction, Fraction]:
         """Substitute a rational eps0; return exact (real, imag) parts."""
-        return parity_parts(self._even, self._odd, Fraction(eps0))
+        return parity_parts(self._even, self._odd, to_fraction(eps0, "eps0"))
 
     def to_json_dict(self) -> dict[str, int]:
         """Coefficients keyed by stringified order for JSON output."""

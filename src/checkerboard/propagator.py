@@ -48,12 +48,11 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bessel import bessel_j0_j1
-from .errors import (DomainError, InvalidParameterError, check_cap,
-                     check_real, check_size)
+from .errors import (DomainError, InvalidParameterError, brief, check_cap,
+                     check_real, check_size, to_fraction)
 from .paths import (AmplitudePolynomial, Direction, check_directions,
                     parity_parts)
-from .spacetime import (RationalLike, rational_square_root,
-                        spectrum_membership, to_fraction)
+from .spacetime import RationalLike, rational_square_root, spectrum_membership
 
 COMPONENT_ORDER = ("psi_pp", "psi_pm", "psi_mp", "psi_mm")
 
@@ -132,10 +131,7 @@ class _Endpoint:
     def __post_init__(self):
         object.__setattr__(self, "P", check_size("P and Q", self.P, 1))
         object.__setattr__(self, "Q", check_size("P and Q", self.Q, 1))
-        object.__setattr__(self, "t", to_fraction(self.t, "t"))
-        if self.t <= 0:
-            raise InvalidParameterError(
-                f"{type(self).__name__} requires t > 0")
+        object.__setattr__(self, "t", to_fraction(self.t, "t", positive=True))
 
     @property
     def step(self) -> Fraction:
@@ -326,8 +322,8 @@ def proper_time(t: float, x: float) -> float:
     float, s is bit-identical to the unscaled form."""
     t, x = check_real("t", t, DomainError), check_real("x", x, DomainError)
     if t <= abs(x):
-        raise DomainError(
-            f"point (t={t}, x={x}) is outside the open forward light cone")
+        raise DomainError(f"point (t={brief(t)}, x={brief(x)}) is outside "
+                          "the open forward light cone")
     k = frexp(t)[1]
     t, x = ldexp(t, -k), ldexp(x, -k)
     return ldexp(sqrt((t - x) * (t + x)), k)
@@ -405,15 +401,6 @@ def _deviation_rows(spec: LatticeSpec | LinearSpec,
 WARNING_COMPONENT = "warning"
 
 
-def _sweep_inputs(t: RationalLike, v: RationalLike) -> tuple[Fraction, Fraction]:
-    """t and v of a sweep as exact rationals, with t > 0."""
-    t = to_fraction(t, "t")
-    v = to_fraction(v, "v")
-    if t <= 0:
-        raise InvalidParameterError("sweep requires t > 0")
-    return t, v
-
-
 def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
            spec_of: Callable[[int], Optional[LatticeSpec | LinearSpec]],
            cap: int) -> list[ConvergenceRow]:
@@ -443,14 +430,6 @@ def _sweep(t: Fraction, v: Fraction, sizes: Sequence[int],
     return rows
 
 
-def _brief(value: RationalLike) -> str:
-    """str(value) for an error text, or its size where that would pass
-    2,000 bits (about 600 digits): the text stays short, and no setting
-    of Python's int-to-str digit limit (640 at least) can refuse it."""
-    bits = max(abs(value.numerator), value.denominator).bit_length()
-    return str(value) if bits <= 2000 else f"<a {bits}-bit number>"
-
-
 def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
                       cap: int = DEFAULT_LATTICE_CAP) -> list[ConvergenceRow]:
     """Deviation of the exact lattice components from the closed forms.
@@ -461,18 +440,18 @@ def convergence_sweep(t: RationalLike, v: RationalLike, P_list: Sequence[int],
     COMPONENT_ORDER within each group. A size with P + Q above cap
     refuses the whole sweep (ResourceLimitError) before any evaluation.
     """
-    t, v = _sweep_inputs(t, v)
+    t, v = to_fraction(t, "t", positive=True), to_fraction(v, "v")
     gen = spectrum_membership(v)
     if gen is None:
-        raise DomainError(f"velocity {_brief(v)} is not in the spectrum "
+        raise DomainError(f"velocity {brief(v)} is not in the spectrum "
                           "(p^2-q^2)/(p^2+q^2)")
     P0, Q0 = gen
 
     def spec_of(P: int) -> LatticeSpec:
         if (P := check_size("P", P, 1)) % P0:
             raise DomainError(
-                f"P = {_brief(P)} cannot realize v = {_brief(v)}: P must be "
-                f"a positive multiple of {_brief(P0)}")
+                f"P = {brief(P)} cannot realize v = {brief(v)}: P must be "
+                f"a positive multiple of {brief(P0)}")
         return LatticeSpec(P=P, Q=(P // P0) * Q0, t=t)
 
     return _sweep(t, v, P_list, spec_of, cap)
@@ -487,7 +466,7 @@ def linear_converge(t: RationalLike, v: RationalLike, N_list: Sequence[int],
     cannot realize v exactly is not an error; it yields a single marker
     row (see _sweep).
     """
-    t, v = _sweep_inputs(t, v)
+    t, v = to_fraction(t, "t", positive=True), to_fraction(v, "v")
     if abs(v) >= 1:
         raise InvalidParameterError("sweep requires |v| < 1")
     N_list = [check_size("N", N, 1) for N in N_list]

@@ -20,10 +20,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from numbers import Rational
 from typing import Optional, Union
 
-from .errors import InvalidParameterError, check_cap, check_size
+from .errors import (InvalidParameterError, ResourceLimitError, brief,
+                     check_cap, check_size, to_fraction)
 
 RationalLike = Union[int, Fraction]
 
@@ -34,27 +34,14 @@ RationalLike = Union[int, Fraction]
 DEFAULT_SPECTRUM_CAP = 512
 
 
-def to_fraction(value: RationalLike, name: str = "value") -> Fraction:
-    """Fraction(value), refusing nan and inf with a typed error.
-
-    The one place where a caller's value becomes an exact Fraction; the
-    bare ValueError or OverflowError of Fraction(nan) and Fraction(inf)
-    never reaches a library caller. Any Rational comes back over Python
-    ints: Fraction(np.int64(7)) keeps int64 parts, whose products wrap.
-    """
-    if isinstance(value, Rational):
-        return Fraction(int(value.numerator), int(value.denominator))
-    try:
-        return Fraction(value)
-    except (ValueError, OverflowError):
-        raise InvalidParameterError(
-            f"{name} must be a finite rational, got {value!r}") from None
-
-
 def format_rational(value: RationalLike) -> str:
     """Serialize a rational as "num/den" in lowest terms, e.g. "5/1", "-3/5"."""
     f = to_fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past the limit, which sys.set_int_max_str_digits sets
+        raise ResourceLimitError(f"{brief(f)} exceeds the int-to-str "
+                                 "digit limit") from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -107,9 +94,9 @@ class BoostMatrix:
         object.__setattr__(self, "p", check_size("generator p", self.p))
         object.__setattr__(self, "q", check_size("generator q", self.q))
         if not (self.q != 0 and self.p > 0 and gcd(self.p, self.q) == 1):
-            raise InvalidParameterError(
-                f"boost generator ({self.p}, {self.q}) is not canonical: "
-                "need p > 0, q != 0 and gcd(p, q) = 1; boost() reduces one")
+            raise InvalidParameterError(f"boost generator ({brief(self.p)}, "
+                f"{brief(self.q)}) is not canonical: need p > 0, q != 0 and "
+                "gcd(p, q) = 1; boost() reduces one")
 
     @property
     def a11(self) -> Fraction:

@@ -445,6 +445,28 @@ def test_exact_prints_values_past_the_int_str_limit(capsys):
             for name, c in got.items()} == want
 
 
+BIG = "1" + "0" * 5000  # 5,001 digits, past the 4,300 int() reads by default
+
+
+@pytest.mark.parametrize("argv, exit_code, message", [
+    (["exact", "--P", BIG, "--Q", "2", "--t", "1"], 4,
+     "error: P + Q = <a 16610-bit number> exceeds lattice cap 4096"),
+    (["spectrum", "--max-pq", BIG], 4,
+     "error: max_pq = <a 16610-bit number> exceeds spectrum cap 512"),
+    (["exact", "--P", "10", "--Q", "2", "--t", BIG], 3,
+     "error: psi_pp lies past float range\n"),
+])
+def test_a_flag_past_the_int_str_limit_reaches_the_library(
+        capsys, argv, exit_code, message):
+    # main lifts the limit before parsing: such a flag was once a usage
+    # error (exit 2) that echoed all its digits
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (exit_code, "") and err.startswith(message)
+    assert not re.search(r"[0-9]{603}", err)  # nothing past 2,000 bits
+    assert sys.get_int_max_str_digits() == limit
+
+
 # a rational whose numerator and denominator reach 10^400, as a flag value
 RATIONALS = st.integers(0, 400).flatmap(lambda d: st.builds(
     lambda a, b: format_rational(Fraction(a, b)),

@@ -8,11 +8,12 @@ argument the call takes:
   which gives the int's result. A bool, a float, a Fraction, NaN or inf
   is refused with InvalidParameterError, so no cap value switches a
   budget off.
-- NUM, reals and exact rationals: 2.0, True, np.int64(2) and
-  np.float64(2.0) give the result of 2 (of 1 for True) and 2.5 that of
-  Fraction(5, 2), unless they are refused with a CheckerboardError; NaN
-  and inf are refused with one. 0, -1, +-10**400 and Fraction(5, 2)
-  give a result or a CheckerboardError.
+- NUM, reals and exact rationals: 2.0, True, np.bool_(True), np.int64(2)
+  and np.float64(2.0) give the result of 2 (of 1 for the bools), and
+  2.5, np.float32(2.5) and np.longdouble(2.5) that of Fraction(5, 2),
+  unless they are refused with a CheckerboardError; NaN and inf are
+  refused with one. 0, -1, +-10**400, 10**5000, Fraction(10**5000, 3)
+  and Fraction(5, 2) give a result or a CheckerboardError.
 
 No other exception is allowed, and no warning (pytest turns one into an
 error). A wrong type is the one place a TypeError may come out: None
@@ -21,9 +22,15 @@ default), and a str the same, or the result of the number it spells. Rows of coe
 paths, directions and plain records take no numeric argument here; a
 record whose fields a function reads (a point, a region, a spec) is
 built inside that function's call, so its fields are that call's
-arguments.
+arguments. A method joins the registry under its dotted name.
+
+Every library call runs under Python's default int-to-str digit limit,
+so a refusal that writes a value of more than 4,300 digits fails here;
+only the repr of a result, taken after the call, lifts it.
 """
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import inf, nan
 
@@ -41,12 +48,17 @@ FIELD = np.zeros((3, 3), dtype=complex)
 HOSTILE = ((2.0, 2), (2.5, Fraction(5, 2)), (True, 1), (0, 0), (-1, -1),
            (nan, None), (inf, None), (10**400, 10**400),
            (-10**400, -10**400), (Fraction(5, 2), Fraction(5, 2)),
-           (np.int64(2), 2), (np.float64(2.0), 2))
+           (np.int64(2), 2), (np.float64(2.0), 2), (10**5000, 10**5000),
+           (Fraction(10**5000, 3), Fraction(10**5000, 3)),
+           (np.float32(2.5), Fraction(5, 2)),
+           (np.longdouble(2.5), Fraction(5, 2)), (np.bool_(True), 1))
 
 
 # name: (call, (kind, valid value) per numeric argument of the call)
 CASES = {
     "AmplitudePolynomial": (lambda: cb.AmplitudePolynomial((1, 2), (3,)),),
+    "AmplitudePolynomial.evaluate_exact": (lambda eps0: cb.AmplitudePolynomial(
+        (1, 2), (3,)).evaluate_exact(eps0), (NUM, Fraction(1, 3))),
     "BoostMatrix": (cb.BoostMatrix, (INT, 3), (INT, 1)),
     "ConvergenceRow": (lambda: cb.ConvergenceRow(
         2, 2, Fraction(1), Fraction(0), "psi_pp", *[0.0] * 6),),
@@ -123,13 +135,33 @@ CASES = {
 OPTIONAL = {("LinearSpec", 3)}
 
 
+@contextmanager
+def _digit_limit(digits):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _outcome(call, args):
     """repr of the result, which tells 2 from 2.0 and np.int64(2), or the
-    CheckerboardError class; any other exception propagates."""
-    try:
-        return repr(call(*args))
-    except CheckerboardError as exc:
-        return type(exc)
+    CheckerboardError class; any other exception propagates. The call runs
+    under the default digit limit, the repr with none."""
+    with _digit_limit(sys.int_info.default_max_str_digits):
+        try:
+            result = call(*args)
+        except CheckerboardError as exc:
+            return type(exc)
+    with _digit_limit(0):
+        return repr(result)
+
+
+def _where(name, i, hostile) -> str:
+    """The failing case's label, written after the call."""
+    with _digit_limit(0):
+        return f"{name} argument {i} = {hostile!r:.24}"
 
 
 def _refused(outcome) -> bool:
@@ -140,7 +172,7 @@ def test_the_registry_covers_the_public_surface():
     public = {name for name in cb.__all__ if callable(getattr(cb, name))
               and not (isinstance(getattr(cb, name), type)
                        and issubclass(getattr(cb, name), BaseException))}
-    assert set(CASES) == public
+    assert {name for name in CASES if "." not in name} == public
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -154,15 +186,16 @@ def test_hostile_numbers_give_the_plain_result_or_a_typed_refusal(name):
         for hostile, plain in HOSTILE + wrong:
             args, plain_args = list(valid), list(valid)
             args[i], plain_args[i] = hostile, plain
-            where = f"{name} argument {i} = {hostile!r:.24}"
             try:
                 got = _outcome(call, args)
             except TypeError as exc:
                 if not isinstance(hostile, (str, type(None))):
-                    failures.append(f"{where}: TypeError {exc}")
+                    failures.append(
+                        f"{_where(name, i, hostile)}: TypeError {exc}")
                 continue
             except Exception as exc:
-                failures.append(f"{where}: {type(exc).__name__} {exc}")
+                failures.append(
+                    f"{_where(name, i, hostile)}: {type(exc).__name__} {exc}")
                 continue
             integer = type(hostile) is int or isinstance(hostile, np.integer)
             if kind == INT and not integer:
@@ -173,7 +206,7 @@ def test_hostile_numbers_give_the_plain_result_or_a_typed_refusal(name):
                 ok = got == _outcome(call, plain_args) or (
                     kind == NUM and _refused(got))
             if not ok:
-                failures.append(f"{where}: {got!r}")
+                failures.append(f"{_where(name, i, hostile)}: {got!r}")
     assert not failures, "\n".join(failures)
 
 
@@ -236,3 +269,85 @@ def test_an_int64_boost_chain_equals_the_python_int_chain():
         narrow = cb.compose(narrow, cb.boost(np.int64(3), np.int64(2)))
     assert narrow == wide and type(narrow.p) is int
     assert wide.p == 3**41
+
+
+BIG, BIG_THIRD = 10**5000, Fraction(10**5000, 3)  # past 4,300 digits
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cb.exact_component(BIG, 2, R, L), cb.ResourceLimitError),
+    (lambda: cb.elem_sym_table(BIG), cb.ResourceLimitError),
+    (lambda: cb.enumerate_paths(BIG, 2, R, L), cb.ResourceLimitError),
+    (lambda: cb.sector_sum_bruteforce(BIG, 2, R, L), cb.ResourceLimitError),
+    (lambda: cb.velocity_spectrum(BIG), cb.ResourceLimitError),
+    (lambda: cb.convergence_sweep(1, 0, [BIG]), cb.ResourceLimitError),
+    (lambda: cb.linear_converge(1, 0, [BIG]), cb.ResourceLimitError),
+    (lambda: cb.BoostMatrix(2 * BIG, 2), InvalidParameterError),
+    (lambda: cb.count_paths(BIG_THIRD, 2, R, L, 1), InvalidParameterError),
+    (lambda: cb.boost(BIG_THIRD, 2), InvalidParameterError),
+    (lambda: cb.make_point(BIG_THIRD, 1, 2, 1), InvalidParameterError),
+    (lambda: cb.LatticeSpec(BIG_THIRD, 2, 1), InvalidParameterError),
+    (lambda: cb.split_counts(BIG_THIRD, 0), InvalidParameterError),
+    (lambda: cb.pq_identity_check(BIG_THIRD, 2), InvalidParameterError),
+    (lambda: cb.exact_parts(cb.LatticeSpec(3, 2, 1), cap=BIG_THIRD),
+     InvalidParameterError),
+    (lambda: cb.format_rational(BIG), cb.ResourceLimitError),
+], ids=["exact_component", "elem_sym_table", "enumerate_paths",
+        "sector_sum_bruteforce", "velocity_spectrum", "convergence_sweep",
+        "linear_converge", "BoostMatrix", "count_paths", "boost",
+        "make_point", "LatticeSpec", "split_counts", "pq_identity_check",
+        "exact_parts", "format_rational"])
+def test_a_value_past_the_digit_limit_is_refused_by_its_size(call, error):
+    # each once wrote the value in digits, in its refusal text or (in
+    # format_rational) its result, and Python's int-to-str limit turned
+    # that into a bare ValueError
+    with _digit_limit(sys.int_info.default_max_str_digits):
+        with pytest.raises(error, match=r"<a \d+-bit number>"):
+            call()
+
+
+NUMPY_REALS = (np.float16(0.25), np.float32(0.25), np.longdouble(0.25),
+               np.bool_(True))
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: cb.LatticeSpec(3, 2, t),
+    lambda t: cb.LinearSpec(3, 2, t),
+    lambda v: cb.split_counts(8, v),
+    lambda t: cb.convergence_sweep(t, 0, [2]),
+    lambda t: cb.linear_converge(t, 0, [4]),
+    lambda t: cb.is_member(cb.SpacetimePoint(t, 1)),
+    lambda t: cb.apply_boost(cb.boost(2, 1), cb.SpacetimePoint(t, 1)),
+    cb.spectrum_membership,
+    cb.rational_square_root,
+    cb.format_rational,
+    lambda eps0: cb.AmplitudePolynomial((1, 2), (3,)).evaluate_exact(eps0),
+], ids=["LatticeSpec", "LinearSpec", "split_counts", "convergence_sweep",
+        "linear_converge", "is_member", "apply_boost", "spectrum_membership",
+        "rational_square_root", "format_rational", "evaluate_exact"])
+def test_a_numpy_real_of_any_width_is_its_exact_value(call):
+    # Fraction() takes no numpy float or bool: each call once raised its
+    # bare TypeError
+    for value in NUMPY_REALS:
+        plain = True if isinstance(value, np.bool_) else Fraction(1, 4)
+        try:
+            got = call(value)
+        except InvalidParameterError:
+            continue
+        assert repr(got) == repr(call(plain)), value
+
+
+def test_a_longdouble_keeps_its_bits():
+    third = np.longdouble(1) / 3
+    exact = Fraction(*third.as_integer_ratio())
+    assert cb.format_rational(third) == f"{exact.numerator}/{exact.denominator}"
+    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
+        assert exact != Fraction(float(third))
+
+
+def test_evaluate_exact_reads_its_step_by_the_rational_rule():
+    poly = cb.AmplitudePolynomial((1, 2), (3,))
+    with pytest.raises(InvalidParameterError, match="eps0"):
+        poly.evaluate_exact(nan)
+    assert poly.evaluate_exact(np.float32(0.5)) == poly.evaluate_exact(
+        Fraction(1, 2))

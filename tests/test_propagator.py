@@ -604,7 +604,7 @@ def test_sweep_velocity_scaling():
         convergence_sweep(2, Fraction(3, 5), [5])  # 5 not a multiple of 2
     with pytest.raises(DomainError):
         convergence_sweep(2, Fraction(1, 3), [4])  # not a spectrum velocity
-    with pytest.raises(InvalidParameterError, match="t > 0"):
+    with pytest.raises(InvalidParameterError, match="t must be > 0"):
         convergence_sweep(0, 0, [4])
     for t, v in ((float("nan"), 0), (float("inf"), 0), (2, float("nan"))):
         with pytest.raises(InvalidParameterError, match="finite"):

@@ -53,7 +53,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, inf, log2, nextafter, ulp
 
-from .errors import InvalidParameterError, OutOfRangeError, check_real
+from .errors import InvalidParameterError, OutOfRangeError, brief, check_real
 
 MAX_SERIES_TERMS = 200
 SERIES_WINDOW = 50.0
@@ -202,6 +202,9 @@ def j0_j1_values(s) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(s, dtype=np.float64)
     except OverflowError:
         raise OutOfRangeError("Bessel arguments past float range") from None
+    except ValueError:  # text numpy cannot read, or a ragged nest
+        raise InvalidParameterError(
+            f"Bessel arguments must be real numbers, got {brief(s)}") from None
     flat = arr.reshape(-1)
     if not flat.size:
         return np.empty_like(arr), np.empty_like(arr)

@@ -7,9 +7,10 @@ converge emits deviation tables for either lattice model as CSV; and
 dirac-check runs the finite-difference verification.
 
 Conventions: rational-valued flags take "a/b" or plain integer strings,
-real-valued flags take decimal literals; which is which is stated in each
-flag's help text. A negative rational is joined to its flag with "=",
-as in --v=-3/5: after a space argparse reads "-3/5" as an option.
+real-valued flags take decimal literals (ASCII, no spaces or underscores);
+which is which is stated in each flag's help text. A negative rational is
+joined to its flag with "=", as in --v=-3/5: after a space argparse reads
+"-3/5" as an option.
 Every JSON value goes through one encoder, which prints a rational as
 "num/den" in lowest terms, as the CSV does, and an amplitude polynomial
 as its mapping of orders; reals round-trip bit-exactly. Every JSON
@@ -36,7 +37,7 @@ from typing import Optional
 
 from .dirac import DEFAULT_GRID_CAP, Region, dirac_residual
 from .errors import (CheckerboardError, DomainError, InvalidParameterError,
-                     ResourceLimitError)
+                     ResourceLimitError, brief)
 from .paths import (DEFAULT_ENUMERATION_CAP, AmplitudePolynomial, Direction,
                     bend_records, enumerate_paths, path_amplitude)
 from .propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
@@ -79,8 +80,20 @@ def _integer(text: str) -> int:
     """ASCII digits with an optional sign, nothing else (no spaces,
     underscores or non-ASCII digits, which int() would take)."""
     if re.fullmatch(r"[+-]?[0-9]+", text) is None:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {brief(text)}")
     return int(text)
+
+
+def _real(text: str) -> float:
+    """A decimal literal: an optional sign, ASCII digits with at most one
+    point and an optional exponent, or nan, inf or infinity in any case;
+    nothing else that float() would take (spaces, underscores, non-ASCII
+    digits)."""
+    if re.fullmatch(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?"
+                    r"|nan|inf(inity)?)", text, re.IGNORECASE) is None:
+        raise argparse.ArgumentTypeError(
+            f"expected a decimal literal, got {brief(text)}")
+    return float(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -99,7 +112,7 @@ def _direction(text: str) -> Direction:
         return Direction(text.upper())
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected R or L, got {text!r}") from None
+            f"expected R or L, got {brief(text)}") from None
 
 
 def _cmd_member(args: argparse.Namespace) -> dict:
@@ -308,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagator", parents=[common],
                        help="closed-form components at a real point inside the light cone")
     p.set_defaults(handler=_cmd_propagator)
-    p.add_argument("--t", type=float, required=True, help="time, decimal literal")
-    p.add_argument("--x", type=float, required=True, help="position, decimal literal")
+    p.add_argument("--t", type=_real, required=True, help="time, decimal literal")
+    p.add_argument("--x", type=_real, required=True, help="position, decimal literal")
 
     p = sub.add_parser("converge", parents=[common, lattice_cap],
                        help="CSV table of exact-versus-closed deviations")
@@ -328,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dirac-check", parents=[common],
                        help="finite-difference residual of the Dirac system")
     p.set_defaults(handler=_cmd_dirac_check)
-    p.add_argument("--t0", type=float, required=True, help="region start time")
-    p.add_argument("--t1", type=float, required=True, help="region end time")
-    p.add_argument("--xfrac", type=float, required=True,
+    p.add_argument("--t0", type=_real, required=True, help="region start time")
+    p.add_argument("--t1", type=_real, required=True, help="region end time")
+    p.add_argument("--xfrac", type=_real, required=True,
                    help="half-width of the region as a fraction of t, in [0, 1)")
-    p.add_argument("--h", type=float, required=True, help="coarse grid spacing")
-    p.add_argument("--j0-scale", type=float, default=1.0, dest="j0_scale",
+    p.add_argument("--h", type=_real, required=True, help="coarse grid spacing")
+    p.add_argument("--j0-scale", type=_real, default=1.0, dest="j0_scale",
                    help="rescale the J0-valued components (negative control; "
                         "default %(default)s)")
     p.add_argument("--cap", type=_integer, default=DEFAULT_GRID_CAP,

@@ -3,8 +3,10 @@
 The CLI maps these onto exit codes: domain violations (including invalid
 parameters) exit 3, resource caps exit 4. Usage errors are argparse's
 business and exit 2. Four rules read an argument: check_size, check_cap,
-check_real and to_fraction, the last two with one bound, > 0; brief writes
-a refused value into the refusal's text, at any size.
+check_real and to_fraction, the last two with one bound, > 0. They take
+numbers, not text; spacetime.parse_rational reads rational text. brief is
+the one writer of a caller's value into a refusal's text, numbers and text
+alike, at any size.
 """
 
 from fractions import Fraction
@@ -35,12 +37,25 @@ class ResourceLimitError(CheckerboardError, RuntimeError):
 
 
 def brief(value: object) -> str:
-    """value for a refusal text: a rational as str, anything else as repr, and
-    one past 2,000 bits as its size, which no digit limit (>= 640) refuses."""
+    """value for a refusal text: a rational as str, anything else as repr,
+    each by its size past a bound: a rational past 2,000 bits, which no digit
+    limit (>= 640) refuses, and a repr past 100 characters by length and type."""
     if not isinstance(value, Rational):
-        return repr(value)
+        text = repr(value)
+        return text if len(text) <= 100 else (
+            f"<a {len(text)}-character {type(value).__name__}>")
     bits = max(abs(int(value.numerator)), int(value.denominator)).bit_length()
     return str(value) if bits <= 2000 else f"<a {bits}-bit number>"
+
+
+def in_digits(value: int) -> str:
+    """value in decimal digits; past Python's int-to-str digit limit, which
+    sys.set_int_max_str_digits sets, a ResourceLimitError names its size."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ResourceLimitError(
+            f"{brief(value)} exceeds the int-to-str digit limit") from None
 
 
 def check_size(name: str, value: int, minimum: float = -inf) -> int:
@@ -85,17 +100,16 @@ def check_real(name: str, value: float, error: type,
     raise error(f"{name} must be finite and within float range")
 
 
-def to_fraction(value: Rational | float | str, name: str = "value",
+def to_fraction(value: Rational | float, name: str = "value",
                 positive: bool = False) -> Fraction:
     """value as a Fraction over Python ints (Fraction(np.int64(7)) keeps int64
-    parts, whose products wrap), a float of any width by its exact ratio, a str
-    as Fraction reads it; refused: NaN, inf, other types, <= 0 if positive."""
+    parts, whose products wrap) or a float of any width by its exact ratio;
+    refused: NaN, inf, text and other types, <= 0 if positive."""
     if isinstance(value, Rational):
         fraction = Fraction(int(value.numerator), int(value.denominator))
     else:
         try:
-            fraction = Fraction(value) if isinstance(value, str) else Fraction(
-                *value.as_integer_ratio())
+            fraction = Fraction(*value.as_integer_ratio())
         except (ValueError, OverflowError, AttributeError):
             raise InvalidParameterError(f"{name} must be a finite rational, "
                                         f"got {brief(value)}") from None

@@ -26,7 +26,8 @@ from itertools import combinations, zip_longest
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import InvalidParameterError, check_cap, check_size, to_fraction
+from .errors import (InvalidParameterError, check_cap, check_size, in_digits,
+                     to_fraction)
 
 DEFAULT_ENUMERATION_CAP = 24
 _ZERO = Fraction(0)
@@ -105,10 +106,10 @@ class AmplitudePolynomial:
         parts = []
         for k, c in self._terms():
             if k == 0:
-                parts.append(str(c))
+                parts.append(in_digits(c))
                 continue
             base = "(i*eps0)" if k == 1 else f"(i*eps0)^{k}"
-            parts.append(base if c == 1 else f"{c}*{base}")
+            parts.append(base if c == 1 else f"{in_digits(c)}*{base}")
         return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .errors import (InvalidParameterError, ResourceLimitError, brief,
-                     check_cap, check_size, to_fraction)
+from .errors import (InvalidParameterError, brief, check_cap, check_size,
+                     in_digits, to_fraction)
 
 RationalLike = Union[int, Fraction]
 
@@ -37,11 +37,7 @@ DEFAULT_SPECTRUM_CAP = 512
 def format_rational(value: RationalLike) -> str:
     """Serialize a rational as "num/den" in lowest terms, e.g. "5/1", "-3/5"."""
     f = to_fraction(value)
-    try:
-        return f"{f.numerator}/{f.denominator}"
-    except ValueError:  # past the limit, which sys.set_int_max_str_digits sets
-        raise ResourceLimitError(f"{brief(f)} exceeds the int-to-str "
-                                 "digit limit") from None
+    return f"{in_digits(f.numerator)}/{in_digits(f.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -52,7 +48,7 @@ def parse_rational(text: str) -> Fraction:
     den = int(match[2] or 1) if match else 0
     if den == 0:
         raise InvalidParameterError(
-            f"expected a rational 'a/b' or integer, got {text!r}")
+            f"expected a rational 'a/b' or integer, got {brief(text)}")
     return Fraction(int(match[1]), den)
 
 

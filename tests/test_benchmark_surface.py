@@ -9,7 +9,8 @@ fails here, in the ordinary suite, rather than in a benchmark run.
 The same reading of the source guards the exported surface: every name in
 __all__ has a caller in the package, in perfbench/ or in the README quick
 tour, or a reason to stay in KEEP, and no module imports a name it never
-uses. The quick tour is a doctest block, and it runs here. Every field of a dataclass in the package is read as an attribute
+uses, nor writes a value in an f-string with !r (errors.brief writes
+every caller value a message echoes). The quick tour is a doctest block, and it runs here. Every field of a dataclass in the package is read as an attribute
 there, in perfbench/ or in the quick tour, or its class is walked by
 dataclasses.fields, or it has a reason to stay in KEEP_FIELDS.
 """
@@ -69,6 +70,14 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, ast.ImportFrom):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (path.name, node.module, private)
+
+
+def test_no_f_string_writes_a_value_by_its_repr():
+    # brief bounds what it writes; a !r would echo a caller's text in full
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FormattedValue):
+                assert node.conversion != ord("r"), (path.name, node.lineno)
 
 
 # Exported names that no program code calls, each kept for one reason.

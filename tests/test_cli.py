@@ -416,7 +416,8 @@ def test_output_files_byte_identical(tmp_path, capsys):
     ["dirac-check", "--t0", "0.5", "--t1", "3", "--xfrac", "0.4", "--h", "nan"],
     ["dirac-check", "--t0", "nan", "--t1", "3", "--xfrac", "0.4", "--h", "0.02"],
     ["dirac-check", "--t0", "0.5", "--t1", "inf", "--xfrac", "0.4", "--h", "0.02"],
-])
+] + [["propagator", "--t", text, "--x", "0"]  # any case, read by _real
+     for text in ("NaN", "+nan", "INF", "Infinity", "+iNfInItY")])
 def test_non_finite_input_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
@@ -446,6 +447,48 @@ def test_exact_prints_values_past_the_int_str_limit(capsys):
 
 
 BIG = "1" + "0" * 5000  # 5,001 digits, past the 4,300 int() reads by default
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["exact", "--P", BIG + "x", "--Q", "2", "--t", "1"],
+     "argument --P: expected an integer, got <a 5004-character str>"),
+    (["member", "--t", BIG + "x", "--x", "0"], "argument --t: expected a "
+     "rational 'a/b' or integer, got <a 5004-character str>"),
+    (["converge", "--model", "quadratic", "--v", "0", "--t", "2",
+      "--p", "4," + "9" * 5000 + "x"],
+     "argument --p: expected an integer, got <a 5003-character str>"),
+    (["enumerate", "--P", "2", "--Q", "2", "--start", "R" * 5000,
+      "--end", "L"], "argument --start: expected R or L, got "
+     "<a 5002-character str>"),
+], ids=["integer", "rational", "integer list", "direction"])
+def test_a_long_flag_is_a_short_usage_error(capsys, argv, message):
+    # each once echoed the whole flag, 5,150-5,260 bytes of stderr
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(message + "\n") and len(err.encode()) <= 300
+
+
+@pytest.mark.parametrize("text", ["1_0", " 2", "0.0_4", "2 ", "\u0663",
+                                  "0x10", "1e5_0", "."])
+@pytest.mark.parametrize("flag", ["propagator --t", "dirac-check --h"])
+def test_a_real_flag_reads_a_strict_decimal_literal(capsys, flag, text):
+    # float() takes all but 0x10 and ".": --t 1_0 once ran at t = 10.0
+    command, name = flag.split()
+    argv = {"propagator": ["--t", "1", "--x", "0"],
+            "dirac-check": ["--t0", "0.5", "--t1", "3", "--xfrac", "0.4",
+                            "--h", "0.02"]}[command]
+    argv[argv.index(name) + 1] = text
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"argument {name}: expected a decimal literal, "
+                        f"got {text!r}\n")
+
+
+@pytest.mark.parametrize("text", ["2", "+2", "2.", ".5", "2.50", "25e-1",
+                                  "0.025E+2", "2.5e0"])
+def test_a_real_flag_reads_every_decimal_spelling(capsys, text):
+    code, out, _ = run_cli(capsys, "propagator", "--t", text, "--x", "0")
+    assert code == 0 and json.loads(out)["t"] == float(text)
 
 
 @pytest.mark.parametrize("argv, exit_code, message", [

@@ -18,7 +18,11 @@ argument the call takes:
 No other exception is allowed, and no warning (pytest turns one into an
 error). A wrong type is the one place a TypeError may come out: None
 raises TypeError or a CheckerboardError (unless None is the argument's
-default), and a str the same, or the result of the number it spells. Rows of coefficients, field arrays,
+default), and a str the same: the rational rule reads no text, and only
+the grid Bessel arrays may give the result of the number "2" spells, as
+numpy reads it. Every refusal of a wrong-type value, a str of 5,001
+characters included, has a message of at most 200 characters; a number
+is held to its own rule, by size past 2,000 bits. Rows of coefficients, field arrays,
 paths, directions and plain records take no numeric argument here; a
 record whose fields a function reads (a point, a region, a spec) is
 built inside that function's call, so its fields are that call's
@@ -38,7 +42,8 @@ import numpy as np
 import pytest
 
 import checkerboard as cb
-from checkerboard.errors import CheckerboardError, InvalidParameterError
+from checkerboard.errors import (CheckerboardError, InvalidParameterError,
+                                 check_size, to_fraction)
 
 R, L = cb.Direction.R, cb.Direction.L
 INT, NUM = "integer", "number"
@@ -52,6 +57,7 @@ HOSTILE = ((2.0, 2), (2.5, Fraction(5, 2)), (True, 1), (0, 0), (-1, -1),
            (Fraction(10**5000, 3), Fraction(10**5000, 3)),
            (np.float32(2.5), Fraction(5, 2)),
            (np.longdouble(2.5), Fraction(5, 2)), (np.bool_(True), 1))
+TEXT = "1" + "0" * 4999 + "x"  # 5,001 characters, no number
 
 
 # name: (call, (kind, valid value) per numeric argument of the call)
@@ -182,7 +188,8 @@ def test_hostile_numbers_give_the_plain_result_or_a_typed_refusal(name):
     assert not _refused(_outcome(call, valid))
     failures = []
     for i, (kind, _) in enumerate(kinds):
-        wrong = ((None, None),) * ((name, i) not in OPTIONAL) + (("2", 2),)
+        wrong = ((None, None),) * ((name, i) not in OPTIONAL) + (
+            ("2", 2), (TEXT, None))
         for hostile, plain in HOSTILE + wrong:
             args, plain_args = list(valid), list(valid)
             args[i], plain_args[i] = hostile, plain
@@ -207,6 +214,24 @@ def test_hostile_numbers_give_the_plain_result_or_a_typed_refusal(name):
                     kind == NUM and _refused(got))
             if not ok:
                 failures.append(f"{_where(name, i, hostile)}: {got!r}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_refusal_of_a_wrong_type_is_short(name):
+    # a refusal once wrote a str of any length in full
+    call, *kinds = CASES[name]
+    failures = []
+    for i in range(len(kinds)):
+        for wrong in (None, "2", TEXT):
+            args = [value for _, value in kinds]
+            args[i] = wrong
+            try:
+                call(*args)
+            except (CheckerboardError, TypeError) as exc:
+                if len(str(exc)) > 200:
+                    failures.append(f"{name} argument {i}: {len(str(exc))} "
+                                    f"characters, {str(exc):.80}")
     assert not failures, "\n".join(failures)
 
 
@@ -292,18 +317,55 @@ BIG, BIG_THIRD = 10**5000, Fraction(10**5000, 3)  # past 4,300 digits
     (lambda: cb.exact_parts(cb.LatticeSpec(3, 2, 1), cap=BIG_THIRD),
      InvalidParameterError),
     (lambda: cb.format_rational(BIG), cb.ResourceLimitError),
+    (lambda: str(cb.AmplitudePolynomial((BIG,))), cb.ResourceLimitError),
+    (lambda: str(cb.AmplitudePolynomial((1, 0, BIG))), cb.ResourceLimitError),
 ], ids=["exact_component", "elem_sym_table", "enumerate_paths",
         "sector_sum_bruteforce", "velocity_spectrum", "convergence_sweep",
         "linear_converge", "BoostMatrix", "count_paths", "boost",
         "make_point", "LatticeSpec", "split_counts", "pq_identity_check",
-        "exact_parts", "format_rational"])
+        "exact_parts", "format_rational",
+        "AmplitudePolynomial.__str__ constant",
+        "AmplitudePolynomial.__str__ eps0^2"])
 def test_a_value_past_the_digit_limit_is_refused_by_its_size(call, error):
     # each once wrote the value in digits, in its refusal text or (in
-    # format_rational) its result, and Python's int-to-str limit turned
-    # that into a bare ValueError
+    # format_rational and str of a polynomial) its result, and Python's
+    # int-to-str limit turned that into a bare ValueError
     with _digit_limit(sys.int_info.default_max_str_digits):
         with pytest.raises(error, match=r"<a \d+-bit number>"):
             call()
+
+
+LONG = "7" * 9999 + "x"  # 10,000 characters
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_size("P", LONG),
+    lambda: cb.exact_component(LONG, 2, R, L),
+    lambda: to_fraction(LONG),
+    lambda: cb.parse_rational(LONG),
+    lambda: cb.j0_values(LONG),
+], ids=["check_size", "exact_component", "to_fraction", "parse_rational",
+        "j0_values"])
+def test_a_long_str_is_refused_by_its_length(call):
+    # each once wrote all 10,000 characters into its refusal
+    with pytest.raises(InvalidParameterError,
+                       match=r"<a 10002-character str>") as refusal:
+        call()
+    assert len(str(refusal.value)) <= 200
+
+
+@pytest.mark.parametrize("call", [
+    lambda: to_fraction("1_0"),
+    lambda: to_fraction(" 3/5 "),
+    lambda: to_fraction("5/2"),
+    lambda: cb.LatticeSpec(2, 2, "3/5"),
+    lambda: cb.is_member(cb.SpacetimePoint("5", "3")),
+])
+def test_text_is_no_number_to_the_rational_rule(call):
+    # Fraction(str) once read these, with a grammar of its own: "1_0" was
+    # t = 10 in the library and a usage error in the CLI
+    with pytest.raises(InvalidParameterError, match="finite rational"):
+        call()
 
 
 NUMPY_REALS = (np.float16(0.25), np.float32(0.25), np.longdouble(0.25),

@@ -49,6 +49,7 @@ from .spacetime import (DEFAULT_SPECTRUM_CAP, SpacetimePoint, apply_boost,
                         velocity_spectrum)
 
 SCHEMA_VERSION = 1
+_R = Direction.R  # ~10 ns a read; Direction.R ~100 ns
 
 CSV_HEADER = ["schema_version", *(f.name for f in fields(ConvergenceRow))]
 
@@ -115,6 +116,15 @@ def _direction(text: str) -> Direction:
             f"expected R or L, got {brief(text)}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but its choice check writes a refused choice
+    through brief; the usage line above the message lists the choices."""
+
+    def _check_value(self, action: argparse.Action, value: object) -> None:
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {brief(value)}")
+
+
 def _cmd_member(args: argparse.Namespace) -> dict:
     witness = is_member(SpacetimePoint(t=args.t, x=args.x))
     return {
@@ -149,7 +159,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> dict | str:
     for path in enumerate_paths(args.P, args.Q, args.start, args.end,
                                 cap=args.cap):
         bends = bend_records(path)
-        to_left = sum(side is Direction.R for side, _ in bends)
+        to_left = sum(side is _R for side, _ in bends)
         entries.append({
             "path": "".join(d.value for d in path),
             "bends": len(bends),
@@ -267,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap", type=_integer, default=DEFAULT_LATTICE_CAP,
         help="refuse a lattice with P+Q above this (default %(default)s)")
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="checkerboard",
         description="Dirac propagator components from checkerboard path "
                     "sums on a rational spacetime lattice")
@@ -378,7 +388,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(map(brief, extras))}")
         _check_paired_flags(parser, args)
         return run(args)
     except SystemExit as exc:

@@ -14,8 +14,9 @@ and evaluates those rows exactly. A path is the plain tuple of its segment
 directions and a bend the (side, coord) pair of bend_records; neither has
 a record type. The brute-force sector sum builds neither: it walks the
 path tree run by run, adding each path's bend-weight product to the row;
-a prefix whose next prefixes could only close adds their paths itself,
-and no two prefixes are ever merged.
+it pushes a prefix only with two or more segments left on both axes, one
+that could only close is closed by the pass that opens it, and no two
+prefixes are ever merged.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ class Direction(enum.Enum):
         return self.value
 
 
+_R, _L = Direction.R, Direction.L  # ~10 ns a read; Direction.R ~100 ns
+
+
 def bend_records(path: tuple[Direction, ...]) -> list[tuple[Direction, int]]:
     """Every reversal of a path, in order, as a (side, coord) pair.
 
@@ -51,16 +55,15 @@ def bend_records(path: tuple[Direction, ...]) -> list[tuple[Direction, int]]:
     amplitude; the last is fixed by the endpoint.
     """
     pairs = []
-    right = Direction.R  # looked up once: enum attribute access is slow
     r_done = 0
     l_done = 0
     for a, b in zip(path, path[1:]):
-        if a is right:
+        if a is _R:
             r_done += 1
         else:
             l_done += 1
         if a is not b:
-            pairs.append((a, r_done if a is right else l_done))
+            pairs.append((a, r_done if a is _R else l_done))
     return pairs
 
 
@@ -212,20 +215,19 @@ def _paths(P: int, Q: int, start: Direction, end: Direction) -> Iterator:
     """enumerate_paths' generator, on checked arguments."""
     n = P + Q
     if n == 1:
-        if start is end and (P if start is Direction.R else Q) == 1:
+        if start is end and (P if start is _R else Q) == 1:
             yield (start,)
         return
     # the first and last segments are fixed; the remaining rights take
     # `rights` of the interior slots 1..n-2, the lefts take the rest
-    rights = P - (start is Direction.R) - (end is Direction.R)
+    rights = P - (start is _R) - (end is _R)
     if not 0 <= rights <= n - 2:
         return
-    right = Direction.R  # looked up once: enum attribute access is slow
-    template = [start] + [Direction.L] * (n - 2) + [end]
+    template = [start] + [_L] * (n - 2) + [end]
     for places in combinations(range(1, n - 1), rights):
         segments = template.copy()
         for i in places:
-            segments[i] = right
+            segments[i] = _R
         yield tuple(segments)
 
 
@@ -253,10 +255,10 @@ def count_paths(P: int, Q: int, start: Direction, end: Direction, R: int) -> int
             return 0
         return comb(total - 1, parts - 1)
 
-    if start is Direction.L:
+    if start is _L:
         P, Q = Q, P
-        end = Direction.R if end is Direction.L else Direction.L
-    if (R % 2 == 1) != (end is Direction.L):
+        end = _R if end is _L else _L
+    if (R % 2 == 1) != (end is _L):
         return 0
     return runs(P, R // 2 + 1) * runs(Q, (R + 1) // 2)
 
@@ -274,18 +276,19 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
     axis and on the other, the bends up to the one that ends that run and
     the product of the counted weights, its opening bend's 2j - 1 already
     in (a bend that opens a run is never the last: both axes have
-    segments left). A pop pushes one prefix per length of the next run
-    but the longest, which leaves the other axis to close the prefix: a
-    leaf. Where the other axis has one segment left, those prefixes could
-    only close, so the pop adds each one's leaf to the row itself, one
-    product per path, and pushes nothing. Every path is its own leaf with
-    its own product. Prefixes that reach the same state are not merged,
-    as that merge is the recurrence behind the closed forms.
+    segments left). A pop pushes only prefixes with two or more segments
+    left on both axes. The run through its axis's last segment leaves the
+    other axis to close the prefix: a leaf. The run that leaves one opens
+    a prefix that can only close, and the pop closes it, adding its leaves
+    to the row, one product per path: the 264 sectors with P + Q <= 12
+    take 2,084 pops, not 4,092. Every path is its own leaf with its own
+    product. Prefixes that reach the same state are not merged, as that
+    merge is the recurrence behind the closed forms.
     """
     P, Q = _check_sector(P, Q, start, end, cap)
-    to_right = end is Direction.R
+    to_right = end is _R
     rights, lefts = P - to_right, Q - (not to_right)  # the walked prefix
-    on_right = start is Direction.R
+    on_right = start is _R
     first, other = (rights, lefts) if on_right else (lefts, rights)
     if rights < 0 or lefts < 0 or (not first and (other or start is not end)):
         # nothing for the last segment, or the prefix cannot start on
@@ -305,9 +308,9 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
         on_end, used, used_other, bends, prod = pop()
         last, other_last = (own, cross) if on_end else (cross, own)
         if used_other + 1 < other_last:
-            # the other axis can bend again: a run that stops at j < last
-            # opens a prefix there, whose opening bend counts
-            for j in range(used + 1, last):
+            # the other axis can bend again: a run that stops at j < last - 1
+            # opens a prefix with two or more segments left on each axis
+            for j in range(used + 1, last - 1):
                 push((not on_end, used_other, j, bends + 1,
                       prod * (2 * j - 1)))
             # the run through `last` uses up its axis; the other axis
@@ -318,21 +321,28 @@ def sector_sum_bruteforce(P: int, Q: int, start: Direction, end: Direction,
                 row[bends >> 1] += prod * (2 * last - 1)
             else:
                 row[(bends - 1) >> 1] += prod
-        elif on_end:
-            # one segment left on the other axis, so every run is a leaf:
-            # the run through j bends at j onto that segment, and the bend
-            # after it is the path's last
-            k = bends >> 1
-            for odd in range(2 * used + 1, 2 * last, 2):
-                row[k] += prod * odd
-        else:
-            # one segment left on end's axis: the run through `last` bends
-            # onto it for the last time; a run through j < last bends at
-            # j, takes that segment, bends back at other_last (counted),
-            # ends its own axis and bends into the last segment
-            row[(bends - 1) >> 1] += prod
-            k, w = (bends + 1) >> 1, 2 * other_last - 1
-            for odd in range(2 * used + 1, 2 * last - 1, 2):
+            if used + 1 == last:
+                continue
+            # the run through last - 1 opens a prefix that can only close
+            prod *= 2 * last - 3
+        else:  # only the first entry, one segment left on the other axis:
+            # as if a run of no segments on that axis had opened it
+            on_end, last, other_last, bends = not on_end, other_last, last, 0
+        # close the opened prefix (bends + 1 bends, product prod), whose
+        # run on the other axis starts after used_other (0 for the first)
+        if on_end:
+            # off end's axis: the run through other_last bends onto this
+            # axis's last segment; one through j < other_last bends at j,
+            # takes that segment and bends back at `last` (counted)
+            row[bends >> 1] += prod
+            k, w = (bends + 2) >> 1, 2 * last - 1
+            for odd in range(2 * used_other + 1, 2 * other_last - 1, 2):
                 row[k] += prod * odd * w
+        else:
+            # on end's axis: the run through j bends at j onto this axis's
+            # last segment, the path's last bend
+            k = (bends + 1) >> 1
+            for odd in range(2 * used_other + 1, 2 * other_last, 2):
+                row[k] += prod * odd
     return (AmplitudePolynomial((), row) if start is end
             else AmplitudePolynomial(row))

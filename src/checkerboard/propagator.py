@@ -55,6 +55,7 @@ from .paths import (AmplitudePolynomial, Direction, check_directions,
 from .spacetime import RationalLike, rational_square_root, spectrum_membership
 
 COMPONENT_ORDER = ("psi_pp", "psi_pm", "psi_mp", "psi_mm")
+_R, _L = Direction.R, Direction.L  # ~10 ns a read; Direction.R ~100 ns
 
 # Bound on P + Q for one exact evaluation. The cost grows about 7x per
 # doubling of P + Q: P = Q = 2048 takes 2.1-2.6 s on a 2-CPU machine,
@@ -212,7 +213,7 @@ def _sector_rows(e_right: Sequence[int], e_left: Sequence[int], start: Direction
     """
     if start is not end:
         return map(mul, e_right, e_left), ()
-    own, other = (e_right, e_left) if start is Direction.R else (e_left, e_right)
+    own, other = (e_right, e_left) if start is _R else (e_left, e_right)
     return (), map(mul, own[1:], other)
 
 
@@ -303,11 +304,10 @@ def exact_parts(spec: LatticeSpec | LinearSpec, cap: int = DEFAULT_LATTICE_CAP
     check_cap("P + Q", spec.P + spec.Q, "lattice", cap)
     e_right, e_left = _axis_rows(spec.row, spec.P, spec.Q)
     step = spec.step
-    R, L = Direction.R, Direction.L
-    mixed = parity_parts(*_sector_rows(e_right, e_left, R, L), step)
-    pp = parity_parts(*_sector_rows(e_right, e_left, R, R), step)
+    mixed = parity_parts(*_sector_rows(e_right, e_left, _R, _L), step)
+    pp = parity_parts(*_sector_rows(e_right, e_left, _R, _R), step)
     mm = pp if e_left is e_right else parity_parts(
-        *_sector_rows(e_right, e_left, L, L), step)
+        *_sector_rows(e_right, e_left, _L, _L), step)
     return {"psi_pp": pp, "psi_pm": mixed, "psi_mp": mixed, "psi_mm": mm}
 
 

@@ -460,12 +460,32 @@ BIG = "1" + "0" * 5000  # 5,001 digits, past the 4,300 int() reads by default
     (["enumerate", "--P", "2", "--Q", "2", "--start", "R" * 5000,
       "--end", "L"], "argument --start: expected R or L, got "
      "<a 5002-character str>"),
-], ids=["integer", "rational", "integer list", "direction"])
+    (["converge", "--model", "q" * 5000, "--v", "0", "--t", "2"],
+     "argument --model: invalid choice: <a 5002-character str>"),
+    (["enumerate", "--P", "2", "--Q", "2", "--start", "R", "--end", "L",
+      "--format", "j" * 5000],
+     "argument --format: invalid choice: <a 5002-character str>"),
+    (["member", "--t", "1", "--x", "0", "y" * 5000],
+     "unrecognized arguments: <a 5002-character str>"),
+    (["c" * 5000], "argument command: invalid choice: <a 5002-character str>"),
+], ids=["integer", "rational", "integer list", "direction", "choice",
+        "format", "extra argument", "subcommand"])
 def test_a_long_flag_is_a_short_usage_error(capsys, argv, message):
-    # each once echoed the whole flag, 5,150-5,260 bytes of stderr
+    # each once echoed the whole value, over 5,000 bytes of stderr
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith(message + "\n") and len(err.encode()) <= 300
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--model", "q", "--v", "0", "--t", "2"],
+     "argument --model: invalid choice: 'q'"),
+    (["member", "--t", "1", "--x", "0", "y", "--z"],
+     "unrecognized arguments: 'y' '--z'"),
+], ids=["choice", "extra arguments"])
+def test_a_short_refused_word_is_written_whole(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.endswith(message + "\n")
 
 
 @pytest.mark.parametrize("text", ["1_0", " 2", "0.0_4", "2 ", "\u0663",

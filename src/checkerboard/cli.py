@@ -117,12 +117,17 @@ def _direction(text: str) -> Direction:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but its choice check writes a refused choice
-    through brief; the usage line above the message lists the choices."""
+    """argparse's parser, but every message it writes passes each word
+    past 100 characters through brief, and its choice check leaves out the
+    (choose from ...) tail: the usage line above the message lists them."""
 
     def _check_value(self, action: argparse.Action, value: object) -> None:
         if action.choices is not None and value not in action.choices:
             raise argparse.ArgumentError(action, f"invalid choice: {brief(value)}")
+
+    def error(self, message: str):
+        super().error(" ".join(brief(word) if len(word) > 100 else word
+                               for word in message.split(" ")))
 
 
 def _cmd_member(args: argparse.Namespace) -> dict:
@@ -213,8 +218,7 @@ def _cmd_converge(args: argparse.Namespace) -> str:
     writer.writerow(CSV_HEADER)
     for row in rows:
         if row.component == WARNING_COMPONENT:
-            print(f"warning: N={row.P} cannot realize "
-                  f"v={format_rational(args.v)} "
+            print(f"warning: N={brief(row.P)} cannot realize v={brief(args.v)} "
                   "with integer segment counts; emitting marker row",
                   file=sys.stderr)
         writer.writerow([SCHEMA_VERSION, *(_cell(getattr(row, f.name))
@@ -256,8 +260,8 @@ def run(args: argparse.Namespace) -> int:
             with open(args.output, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror or exc}",
-                  file=sys.stderr)
+            print(f"error: cannot write {brief(args.output)}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)
@@ -388,9 +392,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args, extras = parser.parse_known_args(argv)
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(map(brief, extras))}")
+        args = parser.parse_args(argv)
         _check_paired_flags(parser, args)
         return run(args)
     except SystemExit as exc:

@@ -58,8 +58,8 @@ COMPONENT_ORDER = ("psi_pp", "psi_pm", "psi_mp", "psi_mm")
 _R, _L = Direction.R, Direction.L  # ~10 ns a read; Direction.R ~100 ns
 
 # Bound on P + Q for one exact evaluation. The cost grows about 7x per
-# doubling of P + Q: P = Q = 2048 takes 2.1-2.6 s on a 2-CPU machine,
-# 1.5-1.9 s of it building the e_k tables.
+# doubling of P + Q: a cold P = Q = 2048 takes 1.9-3.7 s, 1.4-2.9 s of it
+# in the e_k tables (2-CPU machines, single perf_counter shots; README).
 DEFAULT_LATTICE_CAP = 4096
 
 

@@ -468,8 +468,21 @@ BIG = "1" + "0" * 5000  # 5,001 digits, past the 4,300 int() reads by default
     (["member", "--t", "1", "--x", "0", "y" * 5000],
      "unrecognized arguments: <a 5002-character str>"),
     (["c" * 5000], "argument command: invalid choice: <a 5002-character str>"),
+    (["boost", "--p", "1", "--q", "2", "--apply=" + "x" * 5000],
+     "ambiguous option: <a 5010-character str> could match --apply-t, "
+     "--apply-x"),
+    (["--help=" + "x" * 5000], "argument -h/--help: ignored explicit "
+     "argument <a 5004-character str>"),
+    (["-h" + "x" * 5000], "argument -h/--help: ignored explicit argument "
+     "<a 5004-character str>"),
+    (["member", "--help=" + "x" * 5000], "argument -h/--help: ignored "
+     "explicit argument <a 5004-character str>"),
+    (["member", "--t", "1", "--x", "0", "--output", "o" * 5000],
+     "error: cannot write <a 5002-character str>: File name too long"),
 ], ids=["integer", "rational", "integer list", "direction", "choice",
-        "format", "extra argument", "subcommand"])
+        "format", "extra argument", "subcommand", "ambiguous option",
+        "help value", "short help value", "subcommand help value",
+        "output"])
 def test_a_long_flag_is_a_short_usage_error(capsys, argv, message):
     # each once echoed the whole value, over 5,000 bytes of stderr
     code, out, err = run_cli(capsys, *argv)
@@ -481,11 +494,31 @@ def test_a_long_flag_is_a_short_usage_error(capsys, argv, message):
     (["converge", "--model", "q", "--v", "0", "--t", "2"],
      "argument --model: invalid choice: 'q'"),
     (["member", "--t", "1", "--x", "0", "y", "--z"],
-     "unrecognized arguments: 'y' '--z'"),
+     "unrecognized arguments: y --z"),
 ], ids=["choice", "extra arguments"])
 def test_a_short_refused_word_is_written_whole(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "") and err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("v, n, row_v, written", [
+    ("1/1" + "0" * 5000, "8", "1/1" + "0" * 5000,
+     ("8", "<a 16610-bit number>")),
+    ("1/2", "1" * 5002, "1/2", ("<a 16614-bit number>", "1/2")),
+    ("0", "9", "0/1", ("9", "0")),
+], ids=["long velocity", "long size", "zero velocity"])
+def test_a_marker_warning_writes_its_values_through_brief(capsys, v, n, row_v,
+                                                          written):
+    # the first two once echoed v or N in full, over 5,000 bytes of stderr
+    code, out, err = run_cli(capsys, "converge", "--model", "linear",
+                             "--v", v, "--t", "2", "--n", n,
+                             "--cap", "9" * len(n))
+    assert code == 0
+    assert out == (",".join(CSV_HEADER) + "\n"
+                   f"1,{n},0,2/1,{row_v},warning,0,0,0,0,0,0\n")
+    assert err == (f"warning: N={written[0]} cannot realize v={written[1]} "
+                   "with integer segment counts; emitting marker row\n")
+    assert len(err.encode()) <= 300
 
 
 @pytest.mark.parametrize("text", ["1_0", " 2", "0.0_4", "2 ", "\u0663",
@@ -579,7 +612,7 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
                              "--t", "1", "--output", str(target))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: cannot write {target}")
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
     assert not target.exists()
 
 

@@ -26,6 +26,7 @@ exact and converge, the node cap on dirac-check's fine grid).
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -117,17 +118,26 @@ def _direction(text: str) -> Direction:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but every message it writes passes each word
-    past 100 characters through brief, and its choice check leaves out the
-    (choose from ...) tail: the usage line above the message lists them."""
+    """argparse's parser, but its messages give each argument it read, and an
+    ignored explicit argument's value, past 100 characters through brief; its
+    choice check leaves out the (choose from ...) tail the usage line lists."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
 
     def _check_value(self, action: argparse.Action, value: object) -> None:
         if action.choices is not None and value not in action.choices:
             raise argparse.ArgumentError(action, f"invalid choice: {brief(value)}")
 
     def error(self, message: str):
-        super().error(" ".join(brief(word) if len(word) > 100 else word
-                               for word in message.split(" ")))
+        quoted = re.fullmatch(r"(argument \S+: ignored explicit argument )(.*)", message, re.S)
+        if quoted:  # argparse writes a part of one argument, by its repr
+            message = quoted[1] + brief(ast.literal_eval(quoted[2]))
+        for word in sorted(self.argv, key=len, reverse=True):
+            if len(word) > 100:  # longest first: one may hold a shorter one
+                message = message.replace(word, brief(word))
+        super().error(message)
 
 
 def _cmd_member(args: argparse.Namespace) -> dict:

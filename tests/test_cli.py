@@ -472,19 +472,30 @@ BIG = "1" + "0" * 5000  # 5,001 digits, past the 4,300 int() reads by default
      "ambiguous option: <a 5010-character str> could match --apply-t, "
      "--apply-x"),
     (["--help=" + "x" * 5000], "argument -h/--help: ignored explicit "
-     "argument <a 5004-character str>"),
+     "argument <a 5002-character str>"),
     (["-h" + "x" * 5000], "argument -h/--help: ignored explicit argument "
-     "<a 5004-character str>"),
+     "<a 5002-character str>"),
     (["member", "--help=" + "x" * 5000], "argument -h/--help: ignored "
-     "explicit argument <a 5004-character str>"),
+     "explicit argument <a 5002-character str>"),
     (["member", "--t", "1", "--x", "0", "--output", "o" * 5000],
      "error: cannot write <a 5002-character str>: File name too long"),
+    (["member", "--t", "1", "--x", "0", "y " * 2500],
+     "unrecognized arguments: <a 5002-character str>"),
+    (["boost", "--p", "1", "--q", "2", "--apply=" + "x " * 2500],
+     "ambiguous option: <a 5010-character str> could match --apply-t, "
+     "--apply-x"),
+    (["--help=" + "x " * 2500], "argument -h/--help: ignored explicit "
+     "argument <a 5002-character str>"),
+    (["member", "--t", "1", "--x", "0", "y" * 200, "y" * 300, "z"],
+     "unrecognized arguments: <a 202-character str> <a 302-character str> z"),
 ], ids=["integer", "rational", "integer list", "direction", "choice",
         "format", "extra argument", "subcommand", "ambiguous option",
         "help value", "short help value", "subcommand help value",
-        "output"])
+        "output", "spaced extra argument", "spaced ambiguous option",
+        "spaced help value", "nested extra arguments"])
 def test_a_long_flag_is_a_short_usage_error(capsys, argv, message):
-    # each once echoed the whole value, over 5,000 bytes of stderr
+    # each once echoed a long value whole, up to 5,214 bytes of stderr; a long
+    # value is written by the length of its repr, as the caller gave it
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith(message + "\n") and len(err.encode()) <= 300

@@ -50,7 +50,6 @@ from .spacetime import (DEFAULT_SPECTRUM_CAP, SpacetimePoint, apply_boost,
                         velocity_spectrum)
 
 SCHEMA_VERSION = 1
-_R = Direction.R  # ~10 ns a read; Direction.R ~100 ns
 
 CSV_HEADER = ["schema_version", *(f.name for f in fields(ConvergenceRow))]
 
@@ -174,7 +173,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> dict | str:
     for path in enumerate_paths(args.P, args.Q, args.start, args.end,
                                 cap=args.cap):
         bends = bend_records(path)
-        to_left = sum(side is _R for side, _ in bends)
+        to_left = sum(side is Direction.R for side, _ in bends)
         entries.append({
             "path": "".join(d.value for d in path),
             "bends": len(bends),
@@ -269,9 +268,9 @@ def run(args: argparse.Namespace) -> int:
         try:
             with open(args.output, "w", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a null byte
             print(f"error: cannot write {brief(args.output)}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
+                  f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

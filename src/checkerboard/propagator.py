@@ -77,20 +77,17 @@ class _OddRows(dict):
     """e_k of the first n odd numbers, k = 0..n, as _odd_row[n]: a dict
     of the 32 newest tables, keyed on n alone and held to no cap (every
     caller checks n first, so no float or bool key reaches it). A missing
-    table n grows a copy of the longest table held below n in place and
-    top-down, e_k(new) = e_k(old) + (2j-1) e_{k-1}(old), O(n^2) integer
-    operations; holding none, it builds table (n - 1) // 2 through the
-    store first. So a doubling sweep's table 2m + 1 extends the previous
-    size's table m, the longer axis's table extends the shorter one's
-    (see _axis_rows), and a cold chain takes the steps of one build from
-    [1]. The 33rd table drops the oldest one inserted."""
+    table n grows a copy of the longest table held below n, or [1] when
+    none is, in place and top-down, e_k(new) = e_k(old) + (2j-1)
+    e_{k-1}(old), O(n^2) integer operations, and is the only table it
+    adds. So an ascending sweep's tables each extend the one before, the
+    longer axis's table extends the shorter one's (see _axis_rows), and
+    the sweep runs the steps of one build up to its largest table. The
+    33rd table drops the oldest one inserted."""
 
     def __missing__(self, n: int) -> tuple[int, ...]:
-        if n == 0:
-            base, row = 0, [1]
-        else:
-            base = max((m for m in self if m < n), default=(n - 1) // 2)
-            row = list(self[base])
+        base = max((m for m in self if m < n), default=0)
+        row = list(self[base]) if base in self else [1]
         for j in range(base + 1, n + 1):
             odd = 2 * j - 1
             row.append(0)
@@ -109,8 +106,9 @@ def elem_sym_table(n: int, cap: int = DEFAULT_LATTICE_CAP) -> SymmetricTable:
     """The e_k table of the first n odd numbers (e_1 = n^2), a checked
     view of the _odd_row store: n that is not an integer >= 0 raises
     InvalidParameterError, and n above cap ResourceLimitError, on every
-    call, held table or not, before any lookup. cache_clear empties the
-    store."""
+    call, held table or not, before any lookup. A table n not held grows
+    from the longest table held below n, or from [1], and is the only
+    table the call adds. cache_clear empties the store."""
     n = check_size("table size n", n, 0)
     check_cap("n", n, "lattice", cap)
     return SymmetricTable(values=_odd_row[n])

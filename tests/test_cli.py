@@ -627,6 +627,16 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_an_output_path_with_a_null_byte_is_a_usage_error(capsys):
+    # open() refuses it with a ValueError, which has no strerror; it once
+    # escaped main as a bare traceback
+    code, out, err = run_cli(capsys, "member", "--t", "1", "--x", "0",
+                             "--output", "a\0b")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write 'a\\x00b': embedded null byte\n"
+    assert len(err.encode()) <= 300
+
+
 def test_propagator_output_file_round_trip(tmp_path, capsys):
     f = tmp_path / "prop.json"
     assert main(["propagator", "--t", "2", "--x", "0.5",

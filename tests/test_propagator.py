@@ -31,6 +31,9 @@ from checkerboard.propagator import (COMPONENT_ORDER, DEFAULT_LATTICE_CAP,
 from test_lattice_equation import LATTICES
 from test_paths import fraction_per_term
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import REFINE_FAMILIES  # noqa: E402
+
 try:
     import mpmath
 except ImportError:  # pragma: no cover
@@ -136,17 +139,12 @@ def test_readme_cache_counts_are_current():
             [int(n) for n in tables.split(",")], call
 
 
-def test_a_descending_sweep_hits_the_chain_tables():
-    # the largest size's cold chain 63, 31, 15, 7, 3, 1, 0 holds every
-    # table the smaller sizes read, and its table 127 extends 63; the
-    # sizes after it build nothing
+def test_a_descending_sweep_gives_the_rows_of_each_size_alone():
+    # no table of a descending sweep extends a smaller size's; its rows
+    # are those of its largest size run on its own and then the rest
     elem_sym_table.cache_clear()
     first = convergence_sweep(2, Fraction(3, 5), [128])
-    held = dict(propagator._odd_row)
-    assert sorted(held) == [0, 1, 3, 7, 15, 31, 63, 127]
     rest = convergence_sweep(2, Fraction(3, 5), [64, 32, 16, 8])
-    assert propagator._odd_row == held
-    assert all(propagator._odd_row[n] is held[n] for n in held)
     elem_sym_table.cache_clear()
     assert convergence_sweep(2, Fraction(3, 5), [128, 64, 32, 16, 8]) == \
         first + rest
@@ -162,8 +160,8 @@ def test_a_missing_table_extends_the_longest_one_held_below_it():
             return super().__getitem__(n)
 
     store = Logged()
-    for n, read in ((9, [9, 4, 1, 0]),  # none held: the halving chain
-                    (7, [7, 4]), (3, [3, 1]), (2, [2, 1]),
+    for n, read in ((9, [9]),  # none held: built from [1]
+                    (7, [7]), (3, [3]), (2, [2]),
                     (30, [30, 9]), (9, [9])):
         reads.clear()
         assert store[n] == PLAIN_ROWS[n]
@@ -183,6 +181,36 @@ def test_the_shorter_axis_is_looked_up_first():
         assert (e_right, e_left) == (PLAIN_ROWS[P - 1], PLAIN_ROWS[Q - 1])
         assert reads == read, (P, Q)
     assert e_right is e_left  # P == Q: one row, read once
+
+
+def test_a_refine_round_runs_110080_recurrence_steps(monkeypatch):
+    """One `refine` benchmark round's quadratic sweeps, each on a cleared
+    store, run the 110,080 recurrence steps the ROADMAP states: a table n
+    grown from held table b appends the odd numbers 2j - 1 of j = b + 1..n,
+    j multiply-adds each. Looking up the right axis first runs 114,904."""
+    steps = 0
+
+    class Counted(type(propagator._odd_row)):
+        def __getitem__(self, n):
+            row = super().__getitem__(n)
+            self.last = len(row) - 1  # in a build: the table it extends
+            return row
+
+        def __missing__(self, n):
+            nonlocal steps
+            self.last = 0
+            row = super().__missing__(n)
+            steps += (n * (n + 1) - self.last * (self.last + 1)) // 2
+            return row
+
+    store = Counted()
+    monkeypatch.setattr(LatticeSpec, "row", staticmethod(store.__getitem__))
+    for (p, q), ms in REFINE_FAMILIES.items():
+        for a, b in {(p, q), (q, p)}:
+            store.clear()
+            for m in ms:
+                exact_parts(LatticeSpec(a * m, b * m, 2))
+    assert steps == 110_080
 
 
 def test_the_33rd_table_drops_the_oldest():
@@ -252,7 +280,8 @@ def test_a_raised_cap_reaches_the_tables_it_builds(monkeypatch, build, size):
     # a size past the default cap is checked once, against the caller's
     # raised cap, on the caller's own size. The spy runs the real check,
     # then stops the call before its O(n^2) work, so these sizes cost
-    # nothing; the chain's own lack of checks is the next test's
+    # nothing; that a cold table adds no check of its own is the next
+    # test's
     seen, check = [], propagator.check_cap
 
     def spy(name, value, kind, cap):
@@ -266,10 +295,10 @@ def test_a_raised_cap_reaches_the_tables_it_builds(monkeypatch, build, size):
     assert seen == [size]
 
 
-def test_a_table_chain_runs_no_check_of_its_own(monkeypatch):
-    # on an empty store table 9 extends 4, 4 extends 1 and 1 extends 0:
-    # four tables built under the caller's one check, whose cap admits 9
-    # and nothing above it
+def test_a_cold_table_runs_one_check_and_holds_only_itself(monkeypatch):
+    # on an empty store table 9 grows from [1] under the caller's one
+    # check, whose cap admits 9 and nothing above it, and is the only
+    # table held
     seen, check = [], propagator.check_cap
 
     def spy(name, value, kind, cap):
@@ -280,24 +309,19 @@ def test_a_table_chain_runs_no_check_of_its_own(monkeypatch):
     elem_sym_table.cache_clear()
     assert elem_sym_table(9, cap=9).values == PLAIN_ROWS[9]
     assert seen == [(9, 9)]
-    assert sorted(propagator._odd_row) == [0, 1, 4, 9]
-    for n in (4, 1, 0):  # the chain's tables, each now held
-        assert elem_sym_table(n, cap=n).values == PLAIN_ROWS[n]
-    assert seen == [(9, 9), (4, 4), (1, 1), (0, 0)]
-    assert sorted(propagator._odd_row) == [0, 1, 4, 9]
+    assert sorted(propagator._odd_row) == [9]
 
 
 def test_the_cap_is_no_part_of_the_cache_key():
     # the three ways to ask for table 300 share one entry: the first
-    # builds the chain 300, 149, 74, 36, 17, 8, 3, 1, 0 and the others
-    # read it
+    # builds it and the others read it
     elem_sym_table.cache_clear()
     tables = [elem_sym_table(300), elem_sym_table(300, 4096),
               elem_sym_table(300, cap=5000)]
     assert tables[0] == tables[1] == tables[2]
     assert tables[0].values == PLAIN_ROWS[300]
     assert tables[0].values is tables[1].values is tables[2].values
-    assert sorted(propagator._odd_row) == [0, 1, 3, 8, 17, 36, 74, 149, 300]
+    assert sorted(propagator._odd_row) == [300]
 
 
 def test_long_rationals_stay_out_of_sweep_errors():

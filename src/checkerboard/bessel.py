@@ -23,6 +23,9 @@ the float ceil). error_bound adds that to the tail and to the final
 rounding to float64. The stop test runs only once the terms decrease
 (p^2 <= d_k 2^sh, so (s/2)^2 <= d_k), and the tail is bounded by its
 first term; at the MAX_SERIES_TERMS cap that holds for every s <= 402.
+The stop test is integer arithmetic like the sum: tol enters as its exact
+ratio tn / 2^e, and term < tol x is tested as term << e < tn x, so no
+partial sum becomes a float and no s overflows the test.
 Valid on [0, SERIES_WINDOW].
 
 Grid route (j0_j1_values; j0_values and j1_values are its halves):
@@ -60,6 +63,7 @@ SERIES_WINDOW = 50.0
 
 _LOG2_E = 1.4426950408889634
 _TOL = 1e-16  # the scalar series' default stop tolerance
+_TOL_RATIO = _TOL.as_integer_ratio()  # _sum takes tol as this ratio
 _TINY = 2.0 ** -27  # grid arguments below it skip the recurrence
 _BIG = 2.0 ** 500   # grid recurrence values above it are scaled down
 _DIVISORS = tuple(tuple((k + 1) * (k + 1 + order)
@@ -85,7 +89,7 @@ def _check_window(lo: float, hi: float) -> None:
 
 
 def _sum(p: int, q: int, num: int, sh: int, bits: int, order: int,
-         tol: float) -> tuple[int, int, int, int]:
+         tol: tuple[int, int]) -> tuple[int, int, int, int]:
     """Fixed-point sum of the order-0 or order-1 series at s = p / q, with
     (s/2)^2 = num / 2^sh and bits (+ extra) fractional bits.
 
@@ -94,23 +98,25 @@ def _sum(p: int, q: int, num: int, sh: int, bits: int, order: int,
     stops once the next term starts a decreasing tail and is below
     tol * (|partial sum| + 1), or at MAX_SERIES_TERMS terms; for J1 below
     s = 1 the stop is tol * |partial sum|, relative to the value's size.
+    tol is the exact ratio (tn, 2^e) of a float, as float.as_integer_ratio
+    gives it, and every stop test is in integers: term >= tol * x is
+    term << e >= tn * x.
 
     The terms grow up to the peak index, the first k >= 1 with
     num <= div[k] << sh, that is div[k] >= ceil(num / 2^sh): a bisection
     finds it, and the head before it is summed in pairs with no test and
     no sign branch. From the peak on the magnitudes do not increase and
     the signs alternate, so every later partial sum lies within term_peak
-    of the sum S_peak there. As fl(tol * fl(x)) is monotone in x, a term
-    at least hoisted = tol * (|S_peak| + term_peak + floor) passes the
-    exact test term >= tol * (|total| + floor). The tail therefore tests
-    term >= hoisted or the exact test: the int comparison decides most
-    terms, and the float one runs only where it fails, so the sum stops
-    at the same k as the exact test alone. An int term meets h exactly
-    when it meets ceil(h), so hoisted is rounded up once (ceil(inf)
-    raises: an infinite bound stays). The tail adds at even k and
-    subtracts at odd k in pairs, testing every term; an odd peak first
-    takes one subtracting step.
+    of the sum S_peak there. A term above
+    hoisted = floor(tn * (|S_peak| + term_peak + floor) / 2^e) therefore
+    exceeds tol * (|total| + floor) at every later k and passes the exact
+    test. The tail tests term > hoisted or the exact test: the first
+    comparison decides most terms, and the shift and product of the second
+    run only where it fails, so the sum stops at the same k as the exact
+    test alone. The tail adds at even k and subtracts at odd k in pairs,
+    testing every term; an odd peak first takes one subtracting step.
     """
+    tn, e = tol[0], tol[1].bit_length() - 1  # tol = tn / 2^e
     # J1(s) is about s/2: below s = 1, about log2(1/s) more bits keep its
     # 64 significant bits, and the stop test scales with it
     extra = max(0, q.bit_length() - p.bit_length()) if order and p else 0
@@ -130,19 +136,17 @@ def _sum(p: int, q: int, num: int, sh: int, bits: int, order: int,
         total += term
         term = (term * num >> sh) // div[peak - 1]
     k = peak
-    hoisted = tol * (abs(total) + term + floor)
-    if hoisted != inf:
-        hoisted = ceil(hoisted)
-    if k & 1 and (term >= hoisted or term >= tol * (abs(total) + floor)):
+    hoisted = tn * (abs(total) + term + floor) >> e
+    if k & 1 and (term > hoisted or term << e >= tn * (abs(total) + floor)):
         total -= term
         term = (term * num >> sh) // div[k]
         k += 1
     # runs from an even k, and MAX_SERIES_TERMS is even: div[k + 1] exists
     while k < MAX_SERIES_TERMS and (
-            term >= hoisted or term >= tol * (abs(total) + floor)):
+            term > hoisted or term << e >= tn * (abs(total) + floor)):
         total += term
         term = (term * num >> sh) // div[k]
-        if term < hoisted and term < tol * (abs(total) + floor):
+        if term <= hoisted and term << e < tn * (abs(total) + floor):
             k += 1
             break
         total -= term
@@ -165,7 +169,8 @@ def _series(s: float, order: int, tol: float) -> SeriesResult:
     """_sum at s with its error bound (see the module docstring)."""
     tol = check_real("tol", tol, InvalidParameterError, positive=True)
     p, q, num, sh, bits = _setup(s)
-    total, term, k, extra = _sum(p, q, num, sh, bits, order, tol)
+    total, term, k, extra = _sum(p, q, num, sh, bits, order,
+                                 tol.as_integer_ratio())
     one = 1 << (bits + extra)
     # The terms decrease from here on (at the cap too, since s <= 402), so
     # the first omitted term bounds the tail.
@@ -190,8 +195,8 @@ def bessel_j0_j1(s: float) -> tuple[float, float]:
     setup shared by both orders and no record or bound built. The two
     term chains stay separate: one chain would floor different integers."""
     p, q, num, sh, bits = _setup(s)
-    j0 = _sum(p, q, num, sh, bits, 0, _TOL)[0] / (1 << bits)
-    total, _, _, extra = _sum(p, q, num, sh, bits, 1, _TOL)
+    j0 = _sum(p, q, num, sh, bits, 0, _TOL_RATIO)[0] / (1 << bits)
+    total, _, _, extra = _sum(p, q, num, sh, bits, 1, _TOL_RATIO)
     return j0, total / (1 << (bits + extra))
 
 

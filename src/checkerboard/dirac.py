@@ -91,7 +91,6 @@ def _central(f: np.ndarray, h: float, out: tuple[np.ndarray, np.ndarray]):
     f_x = np.subtract(f[1:-1, 2:], f[1:-1, :-2], out=out[1])
     f_t /= 2.0 * h
     f_x /= 2.0 * h
-    return f_t, f_x
 
 
 def residual_rows(u: np.ndarray, w: np.ndarray,

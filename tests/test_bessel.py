@@ -255,7 +255,8 @@ def sum_at(s, order, tol):
     the window too."""
     p, q = s.as_integer_ratio()
     bits = ceil(s * 1.4426950408889634) + 64
-    return bessel._sum(p, q, p * p, 2 * q.bit_length(), bits, order, tol)
+    return bessel._sum(p, q, p * p, 2 * q.bit_length(), bits, order,
+                       tol.as_integer_ratio())
 
 
 def test_tail_pairs_up_to_the_cap():
@@ -277,6 +278,16 @@ def test_tail_pairs_up_to_the_cap():
                 tol = 2 * terms[last] / band
                 assert terms[last] < ceil(tol * band) <= terms[last - 1]
                 assert sum_at(s, order, tol) == want, (s, order, last)
+
+
+@pytest.mark.parametrize("s", [345.0, 400.0])
+def test_integer_stop_test_past_float_range(s):
+    # At these s the partial sums pass 2^1024, out of float range; the
+    # integer stop test still runs to the cap with the oracle's sum and term.
+    for order in (0, 1):
+        *_, (_, total, term, _, _) = oracle_steps(s, order)
+        assert sum_at(s, order, 1e-16) == (total, term, MAX_SERIES_TERMS, 0), (
+            s, order)
 
 
 def test_tight_tol_stops_where_the_floored_terms_vanish():
